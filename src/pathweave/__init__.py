@@ -27,7 +27,7 @@ from .errors import (
     GraphFormatError,
     PathweaveError,
 )
-from .evaluate import EvalPlan, evaluate, plan
+from .evaluate import EvalPlan, evaluate, plan, verify_rule
 from .expr import (
     Add,
     Clip,
@@ -67,7 +67,6 @@ from .rewrite import (
     RuleTrace,
     derivation_table,
     simplify,
-    verify_rule,
 )
 from .tensor import (
     EdgeSlice,

@@ -1,8 +1,10 @@
 """Command-line front door: ingest, check, simplify, evaluate, analyze.
 
-Exit codes: 0 success, 1 domain error (evaluation or analysis), 2 I/O,
-format, or expression syntax error. Output is deterministic: fixed
-orderings, floats printed with 12 significant digits. PATHWEAVE_THREADS
+Exit codes: 0 success, 1 domain error (evaluation or analysis) or input
+too deep or too large to process, 2 I/O, format, or expression syntax
+error; each failure prints one `pathweave: ...` line to stderr, never a
+traceback. Output is deterministic: fixed orderings, floats printed with
+12 significant digits. PATHWEAVE_THREADS
 caps internal parallelism (evaluation in this version is single-threaded,
 which trivially respects any cap >= 1).
 """
@@ -339,6 +341,12 @@ def main(argv=None) -> int:
         return 2
     except (EvalError, AnalysisError) as err:
         print(f"pathweave: {err}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("pathweave: input is nested too deeply to process", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("pathweave: out of memory", file=sys.stderr)
         return 1
 
 

@@ -1,4 +1,10 @@
-"""Execute path expressions against a tensor, with light evaluation planning.
+"""The tree interpreter: evaluation, planning, and rule verification.
+
+Every walk over an expression runs on ``expr.fold`` (or ``expr.walk``), so
+depth is bounded by memory rather than the recursion limit. ``run`` is the
+one mapping from operators to kernels: ``evaluate`` gives it a leaf resolver
+for slices and name-addressed filters of a tensor, and ``verify_rule`` one
+for pattern operands bound to concrete matrices and integer indices.
 
 Planning does two things, neither of which can change the result:
 
@@ -14,6 +20,7 @@ The plan also records the representation each node will take, which is how
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +39,46 @@ from .expr import (
     Transpose,
     VIn,
     VOut,
+    children,
+    fold,
     format_expr,
     walk,
+    with_children,
 )
-from .rewrite import RULES_BY_NAME
+from .rewrite import RULES_BY_NAME, EVar, LVar, NVar, PVar, RewriteRule, instantiate
 
+# indexed by the product side each rule moves its mask onto
 _PUSH_RULES = (RULES_BY_NAME["row-mask-into-product"], RULES_BY_NAME["col-mask-into-product"])
+
+# operator -> kernel name; resolved on the kernels module at each call
+_KERNELS = {
+    MatMul: "matmul",
+    Hadamard: "hadamard",
+    Add: "add",
+    Transpose: "transpose",
+    Not: "not_",
+    Clip: "clip",
+    VOut: "vertex_out",
+    VIn: "vertex_in",
+    Scale: "scale",
+}
+
+
+def run(e, leaf) -> kernels.PathMatrix:
+    """Apply each operator's kernel bottom-up; `leaf(node)` maps every node
+    that is not an operator to a path matrix."""
+
+    def visit(node, args):
+        name = _KERNELS.get(type(node))
+        if name is None:
+            return leaf(node)
+        if isinstance(node, (VOut, VIn)):
+            args += (node.p,)
+        elif isinstance(node, Scale):
+            args += (node.coef,)
+        return getattr(kernels, name)(*args)
+
+    return fold(e, visit)
 
 
 def _filter_spec(node: Filter, tensor) -> kernels.FilterSpec:
@@ -52,38 +93,23 @@ def _filter_spec(node: Filter, tensor) -> kernels.FilterSpec:
     return kernels.FilterSpec(node.kind, resolve(node.a), resolve(node.b))
 
 
-def _eval(e, tensor) -> kernels.PathMatrix:
-    if isinstance(e, SliceRef):
-        return tensor.matrix(e.label)
-    if isinstance(e, Filter):
-        return kernels.materialize_filter(_filter_spec(e, tensor), tensor.n)
-    if isinstance(e, MatMul):
-        return kernels.matmul(_eval(e.left, tensor), _eval(e.right, tensor))
-    if isinstance(e, Hadamard):
-        return kernels.hadamard(_eval(e.left, tensor), _eval(e.right, tensor))
-    if isinstance(e, Add):
-        return kernels.add(_eval(e.left, tensor), _eval(e.right, tensor))
-    if isinstance(e, Transpose):
-        return kernels.transpose(_eval(e.child, tensor))
-    if isinstance(e, Not):
-        return kernels.not_(_eval(e.child, tensor))
-    if isinstance(e, Clip):
-        return kernels.clip(_eval(e.child, tensor))
-    if isinstance(e, VOut):
-        return kernels.vertex_out(_eval(e.child, tensor), e.p)
-    if isinstance(e, VIn):
-        return kernels.vertex_in(_eval(e.child, tensor), e.p)
-    if isinstance(e, Scale):
-        return kernels.scale(_eval(e.child, tensor), e.coef)
-    raise EvalError(f"cannot evaluate {e!r}")
+def _tensor_leaf(tensor):
+    def leaf(node):
+        if isinstance(node, SliceRef):
+            return tensor.matrix(node.label)
+        if isinstance(node, Filter):
+            return kernels.materialize_filter(_filter_spec(node, tensor), tensor.n)
+        raise EvalError(f"cannot evaluate {node!r}")
+
+    return leaf
 
 
 def evaluate(e, tensor, use_plan: bool = True) -> kernels.PathMatrix:
     """Evaluate an expression to a path matrix; identical with or without
     planning."""
     if use_plan:
-        return _eval(plan(e, tensor).tree, tensor)
-    return _eval(e, tensor)
+        e = plan(e, tensor).tree
+    return run(e, _tensor_leaf(tensor))
 
 
 # -- planning -----------------------------------------------------------------
@@ -105,25 +131,25 @@ class EvalPlan:
     naive_flops: float
 
 
-def _repr_of(e) -> str:
-    """Representation the kernels will choose for this node's value."""
+def _repr_of(e, kids) -> str:
+    """Fold visitor: the representation the kernels will choose for this
+    node's value, given its children's."""
     if isinstance(e, Not):
         return "complement"
     if isinstance(e, Filter) and e.kind == "ones":
         return "complement"
     if isinstance(e, (Transpose, Clip)):
-        return _repr_of(e.child)
+        return kids[0]
     if isinstance(e, Hadamard):
-        if _repr_of(e.left) == "complement" and _repr_of(e.right) == "complement":
-            return "complement"
-        return "sparse"
+        return "complement" if kids == ("complement", "complement") else "sparse"
     if isinstance(e, Scale):
-        return _repr_of(e.child) if e.coef == 1 else "sparse"
+        return kids[0] if e.coef == 1 else "sparse"
     return "sparse"
 
 
-def _profiles(e, tensor):
-    """Estimated per-row/per-column nonzero counts, never evaluated."""
+def _profile(e, kids, tensor):
+    """Fold visitor: estimated per-row/per-column nonzero counts of this node,
+    given its children's; never evaluated."""
     n = tensor.n
     if isinstance(e, SliceRef):
         mat = tensor.slice(e.label)
@@ -155,30 +181,28 @@ def _profiles(e, tensor):
             cols[:] = n
         return rows, cols
     if isinstance(e, Transpose):
-        rows, cols = _profiles(e.child, tensor)
+        rows, cols = kids[0]
         return cols, rows
     if isinstance(e, (Clip, Scale)):
-        return _profiles(e.child, tensor)
+        return kids[0]
     if isinstance(e, Not):
-        rows, cols = _profiles(e.child, tensor)
+        rows, cols = kids[0]
         return n - rows, n - cols
     if isinstance(e, (VOut, VIn)):
-        rows, cols = _profiles(e.child, tensor)
+        rows, cols = kids[0]
         if isinstance(e, VOut):
             selected = rows > 0
             return np.where(selected, float(n), 0.0), np.full(n, float(selected.sum()))
         selected = cols > 0
         return np.full(n, float(selected.sum())), np.where(selected, float(n), 0.0)
     if isinstance(e, Hadamard):
-        lr, lc = _profiles(e.left, tensor)
-        rr, rc = _profiles(e.right, tensor)
+        (lr, lc), (rr, rc) = kids
         return np.minimum(lr, rr), np.minimum(lc, rc)
     if isinstance(e, Add):
-        lr, lc = _profiles(e.left, tensor)
-        rr, rc = _profiles(e.right, tensor)
+        (lr, lc), (rr, rc) = kids
         return np.minimum(lr + rr, n), np.minimum(lc + rc, n)
     if isinstance(e, MatMul):
-        return _product_profile(_profiles(e.left, tensor), _profiles(e.right, tensor), n)
+        return _product_profile(kids[0], kids[1], n)
     raise EvalError(f"cannot profile {e!r}")
 
 
@@ -206,16 +230,10 @@ def _pair_flops(left, right):
     return float(np.dot(lcols, rrows))
 
 
-def _flatten_chain(e):
-    if isinstance(e, MatMul):
-        return _flatten_chain(e.left) + _flatten_chain(e.right)
-    return [e]
-
-
 def _chain_order(factors, tensor):
     """Matrix-chain DP over estimated flops; returns (tree, est_flops)."""
     k = len(factors)
-    profs = [_profiles(f, tensor) for f in factors]
+    profs = [fold(f, lambda node, kids: _profile(node, kids, tensor)) for f in factors]
     best = [[(0.0, None)] * k for _ in range(k)]
     span_prof = [[None] * k for _ in range(k)]
     for i in range(k):
@@ -247,76 +265,166 @@ def _chain_order(factors, tensor):
     return build(0, k - 1), best[0][k - 1][0]
 
 
-def _naive_flops(e, tensor):
-    total = 0.0
-    if isinstance(e, MatMul):
-        total += _naive_flops(e.left, tensor) + _naive_flops(e.right, tensor)
-        total += _pair_flops(_profiles(e.left, tensor), _profiles(e.right, tensor))
-        return total
-    for kid in (getattr(e, "left", None), getattr(e, "right", None), getattr(e, "child", None)):
-        if kid is not None:
-            total += _naive_flops(kid, tensor)
-    return total
+def _estimate(node, kids, tensor):
+    """Fold visitor: the node's (profile, representation, estimated flops of
+    its own product, estimated flops of its whole subtree as written)."""
+    profile = _profile(node, [k[0] for k in kids], tensor)
+    rep = _repr_of(node, tuple(k[1] for k in kids))
+    own = _pair_flops(kids[0][0], kids[1][0]) if isinstance(node, MatMul) else 0.0
+    return profile, rep, own, sum((k[3] for k in kids), 0.0) + own
+
+
+def _sink_filter(node):
+    """Apply the planner commutations at the root of `node`, whose children
+    are already settled: a row (column) mask on a product moves onto its left
+    (right) factor, and from there down that side of the chain."""
+    spine = []
+    while True:
+        for side, rule in enumerate(_PUSH_RULES):
+            out = rule.apply(node)
+            if out is not None:
+                break
+        else:
+            break
+        spine.append((out, side))
+        node = children(out)[side]
+    for product, side in reversed(spine):
+        kids = list(children(product))
+        kids[side] = node
+        node = with_children(product, tuple(kids))
+    return node
 
 
 def _push_filters(e):
     """Apply the planner commutations bottom-up: masking a product's rows or
     columns becomes masking the matching factor."""
-    kids = [_push_filters(k) for k in _children_of(e)]
-    node = _rebuild(e, kids)
-    changed = True
-    while changed:
-        changed = False
-        for rule in _PUSH_RULES:
-            out = rule.apply(node)
-            if out is not None:
-                node = _rebuild(out, [_push_filters(k) for k in _children_of(out)])
-                changed = True
-    return node
-
-
-def _children_of(e):
-    from .expr import children
-
-    return children(e)
-
-
-def _rebuild(e, kids):
-    from .expr import with_children
-
-    return with_children(e, tuple(kids))
+    return fold(e, lambda node, kids: _sink_filter(with_children(node, kids)))
 
 
 def _reassociate(e, tensor):
-    kids = [_reassociate(k, tensor) for k in _children_of(e)]
-    node = _rebuild(e, kids)
-    if isinstance(node, MatMul):
-        factors = _flatten_chain(node)
+    """Reorder every product chain of three or more factors by the chain DP.
+    Each fold value is the rebuilt node and its product factors, left to
+    right."""
+
+    def visit(node, kids):
+        node = with_children(node, tuple(k[0] for k in kids))
+        if not isinstance(node, MatMul):
+            return node, [node]
+        factors = kids[0][1] + kids[1][1]
         if len(factors) >= 3:
             node, _ = _chain_order(factors, tensor)
-    return node
+        return node, factors
+
+    return fold(e, visit)[0]
 
 
 def plan(e, tensor) -> EvalPlan:
     """Choose association and filter placement; record per-node choices."""
     tree = _reassociate(_push_filters(e), tensor)
+    # one fold estimates every node; the steps list nodes deepest first, so
+    # look each one up by identity
+    facts = {}
+
+    def note(node, kids):
+        facts[id(node)] = fact = _estimate(node, kids, tensor)
+        return fact
+
+    fold(tree, note)
     steps = []
     total = 0.0
     for _, node in sorted(walk(tree), key=lambda pn: (len(pn[0]), pn[0]), reverse=True):
-        if isinstance(node, MatMul):
-            est = _pair_flops(_profiles(node.left, tensor), _profiles(node.right, tensor))
-            total += est
-            steps.append(
-                PlanStep("matmul", format_expr(node), _repr_of(node), est)
-            )
-        elif not _children_of(node):
-            steps.append(PlanStep("load", format_expr(node), _repr_of(node), 0.0))
-        else:
-            op = type(node).__name__.lower()
-            steps.append(PlanStep(op, format_expr(node), _repr_of(node), 0.0))
+        _, rep, est, _ = facts[id(node)]
+        total += est
+        op = type(node).__name__.lower() if children(node) else "load"
+        steps.append(PlanStep(op, format_expr(node), rep, est))
     return EvalPlan(
         tree=tree,
         steps=tuple(steps),
         est_flops=total,
-        naive_flops=_naive_flops(e, tensor),
+        naive_flops=fold(e, lambda node, kids: _estimate(node, kids, tensor))[3],
     )
+
+
+# -- empirical rule verification ----------------------------------------------
+
+
+def _pattern_vars(pat) -> dict:
+    """Metavariables of a pattern by name, first occurrence in preorder."""
+    acc: dict = {}
+    for _, node in walk(pat):
+        for var in (node, *(getattr(node, f, None) for f in ("a", "b", "coef", "p"))):
+            if isinstance(var, (EVar, NVar, PVar, LVar)):
+                acc.setdefault(var.name, var)
+    return acc
+
+
+def _pattern_leaf(n):
+    """Leaf resolver for an instantiated pattern: bound operands are path
+    matrices already, and filters carry integer indices."""
+
+    def leaf(node):
+        if isinstance(node, kernels.PathMatrix):
+            return node
+        if isinstance(node, Filter):
+            return kernels.materialize_filter(kernels.FilterSpec(node.kind, node.a, node.b), n)
+        raise TypeError(f"cannot evaluate pattern node {node!r}")
+
+    return leaf
+
+
+def _sides_equal(rule, bnd, n) -> bool:
+    leaf = _pattern_leaf(n)
+    lhs = run(instantiate(rule.lhs, bnd), leaf).to_dense().astype(float)
+    rhs = run(instantiate(rule.rhs, bnd), leaf).to_dense().astype(float)
+    return np.allclose(lhs, rhs, rtol=0, atol=1e-9)
+
+
+def verify_rule(rule: RewriteRule, trials: int = 200, rng=None) -> bool:
+    """Empirical soundness: the two sides evaluate identically on random
+    operands satisfying the guard; exhaustive over 2x2 boolean matrices when
+    the pattern has at most two matrix metavariables."""
+    rng = rng if rng is not None else np.random.default_rng(7)
+    acc = _pattern_vars(rule.lhs)
+    evars = [v for v in acc.values() if isinstance(v, EVar)]
+    nvars = [v for v in acc.values() if isinstance(v, NVar)]
+    pvars = [v for v in acc.values() if isinstance(v, PVar)]
+    lvars = [v for v in acc.values() if isinstance(v, LVar)]
+
+    def scalar_rounds(n, rng):
+        bnd = {}
+        for v in nvars:
+            bnd[v.name] = int(rng.integers(0, n))
+        for v in pvars:
+            bnd[v.name] = int(rng.integers(0, 3))
+        for v in lvars:
+            bnd[v.name] = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+        return bnd
+
+    if len(evars) <= 2:
+        mats = [
+            kernels.PathMatrix.from_dense(np.array(bits, dtype=np.int64).reshape(2, 2))
+            for bits in itertools.product((0, 1), repeat=4)
+        ]
+        n = 2
+        for combo in itertools.product(mats, repeat=len(evars)):
+            bnd = scalar_rounds(n, rng)
+            for var, mat in zip(evars, combo):
+                bnd[var.name] = mat
+            if rule.guard is not None and not rule.guard(bnd):
+                continue
+            if not _sides_equal(rule, bnd, n):
+                return False
+    for _ in range(trials):
+        n = int(rng.integers(2, 9))
+        bnd = scalar_rounds(n, rng)
+        for var in evars:
+            if var.boolean or rng.random() < 0.5:
+                arr = (rng.random((n, n)) < 0.35).astype(np.int64)
+            else:
+                arr = rng.random((n, n)) * (rng.random((n, n)) < 0.35)
+            bnd[var.name] = kernels.PathMatrix.from_dense(arr)
+        if rule.guard is not None and not rule.guard(bnd):
+            continue
+        if not _sides_equal(rule, bnd, n):
+            return False
+    return True

@@ -122,6 +122,27 @@ def walk(e):
             stack.append((path + (idx,), kids[idx]))
 
 
+def fold(e, visit):
+    """Post-order fold: `visit(node, kid_values)` gives each node's value from
+    its children's (an empty tuple at a leaf); returns the root's value.
+
+    Runs on an explicit stack, so depth is bounded by memory rather than the
+    recursion limit. Children are visited left to right."""
+    values, stack = [], [(e, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is None:
+            kids = children(node)
+            stack.append((node, kids))
+            stack.extend((kid, None) for kid in reversed(kids))
+        else:
+            start = len(values) - len(kids)
+            value = visit(node, tuple(values[start:]))
+            del values[start:]  # children's values die here, not at the next visit
+            values.append(value)
+    return values[0]
+
+
 def subexpr_at(e, path: tuple):
     for idx in path:
         e = children(e)[idx]

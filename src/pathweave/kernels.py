@@ -16,6 +16,7 @@ on rounding noise.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,19 +212,24 @@ def _full_rows(rows: np.ndarray, n: int, values=None) -> sp.csr_array:
     return sp.csr_array((data, indices, indptr), shape=(n, n))
 
 
+def _int_checked(op, x, y, bound):
+    """op(x, y) on CSR operands; int64 pipelines detect (rather than wrap on)
+    overflow. `bound(x, y)` caps the result's entries in float64, where int64
+    sums cannot wrap; only past the safe range is op redone in float64."""
+    if x.dtype.kind == "i" and y.dtype.kind == "i" and x.nnz and y.nnz:
+        if bound(x, y) * (1.0 + 1e-9) >= _INT_SAFE_BOUND:
+            approx = op(x.astype(np.float64), y.astype(np.float64))
+            if approx.nnz and float(np.abs(approx.data).max()) >= _INT_SAFE_BOUND:
+                raise EvalError("path counts exceed the 64-bit integer range")
+    return op(x, y)
+
+
 def _checked_matmul(x, y):
-    """Sparse product; int64 pipelines detect (rather than wrap on) overflow."""
+    """Sparse product: exact in int64 when both operands are, else float64."""
     if x.dtype.kind == "i" and y.dtype.kind == "i":
-        if x.nnz and y.nnz:
-            # bound in float64: the int64 row sums could themselves wrap
-            max_rowsum = float(x.astype(np.float64).sum(axis=1).max())
-            bound = max_rowsum * float(y.data.max()) * (1.0 + 1e-9)
-            if bound >= _INT_SAFE_BOUND:
-                approx = x.astype(np.float64) @ y.astype(np.float64)
-                if approx.nnz and float(np.abs(approx.data).max()) >= _INT_SAFE_BOUND:
-                    raise EvalError("path counts exceed the 64-bit integer range")
-        return _canon(x @ y, prune=False)
-    return _canon(x.astype(np.float64) @ y.astype(np.float64))
+        rowsum_bound = lambda x, y: float(x.astype(np.float64).sum(axis=1).max()) * y.data.max()
+        return _int_checked(operator.matmul, x, y, rowsum_bound)
+    return x.astype(np.float64) @ y.astype(np.float64)
 
 
 # -- the eight operations --------------------------------------------------
@@ -241,13 +247,13 @@ def matmul(a: PathMatrix, b: PathMatrix) -> PathMatrix:
         rows = np.flatnonzero(sums)
         broadcast = _full_rows(rows, n, values=sums[rows])
         prod = _checked_matmul(a.mat, b.mat.astype(a.mat.dtype))
-        return PathMatrix(_canon(broadcast.astype(prod.dtype) - prod, prune=True))
+        return PathMatrix(broadcast.astype(prod.dtype) - prod)
     if a.complement and not b.complement:
         sums = np.asarray(b.mat.sum(axis=0)).ravel()
         cols = np.flatnonzero(sums)
         broadcast = _full_rows(cols, n, values=sums[cols]).T.tocsr()
         prod = _checked_matmul(a.mat.astype(b.mat.dtype), b.mat)
-        return PathMatrix(_canon(sp.csr_array(broadcast) - prod, prune=True))
+        return PathMatrix(sp.csr_array(broadcast) - prod)
     # (1 - A) . (1 - B): inherently dense; go through the guarded expansion.
     da = a.to_dense()
     db = b.to_dense()
@@ -255,21 +261,22 @@ def matmul(a: PathMatrix, b: PathMatrix) -> PathMatrix:
 
 
 def transpose(a: PathMatrix) -> PathMatrix:
-    return PathMatrix(_canon(a.mat.T, prune=False), complement=a.complement)
+    return PathMatrix(a.mat.T, complement=a.complement)
 
 
 def hadamard(a: PathMatrix, b: PathMatrix) -> PathMatrix:
     """Entrywise product; the algebra's filter application."""
     _same_order(a, b)
     if not a.complement and not b.complement:
-        return PathMatrix(_canon(a.mat.multiply(b.mat), prune=False))
+        bound = lambda x, y: float(x.data.max()) * float(y.data.max())
+        return PathMatrix(_int_checked(lambda x, y: x.multiply(y), a.mat, b.mat, bound))
     if not a.complement and b.complement:
         # A o (1 - B): drop A's entries that fall on B's pattern.
         masked = a.mat - a.mat.multiply(b.mat.astype(a.mat.dtype))
-        return PathMatrix(_canon(masked, prune=False))
+        return PathMatrix(masked)
     if a.complement and not b.complement:
         masked = b.mat - b.mat.multiply(a.mat.astype(b.mat.dtype))
-        return PathMatrix(_canon(masked, prune=False))
+        return PathMatrix(masked)
     union = a.mat + b.mat
     return PathMatrix(union, complement=True)
 
@@ -303,7 +310,7 @@ def vertex_in(a: PathMatrix, p: int = 0) -> PathMatrix:
     """All-ones columns exactly where the (weighted) column sum exceeds p."""
     _check_threshold(p)
     cols = np.flatnonzero(_col_sums(a) > p)
-    return PathMatrix(_canon(_full_rows(cols, a.n).T, prune=False))
+    return PathMatrix(_full_rows(cols, a.n).T)
 
 
 def _check_threshold(p):
@@ -321,7 +328,7 @@ def scale(a: PathMatrix, lam) -> PathMatrix:
     if lam == 0.0:
         return PathMatrix.zeros(a.n)
     base = a.explicit() if a.complement else a.mat
-    return PathMatrix(_canon(base.astype(np.float64) * lam))
+    return PathMatrix(base.astype(np.float64) * lam)
 
 
 def add(a: PathMatrix, b: PathMatrix) -> PathMatrix:
@@ -332,7 +339,8 @@ def add(a: PathMatrix, b: PathMatrix) -> PathMatrix:
     if x.dtype.kind != y.dtype.kind:
         x = x.astype(np.float64)
         y = y.astype(np.float64)
-    return PathMatrix(_canon(x + y, prune=False))
+    bound = lambda x, y: float(x.data.max()) + float(y.data.max())
+    return PathMatrix(_int_checked(operator.add, x, y, bound))
 
 
 def materialize_filter(spec: FilterSpec, n: int) -> PathMatrix:
@@ -343,7 +351,7 @@ def materialize_filter(spec: FilterSpec, n: int) -> PathMatrix:
     if spec.kind == "row":
         return PathMatrix(_full_rows(np.array([spec.i]), n))
     if spec.kind == "col":
-        return PathMatrix(_canon(_full_rows(np.array([spec.i]), n).T, prune=False))
+        return PathMatrix(_full_rows(np.array([spec.i]), n).T)
     if spec.kind == "entry":
         return PathMatrix.from_pairs(n, [spec.i], [spec.j])
     if spec.kind == "identity":

@@ -2,9 +2,10 @@
 
 Rules are (lhs, rhs) pattern pairs over the expression AST with
 metavariables for subexpressions, vertex names, thresholds, and scale
-factors. Every rule is semantics preserving under its guard;
-``verify_rule`` checks that empirically, exhaustively over 2x2 boolean
-matrices where the pattern has at most two matrix metavariables.
+factors. This module is purely syntactic: matching, substitution, the rule
+table, and the search. Every rule is semantics preserving under its guard;
+``pathweave.evaluate.verify_rule`` checks that by running both sides through
+the evaluator's interpreter.
 
 ``simplify`` runs a best-first search over single-step rewrites, bounded by
 a rule-application budget of at most node_count^2 and a small cost
@@ -25,9 +26,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import kernels
 from .expr import (
     Add,
     Clip,
@@ -122,32 +120,27 @@ def match(pat, e, bnd) -> bool:
 
 
 def instantiate(template, bnd):
+    """Substitute bindings into a pattern; a callable template builds the
+    result from the bindings itself."""
     if callable(template) and not isinstance(template, type):
         return template(bnd)
-    return _subst(template, bnd)
-
-
-def _subst(pat, bnd):
-    if isinstance(pat, EVar):
-        return bnd[pat.name]
-    if isinstance(pat, (SliceRef,)):
-        return pat
-    if isinstance(pat, Filter):
-        a = bnd[pat.a.name] if isinstance(pat.a, NVar) else pat.a
-        b = bnd[pat.b.name] if isinstance(pat.b, NVar) else pat.b
-        return Filter(pat.kind, a, b)
-    if isinstance(pat, Scale):
-        coef = bnd[pat.coef.name] if isinstance(pat.coef, LVar) else pat.coef
-        return Scale(coef, _subst(pat.child, bnd))
-    if isinstance(pat, (VOut, VIn)):
-        p = bnd[pat.p.name] if isinstance(pat.p, PVar) else pat.p
-        return type(pat)(_subst(pat.child, bnd), p)
-    kids = children(pat)
-    if not kids:
-        return pat
-    if isinstance(pat, (MatMul, Hadamard, Add)):
-        return type(pat)(_subst(kids[0], bnd), _subst(kids[1], bnd))
-    return type(pat)(_subst(kids[0], bnd))
+    if isinstance(template, EVar):
+        return bnd[template.name]
+    if isinstance(template, Filter):
+        a = bnd[template.a.name] if isinstance(template.a, NVar) else template.a
+        b = bnd[template.b.name] if isinstance(template.b, NVar) else template.b
+        return Filter(template.kind, a, b)
+    if isinstance(template, Scale):
+        coef = bnd[template.coef.name] if isinstance(template.coef, LVar) else template.coef
+        return Scale(coef, instantiate(template.child, bnd))
+    if isinstance(template, (VOut, VIn)):
+        p = bnd[template.p.name] if isinstance(template.p, PVar) else template.p
+        return type(template)(instantiate(template.child, bnd), p)
+    if isinstance(template, (MatMul, Hadamard, Add)):
+        return type(template)(instantiate(template.left, bnd), instantiate(template.right, bnd))
+    if isinstance(template, (Transpose, Not, Clip)):
+        return type(template)(instantiate(template.child, bnd))
+    return template
 
 
 @dataclass(frozen=True)
@@ -616,141 +609,3 @@ def simplify(e, budget: int | None = None):
         steps.append(TraceStep(rule.name, rule.cite, path, before, after))
         node = parent
     return best, RuleTrace(tuple(reversed(steps)))
-
-
-# -- empirical rule verification ----------------------------------------------------
-
-
-def _collect_vars(pat, acc):
-    if isinstance(pat, EVar):
-        acc.setdefault(pat.name, pat)
-        return
-    if isinstance(pat, Filter):
-        for f in (pat.a, pat.b):
-            if isinstance(f, NVar):
-                acc.setdefault(f.name, f)
-        return
-    if isinstance(pat, Scale):
-        if isinstance(pat.coef, LVar):
-            acc.setdefault(pat.coef.name, pat.coef)
-        _collect_vars(pat.child, acc)
-        return
-    if isinstance(pat, (VOut, VIn)):
-        if isinstance(pat.p, PVar):
-            acc.setdefault(pat.p.name, pat.p)
-        _collect_vars(pat.child, acc)
-        return
-    for kid in children(pat):
-        _collect_vars(kid, acc)
-
-
-def _eval_pattern(pat, bnd, n):
-    """Evaluate a pattern with metavariables bound to concrete matrices,
-    indices, thresholds, and scale factors."""
-    if isinstance(pat, kernels.PathMatrix):
-        return pat
-    if isinstance(pat, EVar):
-        return bnd[pat.name]
-    if isinstance(pat, Filter):
-        i = bnd[pat.a.name] if isinstance(pat.a, NVar) else pat.a
-        j = bnd[pat.b.name] if isinstance(pat.b, NVar) else pat.b
-        return kernels.materialize_filter(kernels.FilterSpec(pat.kind, i, j), n)
-    if isinstance(pat, MatMul):
-        return kernels.matmul(_eval_pattern(pat.left, bnd, n), _eval_pattern(pat.right, bnd, n))
-    if isinstance(pat, Hadamard):
-        return kernels.hadamard(_eval_pattern(pat.left, bnd, n), _eval_pattern(pat.right, bnd, n))
-    if isinstance(pat, Add):
-        return kernels.add(_eval_pattern(pat.left, bnd, n), _eval_pattern(pat.right, bnd, n))
-    if isinstance(pat, Transpose):
-        return kernels.transpose(_eval_pattern(pat.child, bnd, n))
-    if isinstance(pat, Not):
-        return kernels.not_(_eval_pattern(pat.child, bnd, n))
-    if isinstance(pat, Clip):
-        return kernels.clip(_eval_pattern(pat.child, bnd, n))
-    if isinstance(pat, VOut):
-        p = bnd[pat.p.name] if isinstance(pat.p, PVar) else pat.p
-        return kernels.vertex_out(_eval_pattern(pat.child, bnd, n), p)
-    if isinstance(pat, VIn):
-        p = bnd[pat.p.name] if isinstance(pat.p, PVar) else pat.p
-        return kernels.vertex_in(_eval_pattern(pat.child, bnd, n), p)
-    if isinstance(pat, Scale):
-        lam = bnd[pat.coef.name] if isinstance(pat.coef, LVar) else pat.coef
-        return kernels.scale(_eval_pattern(pat.child, bnd, n), lam)
-    raise TypeError(f"cannot evaluate pattern node {pat!r}")
-
-
-def _rhs_for_verification(rule, bnd):
-    if callable(rule.rhs) and not isinstance(rule.rhs, type):
-        return rule.rhs(bnd)
-    return rule.rhs
-
-
-def _boolean_2x2():
-    import itertools
-
-    return [
-        kernels.PathMatrix.from_dense(np.array(bits, dtype=np.int64).reshape(2, 2))
-        for bits in itertools.product((0, 1), repeat=4)
-    ]
-
-
-def _sides_equal(rule, bnd, n) -> bool:
-    lhs = _eval_pattern(rule.lhs, bnd, n).to_dense().astype(float)
-    rhs_pat = _rhs_for_verification(rule, bnd)
-    rhs = (
-        rhs_pat.to_dense().astype(float)
-        if isinstance(rhs_pat, kernels.PathMatrix)
-        else _eval_pattern(rhs_pat, bnd, n).to_dense().astype(float)
-    )
-    return np.allclose(lhs, rhs, rtol=0, atol=1e-9)
-
-
-def verify_rule(rule: RewriteRule, trials: int = 200, rng=None) -> bool:
-    """Empirical soundness: the two sides evaluate identically on random
-    operands satisfying the guard; exhaustive over 2x2 boolean matrices when
-    the pattern has at most two matrix metavariables."""
-    rng = rng if rng is not None else np.random.default_rng(7)
-    acc: dict = {}
-    _collect_vars(rule.lhs, acc)
-    evars = [v for v in acc.values() if isinstance(v, EVar)]
-    nvars = [v for v in acc.values() if isinstance(v, NVar)]
-    pvars = [v for v in acc.values() if isinstance(v, PVar)]
-    lvars = [v for v in acc.values() if isinstance(v, LVar)]
-
-    def scalar_rounds(n, rng):
-        bnd = {}
-        for v in nvars:
-            bnd[v.name] = int(rng.integers(0, n))
-        for v in pvars:
-            bnd[v.name] = int(rng.integers(0, 3))
-        for v in lvars:
-            bnd[v.name] = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
-        return bnd
-
-    if len(evars) <= 2:
-        import itertools
-
-        mats = _boolean_2x2()
-        n = 2
-        for combo in itertools.product(mats, repeat=len(evars)):
-            bnd = scalar_rounds(n, rng)
-            for var, mat in zip(evars, combo):
-                bnd[var.name] = mat
-            if rule.guard is not None and not rule.guard(bnd):
-                continue
-            if not _sides_equal(rule, bnd, n):
-                return False
-    for _ in range(trials):
-        n = int(rng.integers(2, 9))
-        bnd = scalar_rounds(n, rng)
-        for var in evars:
-            if var.boolean or rng.random() < 0.5:
-                arr = (rng.random((n, n)) < 0.35).astype(np.int64)
-            else:
-                arr = rng.random((n, n)) * (rng.random((n, n)) < 0.35)
-            bnd[var.name] = kernels.PathMatrix.from_dense(arr)
-        if rule.guard is not None and not rule.guard(bnd):
-            continue
-        if not _sides_equal(rule, bnd, n):
-            return False
-    return True

@@ -233,3 +233,25 @@ def test_thread_cap_env(monkeypatch, graph_file, capsys):
     monkeypatch.setenv("PATHWEAVE_THREADS", "zero")
     code, _, err = run(["eval", "--graph", graph_file, "--expr", "A[cites]"], capsys)
     assert code == 2 and "PATHWEAVE_THREADS" in err
+
+
+def test_too_deep_input_is_exit_1(tmp_path, graph_file, capsys):
+    path = tmp_path / "deep.pw"
+    path.write_text("clip(" * 2000 + "A[authored]" + ")" * 2000, encoding="utf-8")
+    code, out, err = run(["eval", "--graph", graph_file, "--expr-file", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "pathweave: input is nested too deeply to process\n"
+
+
+def test_out_of_memory_is_exit_1(monkeypatch, graph_file, capsys):
+    import pathweave.cli as cli
+
+    def exhausted(args, out):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_eval", exhausted)
+    code, out, err = run(["eval", "--graph", graph_file], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "pathweave: out of memory\n"

@@ -195,3 +195,10 @@ def test_simplified_tree_evaluates_identically(fixture1):
     assert np.array_equal(
         evaluate(src, fixture1).to_dense(), evaluate(out, fixture1).to_dense()
     )
+
+
+@pytest.mark.parametrize("use_plan", [True, False], ids=["planned", "unplanned"])
+def test_long_merge_evaluates(fixture1, use_plan):
+    merged = evaluate(parse(" + ".join(["A[cites]"] * 500)), fixture1, use_plan=use_plan)
+    single = evaluate(parse("A[cites]"), fixture1)
+    assert np.array_equal(merged.to_dense(), 500 * single.to_dense())

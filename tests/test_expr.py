@@ -15,6 +15,7 @@ from pathweave.expr import (
     VIn,
     VOut,
     check_signatures,
+    fold,
     format_expr,
     node_count,
     parse,
@@ -169,3 +170,13 @@ def test_signatures_absent_means_unknown(fixture1):
     report = check_signatures(parse("A[cites] . A[authored]"), fixture1)
     assert report.ok
     assert report.derived == (None, None)
+
+
+def test_fold_is_post_order_and_not_bounded_by_recursion():
+    order = []
+    fold(parse("A[a] . A[b]' + I"), lambda node, kids: order.append(format_expr(node)))
+    assert order == ["A[a]", "A[b]", "A[b]'", "A[a] . A[b]'", "I", "A[a] . A[b]' + I"]
+    deep = SliceRef("x")
+    for _ in range(10_000):
+        deep = Transpose(deep)
+    assert fold(deep, lambda node, kids: 1 + sum(kids)) == 10_001

@@ -236,3 +236,15 @@ def test_representation_transparency(rng):
             assert np.array_equal(dense(vertex_in(a, 1)), dense(vertex_in(variants[0], 1)))
             sc = dense(scale(a, 0.5))
             assert np.allclose(sc, 0.5 * arr, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "op,value",
+    [(hadamard, 2**40), (add, 2**62)],
+    ids=["hadamard", "add"],
+)
+def test_entrywise_integer_overflow_detected(op, value):
+    # int64 would wrap: 2**40 * 2**40 to 0, 2**62 + 2**62 to a negative count
+    big = PathMatrix.from_dense(np.full((2, 2), value, dtype=np.int64))
+    with pytest.raises(EvalError, match="64-bit"):
+        op(big, big)

@@ -9,7 +9,7 @@ from pathweave.expr import (
     parse,
     weighted_cost,
 )
-from pathweave.evaluate import evaluate
+from pathweave.evaluate import evaluate, verify_rule
 from pathweave.rewrite import (
     RULES,
     RULES_BY_NAME,
@@ -17,7 +17,6 @@ from pathweave.rewrite import (
     RewriteRule,
     derivation_table,
     simplify,
-    verify_rule,
 )
 
 from util import random_expr, random_tensor
