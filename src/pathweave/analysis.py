@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import AnalysisError
-from .kernels import PathMatrix, clip
+from .kernels import DENSIFY_LIMIT, PathMatrix, clip
 
 _TINY = 1e-300
 
@@ -55,10 +55,20 @@ class PageRankConfig:
             raise AnalysisError("max_iters must be at least 1")
 
 
+def _refuse_dense(n: int, what: str):
+    """Raise before an n x n float64 array is allocated past DENSIFY_LIMIT."""
+    if n * n > DENSIFY_LIMIT:
+        raise AnalysisError(
+            f"{what} of an order-{n} matrix needs a dense {n}x{n} float64 array "
+            f"({n * n * 8} bytes); refusing above {DENSIFY_LIMIT} entries"
+        )
+
+
 def shortest_paths(z: PathMatrix) -> GeodesicResult:
     """BFS hop distances over the support of z, plus eccentricity, radius,
     diameter, and closeness."""
     n = z.n
+    _refuse_dense(n, "all-pairs shortest paths")
     support = clip(z).explicit().astype(np.float64)
     dist = csgraph.shortest_path(support, method="D", unweighted=True, directed=True)
     np.fill_diagonal(dist, 0.0)
@@ -66,13 +76,13 @@ def shortest_paths(z: PathMatrix) -> GeodesicResult:
     np.fill_diagonal(off, np.inf)
     finite = np.isfinite(off)
     reach = finite.sum(axis=1)
-    ecc = np.full(n, np.nan)
-    close = np.full(n, np.nan)
-    for i in range(n):
-        if reach[i]:
-            ecc[i] = off[i][finite[i]].max()
-            close[i] = off[i][finite[i]].mean()
-    finite_ecc = ecc[~np.isnan(ecc)]
+    # Hop counts are small integers, so the row sums below are exact and
+    # equal the sums over the reached entries alone.
+    np.copyto(off, 0.0, where=np.logical_not(finite, out=finite))
+    reached = reach > 0
+    ecc = np.where(reached, off.max(axis=1, initial=0.0), np.nan)
+    close = np.divide(off.sum(axis=1), reach, out=np.full(n, np.nan), where=reached)
+    finite_ecc = ecc[reached]
     radius = float(finite_ecc.min()) if finite_ecc.size else None
     diameter = float(finite_ecc.max()) if finite_ecc.size else None
     return GeodesicResult(
@@ -99,6 +109,7 @@ def pagerank_matrix(z: PathMatrix, delta: float) -> np.ndarray:
     """Densely materialized merged matrix: delta past the out-weight
     normalized support, (1 - delta) teleportation, dangling rows uniform."""
     n = z.n
+    _refuse_dense(n, "the merged PageRank matrix")
     normalized, dangling = _row_normalized(z)
     p1 = normalized.toarray()
     p1[dangling] = 1.0 / n
@@ -166,13 +177,14 @@ def spreading_activation(
 
 
 def _entries(z: PathMatrix):
-    coo = z.explicit().tocoo()
-    if coo.nnz == 0:
+    """The explicit CSR of z; raises when z has no entries."""
+    mat = z.explicit()
+    if mat.nnz == 0:
         raise AnalysisError("empty path matrix")
-    return coo.row, coo.col, coo.data.astype(np.float64)
+    return mat
 
 
-def _property_values(values, n, rows, cols):
+def _property_values(values, n):
     vals = np.asarray(values)
     if vals.shape != (n,):
         raise AnalysisError(f"property must supply one value per vertex ({n})")
@@ -186,13 +198,14 @@ def assortativity_scalar(z: PathMatrix, values) -> float:
     path weight; on a unit-weight boolean matrix this reduces to the
     ordinary edge-list correlation.
     """
-    rows, cols, weights = _entries(z)
-    vals = _property_values(values, z.n, rows, cols).astype(np.float64)
-    if not np.isfinite(vals[rows]).all() or not np.isfinite(vals[cols]).all():
+    coo = _entries(z).tocoo()
+    weights = coo.data.astype(np.float64)
+    vals = _property_values(values, z.n).astype(np.float64)
+    jv = vals[coo.row]
+    kv = vals[coo.col]
+    if not np.isfinite(jv).all() or not np.isfinite(kv).all():
         raise AnalysisError("scalar property missing (non-finite) on a path endpoint")
     total = weights.sum()
-    jv = vals[rows]
-    kv = vals[cols]
     mj = (weights * jv).sum() / total
     mk = (weights * kv).sum() / total
     cov_jk = (weights * (jv - mj) * (kv - mk)).sum() / total
@@ -206,28 +219,32 @@ def assortativity_scalar(z: PathMatrix, values) -> float:
 def assortativity_categorical(z: PathMatrix, labels) -> float:
     """Categorical mixing coefficient over path-weight fractions.
 
-    e_aa is the weight fraction of paths staying inside category a; i_a and
-    j_a are the tail- and head-side fractions. r = 1 iff all weight stays
-    within categories."""
-    rows, cols, weights = _entries(z)
+    e_ab is the weight fraction of paths from category a to category b, and
+    i_a, j_a are the tail- and head-side fractions (the row and column sums
+    of e): r = (sum_a e_aa - sum_a i_a j_a) / (1 - sum_a i_a j_a) (Newman
+    2003), and r = 1 iff all weight stays within categories. Labels are
+    categories under Python equality; None marks a vertex without one, which
+    may not end a path."""
+    mat = _entries(z)
     labels = list(labels)
-    if len(labels) != z.n:
-        raise AnalysisError(f"property must supply one value per vertex ({z.n})")
-    for idx in np.concatenate([rows, cols]):
-        if labels[idx] is None:
-            raise AnalysisError("categorical property missing on a path endpoint")
-    total = weights.sum()
-    e_aa: dict = {}
-    i_a: dict = {}
-    j_a: dict = {}
-    for i, j, w in zip(rows, cols, weights):
-        a, b = labels[i], labels[j]
-        frac = w / total
-        i_a[a] = i_a.get(a, 0.0) + frac
-        j_a[b] = j_a.get(b, 0.0) + frac
-        if a == b:
-            e_aa[a] = e_aa.get(a, 0.0) + frac
-    s = sum(i_a.get(a, 0.0) * j_a.get(a, 0.0) for a in set(i_a) | set(j_a))
+    n = z.n
+    if len(labels) != n:
+        raise AnalysisError(f"property must supply one value per vertex ({n})")
+    category: dict = {}
+    codes = np.fromiter((category.setdefault(a, len(category)) for a in labels), np.int64, n)
+    missing = np.fromiter((a is None for a in labels), bool, n)
+    out_degree = np.diff(mat.indptr)
+    if missing[out_degree > 0].any() or missing[mat.indices].any():
+        raise AnalysisError("categorical property missing on a path endpoint")
+    # Per-category sums rather than the k x k matrix e, which would be
+    # quadratic in the number of distinct labels.
+    tail = np.repeat(codes, out_degree)
+    head = codes[mat.indices]
+    tail_weight = np.bincount(tail, weights=mat.data, minlength=len(category))
+    total = tail_weight.sum()
+    head_weight = np.bincount(head, weights=mat.data, minlength=len(category))
+    s = float((tail_weight / total) @ (head_weight / total))
     if 1.0 - s <= 1e-12:
         raise AnalysisError("degenerate: one category")
-    return float((sum(e_aa.values()) - s) / (1.0 - s))
+    inside = float(mat.data[tail == head].sum(dtype=np.float64)) / total
+    return float((inside - s) / (1.0 - s))

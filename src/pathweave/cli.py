@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -78,19 +79,19 @@ def _load_expression(args, t):
     )
 
 
+def _write_json(payload, out):
+    # json.dumps runs the C encoder; json.dump streams through the much
+    # slower pure-Python one, for the same bytes.
+    out.write(json.dumps(payload, ensure_ascii=False) + "\n")
+
+
 def _emit_matrix(z, t, fmt, out):
     if fmt == "tsv":
         out.write(export_tsv(z, t.vertices.names))
         return
-    mat = z.explicit().tocoo()
-    order = np.lexsort((mat.col, mat.row))
     names = t.vertices.names
-    entries = [
-        [names[int(mat.row[k])], names[int(mat.col[k])], _json_num(mat.data[k])]
-        for k in order
-    ]
-    json.dump({"n": t.n, "entries": entries}, out, ensure_ascii=False)
-    out.write("\n")
+    entries = [[names[i], names[j], _json_num(v)] for i, j, v in zip(*z.entries())]
+    _write_json({"n": t.n, "entries": entries}, out)
 
 
 def _emit_vector(metric, values_by_name, scalars, fmt, out):
@@ -105,8 +106,7 @@ def _emit_vector(metric, values_by_name, scalars, fmt, out):
         "scalars": {k: _json_num(v) for k, v in scalars.items()},
         "values": {k: _json_num(v) for k, v in values_by_name.items()},
     }
-    json.dump(payload, out, ensure_ascii=False)
-    out.write("\n")
+    _write_json(payload, out)
 
 
 def cmd_load_check(args, out):
@@ -166,27 +166,38 @@ def cmd_pagerank(args, out):
         delta=args.delta, epsilon=args.epsilon, max_iters=args.max_iters
     )
     pi = analysis.pagerank(z, cfg)
-    values = {name: pi[i] for i, name in enumerate(t.vertices.names)}
+    values = dict(zip(t.vertices.names, pi.tolist()))
     _emit_vector("pagerank", values, {}, args.format, out)
     return 0
+
+
+def _geodesic_pairs(distances):
+    """(tail, head, hops) of every reached ordered pair of distinct vertices,
+    in row-major order."""
+    reached = np.isfinite(distances)
+    np.fill_diagonal(reached, False)
+    tails, heads = np.nonzero(reached)
+    hops = distances[tails, heads].astype(np.int64)
+    return zip(tails.tolist(), heads.tolist(), hops.tolist())
 
 
 def cmd_geodesic(args, out):
     t = _load_tensor(args)
     res = analysis.shortest_paths(evaluate(_load_expression(args, t), t))
     names = t.vertices.names
+    rows = list(
+        zip(names, res.eccentricity.tolist(), res.closeness.tolist(), res.reach_counts.tolist())
+    )
+    pairs = _geodesic_pairs(res.distances)
     if args.format == "tsv":
-        for i, name in enumerate(names):
-            ecc = "" if np.isnan(res.eccentricity[i]) else _fmt_float(res.eccentricity[i])
-            clo = "" if np.isnan(res.closeness[i]) else _fmt_float(res.closeness[i])
-            out.write(f"{name}\t{ecc}\t{clo}\t{int(res.reach_counts[i])}\n")
+        for name, ecc, clo, reached in rows:
+            ecc = "" if math.isnan(ecc) else _fmt_float(ecc)
+            clo = "" if math.isnan(clo) else _fmt_float(clo)
+            out.write(f"{name}\t{ecc}\t{clo}\t{reached}\n")
         radius = "" if res.radius is None else _fmt_float(res.radius)
         diameter = "" if res.diameter is None else _fmt_float(res.diameter)
         out.write(f"#radius\t{radius}\n#diameter\t{diameter}\n")
-        for i in range(t.n):
-            for j in range(t.n):
-                if i != j and np.isfinite(res.distances[i, j]):
-                    out.write(f"d\t{names[i]}\t{names[j]}\t{int(res.distances[i, j])}\n")
+        out.writelines(f"d\t{names[i]}\t{names[j]}\t{h}\n" for i, j, h in pairs)
         return 0
     payload = {
         "metric": "geodesic",
@@ -196,25 +207,15 @@ def cmd_geodesic(args, out):
         },
         "values": {
             name: {
-                "eccentricity": None
-                if np.isnan(res.eccentricity[i])
-                else _json_num(res.eccentricity[i]),
-                "closeness": None
-                if np.isnan(res.closeness[i])
-                else _json_num(res.closeness[i]),
-                "reached": int(res.reach_counts[i]),
+                "eccentricity": None if math.isnan(ecc) else _json_num(ecc),
+                "closeness": None if math.isnan(clo) else _json_num(clo),
+                "reached": reached,
             }
-            for i, name in enumerate(names)
+            for name, ecc, clo, reached in rows
         },
-        "distances": [
-            [names[i], names[j], int(res.distances[i, j])]
-            for i in range(t.n)
-            for j in range(t.n)
-            if i != j and np.isfinite(res.distances[i, j])
-        ],
+        "distances": [[names[i], names[j], h] for i, j, h in pairs],
     }
-    json.dump(payload, out, ensure_ascii=False)
-    out.write("\n")
+    _write_json(payload, out)
     return 0
 
 
@@ -243,7 +244,7 @@ def cmd_spread(args, out):
     flow = analysis.spreading_activation(
         z, seed, steps=args.steps, decay=args.decay, threshold=args.threshold
     )
-    values = {name: flow[i] for i, name in enumerate(t.vertices.names)}
+    values = dict(zip(t.vertices.names, flow.tolist()))
     _emit_vector("spreading-activation", values, {}, args.format, out)
     return 0
 

@@ -145,6 +145,13 @@ class PathMatrix:
             return dense
         return self.mat.toarray()
 
+    def entries(self):
+        """(tails, heads, values) of the nonzero denoted entries, as Python
+        lists in row-major order (canonical CSR is already sorted that way)."""
+        mat = self.explicit()
+        tails = np.repeat(np.arange(self.n), np.diff(mat.indptr))
+        return tails.tolist(), mat.indices.tolist(), mat.data.tolist()
+
     def value_nnz(self) -> int:
         """Number of nonzero denoted entries."""
         if self.complement:
@@ -363,11 +370,7 @@ def materialize_filter(spec: FilterSpec, n: int) -> PathMatrix:
 
 def export_tsv(pm: PathMatrix, names) -> str:
     """Render `tail<TAB>head<TAB>weight` rows in deterministic row-major order."""
-    mat = pm.explicit().tocoo()
-    order = np.lexsort((mat.col, mat.row))
-    lines = []
-    for k in order:
-        i, j, v = int(mat.row[k]), int(mat.col[k]), mat.data[k]
-        w = str(int(v)) if pm.dtype.kind == "i" else format(float(v), ".12g")
-        lines.append(f"{names[i]}\t{names[j]}\t{w}\n")
-    return "".join(lines)
+    tails, heads, values = pm.entries()
+    if pm.dtype.kind != "i":
+        values = [format(float(v), ".12g") for v in values]
+    return "".join(f"{names[i]}\t{names[j]}\t{w}\n" for i, j, w in zip(tails, heads, values))

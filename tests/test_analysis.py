@@ -325,3 +325,63 @@ def test_scale_invariance(rng):
         except AnalysisError:
             continue
         assert c1 == pytest.approx(assortativity_categorical(scaled, labels), abs=1e-12)
+
+
+def test_categorical_missing_label_off_every_path_is_accepted():
+    z = np.zeros((5, 5), dtype=np.int64)
+    z[0, 1] = z[1, 0] = 1
+    z[2, 3] = z[3, 2] = 1
+    labels = ["x", "x", "y", "y", None]  # vertex 4 is on no path
+    assert assortativity_categorical(pm(z), labels) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("endpoint", [(0, 4), (4, 0)], ids=["head", "tail"])
+def test_categorical_missing_label_on_endpoint_raises(endpoint):
+    z = np.zeros((5, 5), dtype=np.int64)
+    z[0, 1] = z[2, 3] = 1
+    z[endpoint] = 1
+    with pytest.raises(AnalysisError, match="missing"):
+        assortativity_categorical(pm(z), ["x", "x", "y", "y", None])
+
+
+def test_categorical_integer_labels_match_string_labels(rng):
+    z = random_digraph(rng, 12, density=0.4, weighted=True)
+    codes = rng.integers(0, 3, size=12).tolist()
+    names = [f"c{c}" for c in codes]
+    assert assortativity_categorical(pm(z), codes) == assortativity_categorical(pm(z), names)
+
+
+def test_categorical_wrong_label_count_raises():
+    z = np.zeros((3, 3), dtype=np.int64)
+    z[0, 1] = 1
+    for labels in (["x", "y"], ["x", "y", "x", "y"]):
+        with pytest.raises(AnalysisError, match="one value per vertex"):
+            assortativity_categorical(pm(z), labels)
+
+
+def test_categorical_weighted_n200_matches_straight_line_oracle(rng):
+    n = 200
+    z = random_digraph(rng, n, density=0.1, weighted=True)
+    labels = [("a", "b", "c", "d")[k] for k in rng.integers(0, 4, size=n)]
+    entries = [(i, j, z[i, j]) for i, j in zip(*np.nonzero(z))]
+    want = categorical_r(entries, labels, labels)
+    assert assortativity_categorical(pm(z), labels) == pytest.approx(want, abs=1e-12)
+
+
+def test_dense_analyses_refuse_before_allocating():
+    import tracemalloc
+
+    from pathweave.kernels import DENSIFY_LIMIT
+
+    z = PathMatrix.zeros(8000)
+    assert 8000 * 8000 > DENSIFY_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(AnalysisError, match=r"order-8000 .*\(512000000 bytes\)"):
+            shortest_paths(z)
+        with pytest.raises(AnalysisError, match=r"order-8000 .*\(512000000 bytes\)"):
+            pagerank_matrix(z, 0.85)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # a dense 8000 x 8000 float64 would be 512 MB

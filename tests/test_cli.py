@@ -255,3 +255,14 @@ def test_out_of_memory_is_exit_1(monkeypatch, graph_file, capsys):
     assert code == 1
     assert out == ""
     assert err == "pathweave: out of memory\n"
+
+
+def test_geodesic_refuses_dense_matrix_past_limit(tmp_path, capsys):
+    # 8000 vertices: the n x n distance matrix would pass DENSIFY_LIMIT
+    path = tmp_path / "wide.tsv"
+    path.write_text("".join(f"v{i}\tr\tv{i + 4000}\n" for i in range(4000)), encoding="utf-8")
+    code, out, err = run(["geodesic", "--graph", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pathweave: ") and err.count("\n") == 1
+    assert "order-8000" in err and "bytes" in err

@@ -1,0 +1,168 @@
+"""Byte-for-byte checks of the output writers against straight-line
+per-entry writers built from dense matrices."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from pathweave.cli import main
+from pathweave.evaluate import evaluate
+from pathweave.expr import parse
+from pathweave.kernels import PathMatrix, export_tsv
+from pathweave.tensor import read_triples
+
+from oracles import min_power_distances
+
+# x -> y -> z -> x is a cycle that w enters and nothing leaves for w, so
+# (x, w) is unreachable; s is entered from y and reaches nothing. `also`
+# adds a second x -> z route so that two-hop counts exceed one.
+TRIPLES = [
+    ("w", "next", "x"),
+    ("x", "next", "y"),
+    ("y", "next", "z"),
+    ("z", "next", "x"),
+    ("y", "next", "s"),
+    ("x", "also", "z"),
+    ("w", "also", "y"),
+]
+
+
+def fmt(x):
+    return format(float(x), ".12g")
+
+
+def reference_tsv(dense, names):
+    lines = []
+    for i in range(len(names)):
+        for j in range(len(names)):
+            if dense[i, j]:
+                w = str(int(dense[i, j])) if dense.dtype.kind == "i" else fmt(dense[i, j])
+                lines.append(f"{names[i]}\t{names[j]}\t{w}\n")
+    return "".join(lines)
+
+
+def reference_json(dense, names):
+    entries = []
+    for i in range(len(names)):
+        for j in range(len(names)):
+            if dense[i, j]:
+                entries.append([names[i], names[j], float(fmt(dense[i, j]))])
+    return json.dumps({"n": len(names), "entries": entries}, ensure_ascii=False) + "\n"
+
+
+def reference_geodesic(dist, names):
+    """(tsv, json) text of the geodesic report, one pair at a time."""
+    n = len(names)
+    rows, values, pairs = [], {}, []
+    eccs = []
+    for i in range(n):
+        reached = [dist[i, j] for j in range(n) if j != i and math.isfinite(dist[i, j])]
+        ecc = max(reached) if reached else None
+        clo = sum(reached) / len(reached) if reached else None
+        if ecc is not None:
+            eccs.append(ecc)
+        rows.append(
+            f"{names[i]}\t{'' if ecc is None else fmt(ecc)}\t"
+            f"{'' if clo is None else fmt(clo)}\t{len(reached)}\n"
+        )
+        values[names[i]] = {
+            "eccentricity": None if ecc is None else float(fmt(ecc)),
+            "closeness": None if clo is None else float(fmt(clo)),
+            "reached": len(reached),
+        }
+        for j in range(n):
+            if j != i and math.isfinite(dist[i, j]):
+                pairs.append([names[i], names[j], int(dist[i, j])])
+    radius = min(eccs) if eccs else None
+    diameter = max(eccs) if eccs else None
+    tsv = "".join(rows)
+    tsv += f"#radius\t{'' if radius is None else fmt(radius)}\n"
+    tsv += f"#diameter\t{'' if diameter is None else fmt(diameter)}\n"
+    tsv += "".join(f"d\t{a}\t{b}\t{h}\n" for a, b, h in pairs)
+    payload = {
+        "metric": "geodesic",
+        "scalars": {
+            "radius": None if radius is None else float(fmt(radius)),
+            "diameter": None if diameter is None else float(fmt(diameter)),
+        },
+        "values": values,
+        "distances": pairs,
+    }
+    return tsv, json.dumps(payload, ensure_ascii=False) + "\n"
+
+
+@pytest.fixture
+def graph(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("".join(f"{t}\t{l}\t{h}\n" for t, l, h in TRIPLES), encoding="utf-8")
+    return str(path), read_triples(str(path))
+
+
+def run(argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# kind -> (expression, its value from the dense `next` and `also` slices)
+EXPRESSIONS = {
+    "int": ("A[next] . A[next] + A[also] . A[next]", lambda nxt, also: nxt @ nxt + also @ nxt),
+    "float": ("0.3 * A[next] + A[also]", lambda nxt, also: 0.3 * nxt + also),
+    "empty": ("A[next] & A[also]", lambda nxt, also: nxt * also),
+    "complement": ("not(A[next])", lambda nxt, also: 1 - nxt),
+}
+
+
+@pytest.mark.parametrize("kind", list(EXPRESSIONS))
+def test_eval_writers_match_straight_line(graph, kind, capsys):
+    path, t = graph
+    names = t.vertices.names
+    text, value = EXPRESSIONS[kind]
+    want = value(t.matrix("next").to_dense(), t.matrix("also").to_dense())
+    z = evaluate(parse(text), t)
+    assert z.complement == (kind == "complement")
+    assert export_tsv(z, names) == reference_tsv(want, names)
+    code, out, _ = run(["eval", "--graph", path, "--expr", text], capsys)
+    assert (code, out) == (0, reference_tsv(want, names))
+    code, out, _ = run(["eval", "--graph", path, "--expr", text, "--format", "json"], capsys)
+    assert (code, out) == (0, reference_json(want, names))
+
+
+def test_export_tsv_matches_straight_line(rng):
+    names = [f"v{i}" for i in range(9)]
+    for _ in range(20):
+        mask = rng.random((9, 9)) < 0.4
+        ints = mask * rng.integers(1, 1000, size=(9, 9))
+        floats = mask * rng.random((9, 9)) * 1e3
+        assert export_tsv(PathMatrix.from_dense(ints), names) == reference_tsv(ints, names)
+        assert export_tsv(PathMatrix.from_dense(floats), names) == reference_tsv(floats, names)
+        comp = PathMatrix.from_dense(mask.astype(np.int64), complement=True)
+        assert comp.complement
+        assert export_tsv(comp, names) == reference_tsv(mask.astype(np.int64), names)
+    assert export_tsv(PathMatrix.zeros(9), names) == ""
+
+
+@pytest.mark.parametrize("text", ["A[next]", "A[next] + A[also]", "A[also]", "A[next] & A[also]"])
+def test_geodesic_writers_match_straight_line(graph, text, capsys):
+    path, t = graph
+    names = t.vertices.names
+    adj = evaluate(parse(text), t).to_dense()
+    want_tsv, want_json = reference_geodesic(min_power_distances(adj), names)
+    assert run(["geodesic", "--graph", path, "--expr", text], capsys) == (0, want_tsv, "")
+    assert run(
+        ["geodesic", "--graph", path, "--expr", text, "--format", "json"], capsys
+    ) == (0, want_json, "")
+
+
+def test_geodesic_fixture_has_unreached_cases(graph, capsys):
+    path, _ = graph
+    code, out, _ = run(["geodesic", "--graph", path, "--expr", "A[next]"], capsys)
+    assert code == 0
+    assert "s\t\t\t0\n" in out  # s reaches nothing
+    assert "d\tx\tw\t" not in out  # nothing reaches w
+    payload = json.loads(
+        run(["geodesic", "--graph", path, "--expr", "A[next]", "--format", "json"], capsys)[1]
+    )
+    assert payload["values"]["s"] == {"eccentricity": None, "closeness": None, "reached": 0}
