@@ -72,16 +72,15 @@ def shortest_paths(z: PathMatrix) -> GeodesicResult:
     support = clip(z).explicit().astype(np.float64)
     dist = csgraph.shortest_path(support, method="D", unweighted=True, directed=True)
     np.fill_diagonal(dist, 0.0)
-    off = dist.copy()
-    np.fill_diagonal(off, np.inf)
-    finite = np.isfinite(off)
+    # the reached vertices: finite and off the diagonal; the row reductions
+    # read dist through this mask rather than a masked copy of it
+    finite = np.isfinite(dist)
+    np.fill_diagonal(finite, False)
     reach = finite.sum(axis=1)
-    # Hop counts are small integers, so the row sums below are exact and
-    # equal the sums over the reached entries alone.
-    np.copyto(off, 0.0, where=np.logical_not(finite, out=finite))
     reached = reach > 0
-    ecc = np.where(reached, off.max(axis=1, initial=0.0), np.nan)
-    close = np.divide(off.sum(axis=1), reach, out=np.full(n, np.nan), where=reached)
+    ecc = np.where(reached, np.max(dist, axis=1, where=finite, initial=0.0), np.nan)
+    total = np.sum(dist, axis=1, where=finite)
+    close = np.divide(total, reach, out=np.full(n, np.nan), where=reached)
     finite_ecc = ecc[reached]
     radius = float(finite_ecc.min()) if finite_ecc.size else None
     diameter = float(finite_ecc.max()) if finite_ecc.size else None

@@ -41,7 +41,7 @@ from .expr import (
     VOut,
     children,
     fold,
-    format_expr,
+    format_node,
     walk,
     with_children,
 )
@@ -281,8 +281,9 @@ def _sink_filter(node):
     spine = []
     while True:
         for side, rule in enumerate(_PUSH_RULES):
-            out = rule.apply(node)
-            if out is not None:
+            outs = rule.apply(node)
+            if outs:
+                out = outs[0]
                 break
         else:
             break
@@ -321,22 +322,26 @@ def _reassociate(e, tensor):
 def plan(e, tensor) -> EvalPlan:
     """Choose association and filter placement; record per-node choices."""
     tree = _reassociate(_push_filters(e), tensor)
-    # one fold estimates every node; the steps list nodes deepest first, so
-    # look each one up by identity
+    # one fold estimates and renders every node; the steps list nodes
+    # deepest first, so look each one up by identity
     facts = {}
 
     def note(node, kids):
-        facts[id(node)] = fact = _estimate(node, kids, tensor)
+        fact = (
+            _estimate(node, tuple(k[0] for k in kids), tensor),
+            format_node(node, tuple(k[1] for k in kids)),
+        )
+        facts[id(node)] = fact
         return fact
 
     fold(tree, note)
     steps = []
     total = 0.0
     for _, node in sorted(walk(tree), key=lambda pn: (len(pn[0]), pn[0]), reverse=True):
-        _, rep, est, _ = facts[id(node)]
+        (_, rep, est, _), (text, _) = facts[id(node)]
         total += est
         op = type(node).__name__.lower() if children(node) else "load"
-        steps.append(PlanStep(op, format_expr(node), rep, est))
+        steps.append(PlanStep(op, text, rep, est))
     return EvalPlan(
         tree=tree,
         steps=tuple(steps),

@@ -421,52 +421,57 @@ def _fmt_number(x) -> str:
 
 def format_expr(e) -> str:
     """Render so that parse(format_expr(e)) reproduces the tree exactly."""
-    return _fmt(e, _LEVEL_ADD)
+    return fold(e, format_node)[0]
 
 
-def _paren(text: str, needed: bool) -> str:
-    return f"({text})" if needed else text
+# binary operator -> (infix text, its own level, the level its right operand needs)
+_INFIX = {
+    Add: (" + ", _LEVEL_ADD, _LEVEL_HAD),
+    Hadamard: (" & ", _LEVEL_HAD, _LEVEL_MUL),
+    MatMul: (" . ", _LEVEL_MUL, _LEVEL_SCALE),
+}
 
 
-def _fmt(e, level: int) -> str:
+def _at(kid, level: int) -> str:
+    """A rendered child in a position that needs `level`: parenthesised when
+    the child binds more loosely."""
+    text, own = kid
+    return f"({text})" if level > own else text
+
+
+def format_node(e, kids) -> tuple:
+    """Fold visitor behind ``format_expr``: the node's (text, level), given
+    its children's; the text is what ``format_expr`` gives for the node alone,
+    the level how tightly that text binds."""
     if isinstance(e, SliceRef):
-        return f"A[{e.label}]"
+        return f"A[{e.label}]", _LEVEL_POSTFIX
     if isinstance(e, Filter):
         if e.kind == "identity":
-            return "I"
+            return "I", _LEVEL_POSTFIX
         if e.kind == "ones":
-            return "ONES"
+            return "ONES", _LEVEL_POSTFIX
         if e.kind == "zeros":
-            return "ZERO"
+            return "ZERO", _LEVEL_POSTFIX
         if e.kind == "row":
-            return f"R({e.a})"
+            return f"R({e.a})", _LEVEL_POSTFIX
         if e.kind == "col":
-            return f"C({e.a})"
-        return f"E({e.a},{e.b})"
-    if isinstance(e, Add):
-        text = f"{_fmt(e.left, _LEVEL_ADD)} + {_fmt(e.right, _LEVEL_HAD)}"
-        return _paren(text, level > _LEVEL_ADD)
-    if isinstance(e, Hadamard):
-        text = f"{_fmt(e.left, _LEVEL_HAD)} & {_fmt(e.right, _LEVEL_MUL)}"
-        return _paren(text, level > _LEVEL_HAD)
-    if isinstance(e, MatMul):
-        text = f"{_fmt(e.left, _LEVEL_MUL)} . {_fmt(e.right, _LEVEL_SCALE)}"
-        return _paren(text, level > _LEVEL_MUL)
+            return f"C({e.a})", _LEVEL_POSTFIX
+        return f"E({e.a},{e.b})", _LEVEL_POSTFIX
+    if isinstance(e, _BINARY):
+        op, own, right = _INFIX[type(e)]
+        return f"{_at(kids[0], own)}{op}{_at(kids[1], right)}", own
     if isinstance(e, Scale):
-        text = f"{_fmt_number(e.coef)} * {_fmt(e.child, _LEVEL_SCALE)}"
-        return _paren(text, level > _LEVEL_SCALE)
+        return f"{_fmt_number(e.coef)} * {_at(kids[0], _LEVEL_SCALE)}", _LEVEL_SCALE
     if isinstance(e, Transpose):
-        return f"{_fmt(e.child, _LEVEL_POSTFIX)}'"
+        return f"{_at(kids[0], _LEVEL_POSTFIX)}'", _LEVEL_POSTFIX
     if isinstance(e, Not):
-        return f"not({_fmt(e.child, _LEVEL_ADD)})"
+        return f"not({kids[0][0]})", _LEVEL_POSTFIX
     if isinstance(e, Clip):
-        return f"clip({_fmt(e.child, _LEVEL_ADD)})"
-    if isinstance(e, VOut):
-        inner = _fmt(e.child, _LEVEL_ADD)
-        return f"vout({inner})" if e.p == 0 else f"vout({inner}, {e.p})"
-    if isinstance(e, VIn):
-        inner = _fmt(e.child, _LEVEL_ADD)
-        return f"vin({inner})" if e.p == 0 else f"vin({inner}, {e.p})"
+        return f"clip({kids[0][0]})", _LEVEL_POSTFIX
+    if isinstance(e, (VOut, VIn)):
+        name = "vout" if isinstance(e, VOut) else "vin"
+        inner = kids[0][0]
+        return (f"{name}({inner})" if e.p == 0 else f"{name}({inner}, {e.p})"), _LEVEL_POSTFIX
     raise TypeError(f"not a path expression: {e!r}")
 
 

@@ -31,6 +31,9 @@ DENSIFY_LIMIT = 60_000_000
 
 _INT_SAFE_BOUND = float(2**62)
 
+# Cells per band of rows when a complement is materialized.
+_BAND_CELLS = 1 << 20
+
 
 def _canon(mat, prune: bool = True):
     """Canonical CSR: summed duplicates, sorted indices, no stored zeros."""
@@ -130,10 +133,21 @@ class PathMatrix:
                 f"materializing the complement of an order-{n} matrix needs "
                 f"{filled} entries; refusing to densify"
             )
-        dense = np.ones((n, n), dtype=np.int64)
-        pat = self.mat.tocoo()
-        dense[pat.row, pat.col] = 0
-        return _canon(sp.csr_array(dense))
+        # each row holds the columns missing from the pattern's row; a band
+        # of rows at a time, so no n x n array is ever allocated
+        pat = self.mat
+        idx_dtype = np.int32 if max(n, filled) < 2**31 else np.int64
+        indptr = np.zeros(n + 1, dtype=idx_dtype)
+        np.cumsum(n - np.diff(pat.indptr), out=indptr[1:])
+        indices = np.empty(filled, dtype=idx_dtype)
+        band = max(1, _BAND_CELLS // max(n, 1))
+        for lo in range(0, n, band):
+            hi = min(lo + band, n)
+            keep = np.ones((hi - lo, n), dtype=bool)
+            rows = np.repeat(np.arange(hi - lo), np.diff(pat.indptr[lo : hi + 1]))
+            keep[rows, pat.indices[pat.indptr[lo] : pat.indptr[hi]]] = False
+            indices[indptr[lo] : indptr[hi]] = np.nonzero(keep)[1]
+        return sp.csr_array((np.ones(filled, dtype=np.int64), indices, indptr), shape=(n, n))
 
     def to_dense(self) -> np.ndarray:
         if self.n * self.n > DENSIFY_LIMIT:
@@ -274,18 +288,15 @@ def transpose(a: PathMatrix) -> PathMatrix:
 def hadamard(a: PathMatrix, b: PathMatrix) -> PathMatrix:
     """Entrywise product; the algebra's filter application."""
     _same_order(a, b)
-    if not a.complement and not b.complement:
+    if a.complement and b.complement:
+        return PathMatrix(a.mat + b.mat, complement=True)
+    if a.complement:
+        a, b = b, a  # the entrywise product commutes
+    if not b.complement:
         bound = lambda x, y: float(x.data.max()) * float(y.data.max())
         return PathMatrix(_int_checked(lambda x, y: x.multiply(y), a.mat, b.mat, bound))
-    if not a.complement and b.complement:
-        # A o (1 - B): drop A's entries that fall on B's pattern.
-        masked = a.mat - a.mat.multiply(b.mat.astype(a.mat.dtype))
-        return PathMatrix(masked)
-    if a.complement and not b.complement:
-        masked = b.mat - b.mat.multiply(a.mat.astype(b.mat.dtype))
-        return PathMatrix(masked)
-    union = a.mat + b.mat
-    return PathMatrix(union, complement=True)
+    # A o (1 - B): drop A's entries that fall on B's pattern.
+    return PathMatrix(a.mat - a.mat.multiply(b.mat.astype(a.mat.dtype)))
 
 
 def not_(a: PathMatrix) -> PathMatrix:

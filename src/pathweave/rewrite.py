@@ -7,6 +7,11 @@ table, and the search. Every rule is semantics preserving under its guard;
 ``pathweave.evaluate.verify_rule`` checks that by running both sides through
 the evaluator's interpreter.
 
+Matching is commutative at the filter product ``&`` and the merge ``+``
+(the rules ``had-commute`` and ``add-commute`` verify that it may be): a
+pattern matches either operand order, so each identity is written once,
+in one orientation, and a rule can rewrite a node in more than one way.
+
 ``simplify`` runs a best-first search over single-step rewrites, bounded by
 a rule-application budget of at most node_count^2 and a small cost
 allowance above the input (several derivations pass through a one-step
@@ -81,42 +86,65 @@ class LVar:
     name: str
 
 
-def _match_scalar(pat, value, kind, bnd) -> bool:
-    if isinstance(pat, (NVar, PVar, LVar)):
-        if pat.name in bnd:
-            return bnd[pat.name] == value
-        if not isinstance(pat, kind):
-            return False
-        bnd[pat.name] = value
-        return True
-    return pat == value
+# node type -> its non-expression fields: label, filter kind and vertex
+# names, scale factor, threshold
+_SCALAR_FIELDS = {
+    SliceRef: ("label",),
+    Filter: ("kind", "a", "b"),
+    Scale: ("coef",),
+    VOut: ("p",),
+    VIn: ("p",),
+}
 
 
-def match(pat, e, bnd) -> bool:
-    """Structural match; repeated metavariables must bind equal values."""
+def _bind_scalars(pat, e, bnd):
+    """`bnd` extended by matching the scalar fields of two nodes of the same
+    type, or None when they disagree."""
+    for field in _SCALAR_FIELDS.get(type(pat), ()):
+        p, v = getattr(pat, field), getattr(e, field)
+        if isinstance(p, (NVar, PVar, LVar)):
+            if p.name not in bnd:
+                bnd = {**bnd, p.name: v}
+                continue
+            p = bnd[p.name]
+        if p != v:
+            return None
+    return bnd
+
+
+def match(pat, e, bnd):
+    """Yield each extension of the binding `bnd` under which `pat` matches
+    `e`; repeated metavariables must bind equal values.
+
+    `&` and `+` commute: the subject's operands are tried as written, then
+    swapped. Swapping the subject rather than the pattern keeps each
+    metavariable's first binding, and so its boolean guard, where the
+    pattern puts it."""
     if isinstance(pat, EVar):
         if pat.name in bnd:
-            return bnd[pat.name] == e
-        if pat.boolean and not is_boolean_expr(e):
-            return False
-        bnd[pat.name] = e
-        return True
+            if bnd[pat.name] == e:
+                yield bnd
+        elif not pat.boolean or is_boolean_expr(e):
+            yield {**bnd, pat.name: e}
+        return
     if type(pat) is not type(e):
-        return False
-    if isinstance(pat, SliceRef):
-        return pat.label == e.label
-    if isinstance(pat, Filter):
-        return (
-            pat.kind == e.kind
-            and _match_scalar(pat.a, e.a, NVar, bnd)
-            and _match_scalar(pat.b, e.b, NVar, bnd)
-        )
-    if isinstance(pat, Scale):
-        return _match_scalar(pat.coef, e.coef, LVar, bnd) and match(pat.child, e.child, bnd)
-    if isinstance(pat, (VOut, VIn)):
-        return _match_scalar(pat.p, e.p, PVar, bnd) and match(pat.child, e.child, bnd)
-    pk, ek = children(pat), children(e)
-    return all(match(p, c, bnd) for p, c in zip(pk, ek))
+        return
+    bnd = _bind_scalars(pat, e, bnd)
+    if bnd is None:
+        return
+    kids = children(e)
+    yield from _match_each(children(pat), kids, bnd)
+    if isinstance(e, (Hadamard, Add)):
+        yield from _match_each(children(pat), kids[::-1], bnd)
+
+
+def _match_each(pats, subjects, bnd):
+    """Yield each extension of `bnd` matching every pattern to its subject."""
+    if not pats:
+        yield bnd
+        return
+    for first in match(pats[0], subjects[0], bnd):
+        yield from _match_each(pats[1:], subjects[1:], first)
 
 
 def instantiate(template, bnd):
@@ -157,13 +185,15 @@ class RewriteRule:
     guard: object = None
     search: bool = True
 
-    def apply(self, e):
-        bnd: dict = {}
-        if not match(self.lhs, e, bnd):
-            return None
-        if self.guard is not None and not self.guard(bnd):
-            return None
-        return instantiate(self.rhs, bnd)
+    def apply(self, e) -> list:
+        """Every distinct rewrite of `e` at its root, in match order."""
+        out = []
+        for bnd in match(self.lhs, e, {}):
+            if self.guard is None or self.guard(bnd):
+                new = instantiate(self.rhs, bnd)
+                if new not in out:
+                    out.append(new)
+        return out
 
 
 # -- the rule set ---------------------------------------------------------------
@@ -188,12 +218,10 @@ def _rules():
 
     # Hadamard properties
     rule("had-unit", "A o 1 = A", Hadamard(_a, _ONES), _a)
-    rule("had-unit-comm", "A o 1 = A", Hadamard(_ONES, _a), _a)
     rule("had-zero", "A o 0 = 0", Hadamard(_a, _ZERO), _ZERO)
-    rule("had-zero-comm", "A o 0 = 0", Hadamard(_ZERO, _a), _ZERO)
     # verified but not searched: free commuting floods the frontier with
-    # equal-cost permutations; rules that need a swapped operand order carry
-    # explicit orientation variants instead
+    # equal-cost permutations. `match` tries both operand orders of `&` and
+    # `+` instead; this rule and add-commute are what make that sound
     rule("had-commute", "A o B = B o A", Hadamard(_a, _b), Hadamard(_b, _a), search=False)
     rule(
         "had-distribute",
@@ -208,21 +236,9 @@ def _rules():
         Hadamard(Add(_a, _b), _c),
     )
     rule(
-        "had-factor-left",
-        "A o (B + C) = (A o B) + (A o C)",
-        Add(Hadamard(_c, _a), Hadamard(_c, _b)),
-        Hadamard(_c, Add(_a, _b)),
-    )
-    rule(
         "had-scalar-out",
         "A o lB = l(A o B)",
         Hadamard(_a, Scale(_l, _b)),
-        Scale(_l, Hadamard(_a, _b)),
-    )
-    rule(
-        "had-scalar-out-left",
-        "A o lB = l(A o B)",
-        Hadamard(Scale(_l, _a), _b),
         Scale(_l, Hadamard(_a, _b)),
     )
     rule(
@@ -236,12 +252,6 @@ def _rules():
         "A' o B' = (A o B)'",
         Hadamard(Transpose(_a), Transpose(_b)),
         Transpose(Hadamard(_a, _b)),
-    )
-    rule(
-        "had-transpose-fuse-swap",
-        "A' o B' = (B o A)'",
-        Hadamard(Transpose(_a), Transpose(_b)),
-        Transpose(Hadamard(_b, _a)),
     )
     rule(
         "transpose-over-had",
@@ -266,7 +276,6 @@ def _rules():
     # not
     rule("not-not", "n(n(A)) = A", Not(Not(_A)), _a)
     rule("had-not-zero", "A o n(A) = 0", Hadamard(_A, Not(EVar("a"))), _ZERO)
-    rule("had-not-zero-comm", "A o n(A) = 0", Hadamard(Not(_A), EVar("a")), _ZERO)
 
     # clip
     rule("clip-boolean", "c(A) = A for boolean A", Clip(_A), _a)
@@ -287,12 +296,6 @@ def _rules():
         "c(Y o B) = c(Y) o B for boolean B",
         Clip(Hadamard(_a, _B)),
         Hadamard(Clip(_a), _b),
-    )
-    rule(
-        "clip-split-boolean-left",
-        "c(B o Y) = B o c(Y) for boolean B",
-        Clip(Hadamard(_A, _b)),
-        Hadamard(_a, Clip(_b)),
     )
     rule(
         "demorgan-and",
@@ -325,13 +328,12 @@ def _rules():
     # fused: outside B's support the complement of A o B agrees with the
     # complement of A; chains the clip product rule, c(B) = B,
     # distributivity, and A o n(A) = 0
-    for nm, lhs, rhs in (
-        ("not-masked", Hadamard(Not(Hadamard(_A, _B)), EVar("b")), Hadamard(Not(_a), _b)),
-        ("not-masked-comm", Hadamard(Not(Hadamard(_B, _A)), EVar("b")), Hadamard(Not(_a), _b)),
-        ("not-masked-right", Hadamard(_B, Not(Hadamard(_A, EVar("b")))), Hadamard(_b, Not(_a))),
-        ("not-masked-right-comm", Hadamard(_B, Not(Hadamard(EVar("b"), _A))), Hadamard(_b, Not(_a))),
-    ):
-        rule(nm, "n(A o B) o B = n(A) o B (clip product rule, De Morgan, A o n(A) = 0)", lhs, rhs)
+    rule(
+        "not-masked",
+        "n(A o B) o B = n(A) o B (clip product rule, De Morgan, A o n(A) = 0)",
+        Hadamard(Not(Hadamard(_A, _B)), EVar("b")),
+        Hadamard(Not(_a), _b),
+    )
 
     # vertex-specific filters
     rule(
@@ -352,12 +354,6 @@ def _rules():
         "row-col-entry",
         "R_i o C_j = E_ij",
         Hadamard(Filter("row", _i), Filter("col", _j)),
-        Filter("entry", _i, _j),
-    )
-    rule(
-        "col-row-entry",
-        "R_i o C_j = E_ij",
-        Hadamard(Filter("col", _j), Filter("row", _i)),
         Filter("entry", _i, _j),
     )
     rule("row-transpose", "R_i = C_i'", Transpose(Filter("col", _i)), Filter("row", _i))
@@ -381,34 +377,15 @@ def _rules():
         guard=lambda bnd: bnd["p"] == 0 and bnd["q"] == 0,
     )
     rule(
-        "vout-entry-vin",
-        "v+(E_ij) o v-(E_ij) = E_ij",
-        Hadamard(VOut(_E, _p), VIn(Filter("entry", _i, _j), _q)),
-        _E,
-        guard=lambda bnd: bnd["p"] == 0 and bnd["q"] == 0,
-    )
-    rule(
         "vout-row-mask",
         "v-(Z o R_i) = v-(Z) o R_i",
         VOut(Hadamard(_z, _R), _p),
         Hadamard(VOut(_z, _p), _R),
     )
     rule(
-        "vout-row-mask-comm",
-        "v-(Z o R_i) = v-(Z) o R_i",
-        VOut(Hadamard(_R, _z), _p),
-        Hadamard(VOut(_z, _p), _R),
-    )
-    rule(
         "vin-col-mask",
         "v+(Z o C_i) = v+(Z) o C_i",
         VIn(Hadamard(_z, _C), _p),
-        Hadamard(VIn(_z, _p), _C),
-    )
-    rule(
-        "vin-col-mask-comm",
-        "v+(Z o C_i) = v+(Z) o C_i",
-        VIn(Hadamard(_C, _z), _p),
         Hadamard(VIn(_z, _p), _C),
     )
     rule(
@@ -457,7 +434,6 @@ def _rules():
         Transpose(Add(_a, _b)),
     )
     rule("add-zero", "A + 0 = A", Add(_a, _ZERO), _a)
-    rule("add-zero-comm", "A + 0 = A", Add(_ZERO, _a), _a)
     rule("add-commute", "A + B = B + A", Add(_a, _b), Add(_b, _a), search=False)
     rule("matmul-zero", "A . 0 = 0", MatMul(_a, _ZERO), _ZERO)
     rule("matmul-zero-left", "0 . A = 0", MatMul(_ZERO, _a), _ZERO)
@@ -561,9 +537,9 @@ def _single_steps(e, grouped_rules):
     out = []
     for path, node in walk(e):
         for rule in grouped_rules.get(type(node), ()):
-            new_sub = rule.apply(node)
-            if new_sub is not None and new_sub != node:
-                out.append((rule, path, node, new_sub, replace_at(e, path, new_sub)))
+            for new_sub in rule.apply(node):
+                if new_sub != node:
+                    out.append((rule, path, node, new_sub, replace_at(e, path, new_sub)))
     return out
 
 
@@ -597,9 +573,12 @@ def simplify(e, budget: int | None = None):
             seen[new_expr] = (current, rule, path, before, after)
             counter += 1
             heapq.heappush(frontier, (cost, counter, new_expr))
-            key = _tie_key(new_expr)
-            if key < best_key:
-                best, best_key = new_expr, key
+            # the key's tie-breakers walk and render the tree: skip them for a
+            # candidate whose cost alone already loses
+            if cost <= best_key[0]:
+                key = _tie_key(new_expr)
+                if key < best_key:
+                    best, best_key = new_expr, key
             if applications >= budget:
                 break
     steps = []

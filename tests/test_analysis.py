@@ -13,7 +13,7 @@ from pathweave.analysis import (
     spreading_activation,
 )
 from pathweave.errors import AnalysisError
-from pathweave.kernels import PathMatrix
+from pathweave.kernels import PathMatrix, matmul, transpose
 
 from oracles import (
     categorical_r,
@@ -93,6 +93,58 @@ def test_metrics_consistent_with_distances(rng):
         if finite_ecc:
             assert res.radius == min(finite_ecc)
             assert res.diameter == max(finite_ecc)
+
+
+def _geodesic_metrics_from_copy(dist):
+    """Straight-line reference for the metrics: an off-diagonal copy of the
+    distances with unreached entries zeroed, reduced row by row."""
+    off = dist.copy()
+    np.fill_diagonal(off, np.inf)
+    finite = np.isfinite(off)
+    reach = finite.sum(axis=1)
+    off[~finite] = 0.0
+    reached = reach > 0
+    ecc = np.where(reached, off.max(axis=1, initial=0.0), np.nan)
+    close = np.full(len(dist), np.nan)
+    close[reached] = off.sum(axis=1)[reached] / reach[reached]
+    finite_ecc = ecc[reached]
+    radius = float(finite_ecc.min()) if finite_ecc.size else None
+    diameter = float(finite_ecc.max()) if finite_ecc.size else None
+    return ecc, radius, diameter, close, reach.astype(np.int64)
+
+
+def test_geodesic_metrics_equal_masked_copy_reference(fixture1, rng):
+    a = fixture1.matrix("authored")
+    graphs = [
+        fixture1.matrix("cites"),
+        matmul(a, transpose(a)),
+        PathMatrix.identity(4),
+        pm([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+        PathMatrix.zeros(1),
+    ]
+    graphs += [pm(random_digraph(rng, int(rng.integers(2, 13)))) for _ in range(40)]
+    for z in graphs:
+        res = shortest_paths(z)
+        ecc, radius, diameter, close, reach = _geodesic_metrics_from_copy(res.distances)
+        assert np.array_equal(res.eccentricity, ecc, equal_nan=True)
+        assert np.array_equal(res.closeness, close, equal_nan=True)
+        assert np.array_equal(res.reach_counts, reach) and res.reach_counts.dtype == reach.dtype
+        assert (res.radius, res.diameter) == (radius, diameter)
+
+
+def test_geodesic_metrics_take_no_second_dense_array(rng):
+    import tracemalloc
+
+    n = 1500
+    z = pm((rng.random((n, n)) < 0.002).astype(np.int64))
+    tracemalloc.start()
+    try:
+        res = shortest_paths(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the distances plus their boolean reach mask, and no float64 copy
+    assert peak < 1.3 * res.distances.nbytes
 
 
 # -- pagerank ------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from pathweave.errors import EvalError
 from pathweave.evaluate import EvalPlan, evaluate, plan
-from pathweave.expr import MatMul, SliceRef, parse
+from pathweave.expr import Hadamard, MatMul, SliceRef, Transpose, format_expr, parse
 from pathweave.tensor import MultiRelTensor, ingest_triples
 
 from conftest import FIXTURE1_TRIPLES
@@ -202,3 +202,21 @@ def test_long_merge_evaluates(fixture1, use_plan):
     merged = evaluate(parse(" + ".join(["A[cites]"] * 500)), fixture1, use_plan=use_plan)
     single = evaluate(parse("A[cites]"), fixture1)
     assert np.array_equal(merged.to_dense(), 500 * single.to_dense())
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [Transpose, lambda e: Hadamard(e, SliceRef("cites"))],
+    ids=["transpose", "hadamard"],
+)
+def test_deep_chain_evaluates_planned(fixture1, wrap):
+    deep = SliceRef("cites")
+    for _ in range(3000):
+        deep = wrap(deep)
+    p = plan(deep, fixture1)
+    # compared by rendering: dataclass == recurses as deep as the tree
+    assert format_expr(p.tree) == format_expr(deep)
+    assert len(p.steps) == (3001 if wrap is Transpose else 6001)
+    # an even number of transposes, or cites masked by itself, is cites
+    cites = fixture1.matrix("cites").to_dense()
+    assert np.array_equal(evaluate(deep, fixture1).to_dense(), cites)

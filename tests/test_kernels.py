@@ -205,6 +205,38 @@ def test_densify_guards():
     assert K.DENSIFY_LIMIT >= 10_000_000
 
 
+def test_complement_explicit_equals_dense(rng):
+    import scipy.sparse as sp
+
+    for n in (1, 2, 7, 30):
+        for density in (0.0, 0.3, 0.9, 1.0):
+            arr = (rng.random((n, n)) < density).astype(np.int64)
+            arr[rng.integers(0, n)] = 0  # an empty row
+            arr[rng.integers(0, n)] = 1  # a full row
+            pm = PathMatrix.from_dense(arr, complement=True)
+            got = pm.explicit()
+            want = sp.csr_array(pm.to_dense())
+            for field in ("indptr", "indices", "data"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), field
+            assert got.has_canonical_format
+
+
+def test_complement_explicit_allocates_no_dense_array():
+    import tracemalloc
+
+    not_i = not_(PathMatrix.identity(2000))
+    tracemalloc.start()
+    try:
+        out = not_i.explicit()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    result_bytes = out.data.nbytes + out.indices.nbytes + out.indptr.nbytes
+    # a dense 2000 x 2000 int64 array alone would be 32 MB of the 48 MB result
+    assert peak < 2 * result_bytes
+
+
 def test_export_tsv(fixture1):
     a = fixture1.matrix("authored")
     coauth = hadamard(matmul(a, transpose(a)), not_(PathMatrix.identity(a.n)))

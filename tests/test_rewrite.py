@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from pathweave.expr import (
+    Add,
     Hadamard,
     Not,
+    fold,
     format_expr,
     node_count,
     parse,
     weighted_cost,
+    with_children,
 )
 from pathweave.evaluate import evaluate, verify_rule
 from pathweave.rewrite import (
@@ -50,6 +53,70 @@ MERGE_TARGET = (
 @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
 def test_every_rule_is_sound(rule):
     assert verify_rule(rule, trials=25, rng=np.random.default_rng(101))
+
+
+# Rules the table once held in a second operand order of `&` or `+`, with a
+# concrete instance of each one's left- and right-hand side. Commutative
+# matching must reach every one from the rules that remain.
+ORIENTATION_TWINS = {
+    "had-unit-comm": ("ONES & A[cites] . A[cites]", "A[cites] . A[cites]"),
+    "had-zero-comm": ("ZERO & A[cites] . A[cites]", "ZERO"),
+    "had-factor-left": (
+        "A[cites] & A[authored] + A[cites] & A[contains]",
+        "A[cites] & (A[authored] + A[contains])",
+    ),
+    "had-scalar-out-left": ("2.0 * A[cites] & A[authored]", "2.0 * (A[cites] & A[authored])"),
+    "had-transpose-fuse-swap": ("A[cites]' & A[authored]'", "(A[authored] & A[cites])'"),
+    "had-not-zero-comm": ("not(A[cites]) & A[cites]", "ZERO"),
+    "clip-split-boolean-left": (
+        "clip(A[cites] & A[authored] . A[cites])",
+        "A[cites] & clip(A[authored] . A[cites])",
+    ),
+    "not-masked-comm": (
+        "not(A[authored] & A[cites]) & A[authored]",
+        "not(A[cites]) & A[authored]",
+    ),
+    "not-masked-right": (
+        "A[authored] & not(A[cites] & A[authored])",
+        "A[authored] & not(A[cites])",
+    ),
+    "not-masked-right-comm": (
+        "A[authored] & not(A[authored] & A[cites])",
+        "A[authored] & not(A[cites])",
+    ),
+    "col-row-entry": ("C(a3) & R(h1)", "E(h1,a3)"),
+    "vout-entry-vin": ("vout(E(h1,a3)) & vin(E(h1,a3))", "E(h1,a3)"),
+    "vout-row-mask-comm": (
+        "vout(R(h1) & A[authored] . A[cites], 1)",
+        "vout(A[authored] . A[cites], 1) & R(h1)",
+    ),
+    "vin-col-mask-comm": (
+        "vin(C(a3) & A[authored] . A[cites], 1)",
+        "vin(A[authored] . A[cites], 1) & C(a3)",
+    ),
+    "add-zero-comm": ("ZERO + A[cites] . A[cites]", "A[cites] . A[cites]"),
+}
+
+
+def _unordered(e) -> str:
+    """Rendering with the operands of every `&` and `+` in sorted order."""
+
+    def visit(node, kids):
+        if isinstance(node, (Hadamard, Add)):
+            kids = tuple(sorted(kids, key=format_expr))
+        return with_children(node, kids)
+
+    return format_expr(fold(e, visit))
+
+
+@pytest.mark.parametrize("name", sorted(ORIENTATION_TWINS))
+def test_deleted_orientation_twin_is_reached(name, fixture1):
+    lhs, rhs = (parse(src) for src in ORIENTATION_TWINS[name])
+    assert name not in RULES_BY_NAME
+    # the table itself is sound
+    assert np.array_equal(evaluate(lhs, fixture1).to_dense(), evaluate(rhs, fixture1).to_dense())
+    successors = {_unordered(new) for rule in RULES if rule.search for new in rule.apply(lhs)}
+    assert _unordered(rhs) in successors
 
 
 def test_wrong_rule_is_rejected():
