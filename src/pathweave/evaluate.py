@@ -10,7 +10,8 @@ Planning does two things, neither of which can change the result:
 
 * matrix-product chains of three or more factors are reassociated by
   dynamic programming over estimated flops derived from nnz row/column
-  profiles (counts are associative, so any order is sound);
+  profiles (counts are associative, so any order is sound), once per
+  chain; of orders with equal estimates, the left-to-right one wins;
 * a row (column) filter applied to a product is pushed onto the left
   (right) factor, using the planner-only commutations from the rule set.
 
@@ -160,7 +161,6 @@ def _profile(e, kids, tensor):
         rows = np.zeros(n)
         cols = np.zeros(n)
         if e.kind == "row":
-            rows[:] = 0.0
             idx = tensor.vertices.index.get(str(e.a), 0)
             rows[idx] = n
             cols[:] = 1.0
@@ -250,7 +250,8 @@ def _chain_order(factors, tensor):
                     + _pair_flops(span_prof[i][split], span_prof[split + 1][j])
                 )
                 options.append((cost, split))
-            cost, split = min(options)
+            # ties keep the largest split, i.e. the left-to-right order
+            cost, split = min(options, key=lambda option: (option[0], -option[1]))
             best[i][j] = (cost, split)
             span_prof[i][j] = _product_profile(
                 span_prof[i][split], span_prof[split + 1][j], n
@@ -304,19 +305,23 @@ def _push_filters(e):
 
 def _reassociate(e, tensor):
     """Reorder every product chain of three or more factors by the chain DP.
-    Each fold value is the rebuilt node and its product factors, left to
-    right."""
+    A product's fold value is its chain's factors, left to right; the chain
+    is ordered once, where a parent that is not a product (or the root)
+    takes it. Any other node's fold value is the rebuilt node."""
+
+    def settle(value):
+        if not isinstance(value, list):
+            return value
+        if len(value) == 2:
+            return MatMul(*value)
+        return _chain_order(value, tensor)[0]
 
     def visit(node, kids):
-        node = with_children(node, tuple(k[0] for k in kids))
-        if not isinstance(node, MatMul):
-            return node, [node]
-        factors = kids[0][1] + kids[1][1]
-        if len(factors) >= 3:
-            node, _ = _chain_order(factors, tensor)
-        return node, factors
+        if isinstance(node, MatMul):
+            return [f for k in kids for f in (k if isinstance(k, list) else [k])]
+        return with_children(node, tuple(settle(k) for k in kids))
 
-    return fold(e, visit)[0]
+    return settle(fold(e, visit))
 
 
 def plan(e, tensor) -> EvalPlan:

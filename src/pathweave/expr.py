@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 from .errors import ExprSyntaxError
 
-FILTER_KINDS = ("row", "col", "entry", "identity", "ones", "zeros")
-
 
 @dataclass(frozen=True, slots=True)
 class SliceRef:

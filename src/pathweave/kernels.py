@@ -177,22 +177,23 @@ class PathMatrix:
         return f"<PathMatrix n={self.n} {kind} nnz={self.value_nnz()} dtype={self.dtype}>"
 
 
+# filter kind -> the number of vertex indices it takes
+FILTER_KINDS = {"row": 1, "col": 1, "entry": 2, "identity": 0, "ones": 0, "zeros": 0}
+
+
 @dataclass(frozen=True)
 class FilterSpec:
-    """A vertex-specific or constant {0,1} filter matrix.
-
-    kind is one of row, col, entry, identity, ones, zeros; row/col take one
-    index, entry takes two.
-    """
+    """A vertex-specific or constant {0,1} filter matrix; `kind` is a key of
+    FILTER_KINDS and takes that many of the indices `i`, `j`."""
 
     kind: str
     i: int | None = None
     j: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("row", "col", "entry", "identity", "ones", "zeros"):
+        need = FILTER_KINDS.get(self.kind)
+        if need is None:
             raise EvalError(f"unknown filter kind {self.kind!r}")
-        need = {"row": 1, "col": 1, "entry": 2}.get(self.kind, 0)
         got = sum(x is not None for x in (self.i, self.j))
         if got != need:
             raise EvalError(f"filter {self.kind!r} takes {need} index(es), got {got}")

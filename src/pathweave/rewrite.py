@@ -7,10 +7,12 @@ table, and the search. Every rule is semantics preserving under its guard;
 ``pathweave.evaluate.verify_rule`` checks that by running both sides through
 the evaluator's interpreter.
 
-Matching is commutative at the filter product ``&`` and the merge ``+``
-(the rules ``had-commute`` and ``add-commute`` verify that it may be): a
-pattern matches either operand order, so each identity is written once,
-in one orientation, and a rule can rewrite a node in more than one way.
+Each identity is written once. Matching is commutative at the filter
+product ``&`` and the merge ``+`` (the rules ``had-commute`` and
+``add-commute`` verify that it may be), so a pattern matches either operand
+order and a rule can rewrite a node in more than one way. An identity the
+search uses in both directions names its reverse (``back=``), and the rule
+table registers the reversed rule right after it.
 
 ``simplify`` runs a best-first search over single-step rewrites, bounded by
 a rule-application budget of at most node_count^2 and a small cost
@@ -213,8 +215,10 @@ _E = Filter("entry", _i, _j)
 def _rules():
     r = []
 
-    def rule(name, cite, lhs, rhs, guard=None, search=True):
+    def rule(name, cite, lhs, rhs, guard=None, search=True, back=None):
         r.append(RewriteRule(name, cite, lhs, rhs, guard, search))
+        if back is not None:
+            r.append(RewriteRule(back, cite, rhs, lhs, guard, search))
 
     # Hadamard properties
     rule("had-unit", "A o 1 = A", Hadamard(_a, _ONES), _a)
@@ -252,12 +256,7 @@ def _rules():
         "A' o B' = (A o B)'",
         Hadamard(Transpose(_a), Transpose(_b)),
         Transpose(Hadamard(_a, _b)),
-    )
-    rule(
-        "transpose-over-had",
-        "A' o B' = (A o B)'",
-        Transpose(Hadamard(_a, _b)),
-        Hadamard(Transpose(_a), Transpose(_b)),
+        back="transpose-over-had",
     )
     rule("had-idempotent", "A o A = A for boolean A", Hadamard(_A, EVar("a")), _a)
     rule(
@@ -265,12 +264,7 @@ def _rules():
         "entrywise product is associative",
         Hadamard(Hadamard(_a, _b), _c),
         Hadamard(_a, Hadamard(_b, _c)),
-    )
-    rule(
-        "had-assoc-left",
-        "entrywise product is associative",
-        Hadamard(_a, Hadamard(_b, _c)),
-        Hadamard(Hadamard(_a, _b), _c),
+        back="had-assoc-left",
     )
 
     # not
@@ -284,12 +278,7 @@ def _rules():
         "c(Y o Z) = c(Y) o c(Z)",
         Clip(Hadamard(_a, _b)),
         Hadamard(Clip(_a), Clip(_b)),
-    )
-    rule(
-        "clip-merge",
-        "c(Y o Z) = c(Y) o c(Z)",
-        Hadamard(Clip(_a), Clip(_b)),
-        Clip(Hadamard(_a, _b)),
+        back="clip-merge",
     )
     rule(
         "clip-split-boolean",
@@ -301,13 +290,8 @@ def _rules():
         "demorgan-and",
         "n(A o B) = c(n(A) + n(B))",
         Not(Hadamard(_A, _B)),
-        Clip(Add(Not(_a), Not(_b))),
-    )
-    rule(
-        "demorgan-and-merge",
-        "n(A o B) = c(n(A) + n(B))",
         Clip(Add(Not(_A), Not(_B))),
-        Not(Hadamard(_a, _b)),
+        back="demorgan-and-merge",
     )
     rule(
         "demorgan-or",
@@ -336,19 +320,20 @@ def _rules():
     )
 
     # vertex-specific filters
+    distinct = lambda bnd: bnd["i"] != bnd["j"]
     rule(
         "row-row-zero",
         "R_i o R_j = 0 for i != j",
         Hadamard(Filter("row", _i), Filter("row", _j)),
         _ZERO,
-        guard=lambda bnd: bnd["i"] != bnd["j"],
+        guard=distinct,
     )
     rule(
         "col-col-zero",
         "C_i o C_j = 0 for i != j",
         Hadamard(Filter("col", _i), Filter("col", _j)),
         _ZERO,
-        guard=lambda bnd: bnd["i"] != bnd["j"],
+        guard=distinct,
     )
     rule(
         "row-col-entry",
@@ -356,11 +341,9 @@ def _rules():
         Hadamard(Filter("row", _i), Filter("col", _j)),
         Filter("entry", _i, _j),
     )
-    rule("row-transpose", "R_i = C_i'", Transpose(Filter("col", _i)), Filter("row", _i))
-    rule("col-transpose", "C_i = R_i'", Transpose(Filter("row", _i)), Filter("col", _i))
+    rule("row-transpose", "R_i = C_i'", Transpose(_C), _R, back="row-intro-transpose")
+    rule("col-transpose", "C_i = R_i'", Transpose(_R), _C, back="col-intro-transpose")
     rule("entry-transpose", "E_ij = E_ji'", Transpose(_E), Filter("entry", _j, _i))
-    rule("row-intro-transpose", "R_i = C_i'", Filter("row", _i), Transpose(Filter("col", _i)))
-    rule("col-intro-transpose", "C_i = R_i'", Filter("col", _i), Transpose(Filter("row", _i)))
     rule("identity-transpose", "I' = I", Transpose(_I), _I)
     rule("ones-transpose", "1' = 1", Transpose(_ONES), _ONES)
     rule("zeros-transpose", "0' = 0", Transpose(_ZERO), _ZERO)
@@ -388,29 +371,20 @@ def _rules():
         VIn(Hadamard(_z, _C), _p),
         Hadamard(VIn(_z, _p), _C),
     )
-    rule(
-        "vout-transpose",
-        "v-(Z', p) = v+(Z, p)'",
-        VOut(Transpose(_z), _p),
-        Transpose(VIn(_z, _p)),
-    )
+    # vin first, so transpose-vout precedes transpose-vin among Transpose rules
     rule(
         "vin-transpose",
         "v+(Z', p) = v-(Z, p)'",
         VIn(Transpose(_z), _p),
         Transpose(VOut(_z, _p)),
+        back="transpose-vout",
     )
     rule(
-        "transpose-vout",
-        "v-(Z, p)' = v+(Z', p)",
-        Transpose(VOut(_z, _p)),
-        VIn(Transpose(_z), _p),
-    )
-    rule(
-        "transpose-vin",
-        "v+(Z, p)' = v-(Z', p)",
-        Transpose(VIn(_z, _p)),
+        "vout-transpose",
+        "v-(Z', p) = v+(Z, p)'",
         VOut(Transpose(_z), _p),
+        Transpose(VIn(_z, _p)),
+        back="transpose-vin",
     )
 
     # transpose, merge, scale plumbing (guard-free standard identities)
@@ -420,12 +394,7 @@ def _rules():
         "(A . B)' = B' . A'",
         Transpose(MatMul(_a, _b)),
         MatMul(Transpose(_b), Transpose(_a)),
-    )
-    rule(
-        "matmul-transpose-fuse",
-        "(A . B)' = B' . A'",
-        MatMul(Transpose(_a), Transpose(_b)),
-        Transpose(MatMul(_b, _a)),
+        back="matmul-transpose-fuse",
     )
     rule(
         "add-transpose-fuse",

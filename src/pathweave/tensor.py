@@ -198,27 +198,33 @@ def ingest_triples(rows: Iterable[Sequence[str]]) -> MultiRelTensor:
     return MultiRelTensor(vertices, slices)
 
 
+def _records(text: str, layout: str):
+    """Yield the stripped fields of each record in TSV `text` laid out as
+    `layout` (e.g. `vertex<TAB>value`); blank lines and `#` comments are
+    skipped, and a malformed record raises GraphFormatError naming its line."""
+    width = layout.count("<TAB>") + 1
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != width or not all(f.strip() for f in fields):
+            raise GraphFormatError(f"line {lineno}: expected `{layout}`, got {line!r}")
+        yield tuple(f.strip() for f in fields)
+
+
+def _read(path: str) -> str:
+    with io.open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def parse_triples(text: str) -> MultiRelTensor:
     """Parse the TSV triple format: `tail<TAB>label<TAB>head`, `#` comments."""
-
-    def rows():
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3 or not all(f.strip() for f in fields):
-                raise GraphFormatError(
-                    f"line {lineno}: expected `tail<TAB>label<TAB>head`, got {line!r}"
-                )
-            yield tuple(f.strip() for f in fields)
-
-    return ingest_triples(rows())
+    return ingest_triples(_records(text, "tail<TAB>label<TAB>head"))
 
 
 def read_triples(path: str) -> MultiRelTensor:
-    with io.open(path, "r", encoding="utf-8") as fh:
-        return parse_triples(fh.read())
+    return parse_triples(_read(path))
 
 
 def format_triples(tensor: MultiRelTensor) -> str:
@@ -227,42 +233,17 @@ def format_triples(tensor: MultiRelTensor) -> str:
 
 def parse_signatures(text: str) -> dict[str, tuple[str, str]]:
     """Parse the signature format: `label<TAB>domainClass<TAB>rangeClass`."""
-    out: dict[str, tuple[str, str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != 3 or not all(f.strip() for f in fields):
-            raise GraphFormatError(
-                f"line {lineno}: expected `label<TAB>domain<TAB>range`, got {line!r}"
-            )
-        label, dom, rng = (f.strip() for f in fields)
-        out[label] = (dom, rng)
-    return out
+    return {label: (dom, rng) for label, dom, rng in _records(text, "label<TAB>domain<TAB>range")}
 
 
 def read_signatures(path: str) -> dict[str, tuple[str, str]]:
-    with io.open(path, "r", encoding="utf-8") as fh:
-        return parse_signatures(fh.read())
+    return parse_signatures(_read(path))
 
 
 def parse_properties(text: str) -> dict[str, str]:
     """Parse a per-vertex property table: `vertex<TAB>value`."""
-    out: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != 2 or not all(f.strip() for f in fields):
-            raise GraphFormatError(
-                f"line {lineno}: expected `vertex<TAB>value`, got {line!r}"
-            )
-        out[fields[0].strip()] = fields[1].strip()
-    return out
+    return dict(_records(text, "vertex<TAB>value"))
 
 
 def read_properties(path: str) -> dict[str, str]:
-    with io.open(path, "r", encoding="utf-8") as fh:
-        return parse_properties(fh.read())
+    return parse_properties(_read(path))

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,36 @@ def test_chain_association_choice():
     assert p.tree == left_first
     assert p.est_flops < p.naive_flops
     assert plan(left_first, tensor).tree == left_first
+
+
+def test_chain_is_ordered_once(fixture1, monkeypatch):
+    # the package's `evaluate` attribute is the function, not the module
+    evaluate_module = importlib.import_module("pathweave.evaluate")
+    calls = []
+    chain_order = evaluate_module._chain_order
+    monkeypatch.setattr(
+        evaluate_module, "_chain_order", lambda *args: calls.append(1) or chain_order(*args)
+    )
+    chain = parse(" . ".join(["A[cites]"] * 12))
+    plan(chain, fixture1)
+    assert len(calls) == 1
+    # a chain under a non-product is ordered where that node takes it
+    calls.clear()
+    plan(parse(f"({format_expr(chain)})' . A[cites] . A[cites]"), fixture1)
+    assert len(calls) == 2
+
+
+def test_chain_ties_keep_written_order():
+    # permutation matrices: every row and column profile is 1, so every
+    # association of the chain has the same estimate
+    n = 4
+    perm = lambda shift: (np.arange(n), (np.arange(n) + shift) % n)
+    tensor = MultiRelTensor.from_edges(n, {"p": perm(1), "q": perm(2), "r": perm(3)})
+    written = parse("A[p] . A[q] . A[r]")
+    assert written == MatMul(MatMul(SliceRef("p"), SliceRef("q")), SliceRef("r"))
+    p = plan(written, tensor)
+    assert p.tree == written
+    assert p.est_flops == p.naive_flops
 
 
 def test_single_slice_identity_plan(fixture1):

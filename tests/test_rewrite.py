@@ -119,6 +119,12 @@ def test_deleted_orientation_twin_is_reached(name, fixture1):
     assert _unordered(rhs) in successors
 
 
+def test_rule_names_are_unique():
+    # the planner looks its rules up by name, and a reverse declared with
+    # `back=` must not shadow another rule
+    assert len(RULES_BY_NAME) == len(RULES)
+
+
 def test_wrong_rule_is_rejected():
     # n(A o B) = n(A) o n(B) is false: A = 0, B = 1 gives lhs 1, rhs 0
     wrong = RewriteRule(

@@ -9,6 +9,9 @@ from pathweave.tensor import (
     parse_properties,
     parse_signatures,
     parse_triples,
+    read_properties,
+    read_signatures,
+    read_triples,
 )
 
 from conftest import FIXTURE1_TRIPLES
@@ -91,6 +94,46 @@ def test_property_file_parsing():
     assert props == {"h1": "1.5", "h2": "2.0"}
     with pytest.raises(GraphFormatError, match="line 1"):
         parse_properties("h1 1.5\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (
+            parse_triples,
+            "h1\tauthored\n",
+            "line 1: expected `tail<TAB>label<TAB>head`, got 'h1\\tauthored'",
+        ),
+        (
+            parse_triples,
+            "# c\n\nh1\t \ta1\n",
+            "line 3: expected `tail<TAB>label<TAB>head`, got 'h1\\t \\ta1'",
+        ),
+        (
+            parse_signatures,
+            "cites\tA\tA\tA\n",
+            "line 1: expected `label<TAB>domain<TAB>range`, got 'cites\\tA\\tA\\tA'",
+        ),
+        (parse_properties, "h1\t1\nh2 2\n", "line 2: expected `vertex<TAB>value`, got 'h2 2'"),
+    ],
+)
+def test_tsv_error_names_line_and_layout(parse, text, message):
+    with pytest.raises(GraphFormatError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_read_functions_parse_files(tmp_path):
+    graph = tmp_path / "g.tsv"
+    graph.write_text("# g\n h1\tauthored\ta1 \n", encoding="utf-8")
+    sigs = tmp_path / "s.tsv"
+    sigs.write_text("authored\tH\tA\nauthored\tH\tB\n", encoding="utf-8")
+    props = tmp_path / "p.tsv"
+    props.write_text("h1\t1.5\n\na1\tx\n", encoding="utf-8")
+    assert read_triples(str(graph)).to_triples() == [("h1", "authored", "a1")]
+    # a later record for the same key wins
+    assert read_signatures(str(sigs)) == {"authored": ("H", "B")}
+    assert read_properties(str(props)) == {"h1": "1.5", "a1": "x"}
 
 
 def test_from_edges_matches_ingest():
