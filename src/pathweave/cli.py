@@ -154,7 +154,7 @@ def cmd_eval(args, out):
         simplified, trace = simplify(e)
         _print_derivation(e, trace, sys.stderr)
         e = simplified
-    z = evaluate(e, t, use_plan=not args.no_plan)
+    z = evaluate(e, t)
     _emit_matrix(z, t, args.format, out)
     return 0
 
@@ -297,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a path expression to a matrix")
     _add_common(p)
     p.add_argument("--simplify", action="store_true", help="print derivation, evaluate simplified tree")
-    p.add_argument("--no-plan", action="store_true", help="skip evaluation planning")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("simplify", help="algebraically simplify an expression")

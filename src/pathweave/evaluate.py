@@ -6,17 +6,14 @@ one mapping from operators to kernels: ``evaluate`` gives it a leaf resolver
 for slices and name-addressed filters of a tensor, and ``verify_rule`` one
 for pattern operands bound to concrete matrices and integer indices.
 
-Planning does two things, neither of which can change the result:
-
-* matrix-product chains of three or more factors are reassociated by
-  dynamic programming over estimated flops derived from nnz row/column
-  profiles (counts are associative, so any order is sound), once per
-  chain; of orders with equal estimates, the left-to-right one wins;
-* a row (column) filter applied to a product is pushed onto the left
-  (right) factor, using the planner-only commutations from the rule set.
+Planning moves masks and cannot change the result: a row (column) filter
+applied to a product is pushed onto the left (right) factor, using the
+planner-only commutations from the rule set. Products are evaluated in the
+association written; the simplifier already writes chains left-associated.
 
 The plan also records the representation each node will take, which is how
-`not(I)`-style complements stay unmaterialized through an evaluation.
+`not(I)`-style complements stay unmaterialized through an evaluation, and
+each product's flops as estimated from nnz row/column profiles.
 """
 
 from __future__ import annotations
@@ -40,6 +37,7 @@ from .expr import (
     Transpose,
     VIn,
     VOut,
+    _SCALAR_FIELDS,
     children,
     fold,
     format_node,
@@ -73,11 +71,8 @@ def run(e, leaf) -> kernels.PathMatrix:
         name = _KERNELS.get(type(node))
         if name is None:
             return leaf(node)
-        if isinstance(node, (VOut, VIn)):
-            args += (node.p,)
-        elif isinstance(node, Scale):
-            args += (node.coef,)
-        return getattr(kernels, name)(*args)
+        params = (getattr(node, f) for f in _SCALAR_FIELDS.get(type(node), ()))
+        return getattr(kernels, name)(*args, *params)
 
     return fold(e, visit)
 
@@ -158,25 +153,22 @@ def _profile(e, kids, tensor):
         cols = np.bincount(mat.heads, minlength=n).astype(float)
         return rows, cols
     if isinstance(e, Filter):
+        spec = _filter_spec(e, tensor)
         rows = np.zeros(n)
         cols = np.zeros(n)
-        if e.kind == "row":
-            idx = tensor.vertices.index.get(str(e.a), 0)
-            rows[idx] = n
+        if spec.kind == "row":
+            rows[spec.i] = n
             cols[:] = 1.0
-        elif e.kind == "col":
-            idx = tensor.vertices.index.get(str(e.a), 0)
-            cols[idx] = n
+        elif spec.kind == "col":
+            cols[spec.i] = n
             rows[:] = 1.0
-        elif e.kind == "entry":
-            i = tensor.vertices.index.get(str(e.a), 0)
-            j = tensor.vertices.index.get(str(e.b), 0)
-            rows[i] = 1.0
-            cols[j] = 1.0
-        elif e.kind == "identity":
+        elif spec.kind == "entry":
+            rows[spec.i] = 1.0
+            cols[spec.j] = 1.0
+        elif spec.kind == "identity":
             rows[:] = 1.0
             cols[:] = 1.0
-        elif e.kind == "ones":
+        elif spec.kind == "ones":
             rows[:] = n
             cols[:] = n
         return rows, cols
@@ -230,42 +222,6 @@ def _pair_flops(left, right):
     return float(np.dot(lcols, rrows))
 
 
-def _chain_order(factors, tensor):
-    """Matrix-chain DP over estimated flops; returns (tree, est_flops)."""
-    k = len(factors)
-    profs = [fold(f, lambda node, kids: _profile(node, kids, tensor)) for f in factors]
-    best = [[(0.0, None)] * k for _ in range(k)]
-    span_prof = [[None] * k for _ in range(k)]
-    for i in range(k):
-        span_prof[i][i] = profs[i]
-    n = tensor.n
-    for width in range(2, k + 1):
-        for i in range(0, k - width + 1):
-            j = i + width - 1
-            options = []
-            for split in range(i, j):
-                cost = (
-                    best[i][split][0]
-                    + best[split + 1][j][0]
-                    + _pair_flops(span_prof[i][split], span_prof[split + 1][j])
-                )
-                options.append((cost, split))
-            # ties keep the largest split, i.e. the left-to-right order
-            cost, split = min(options, key=lambda option: (option[0], -option[1]))
-            best[i][j] = (cost, split)
-            span_prof[i][j] = _product_profile(
-                span_prof[i][split], span_prof[split + 1][j], n
-            )
-
-    def build(i, j):
-        if i == j:
-            return factors[i]
-        split = best[i][j][1]
-        return MatMul(build(i, split), build(split + 1, j))
-
-    return build(0, k - 1), best[0][k - 1][0]
-
-
 def _estimate(node, kids, tensor):
     """Fold visitor: the node's (profile, representation, estimated flops of
     its own product, estimated flops of its whole subtree as written)."""
@@ -303,30 +259,10 @@ def _push_filters(e):
     return fold(e, lambda node, kids: _sink_filter(with_children(node, kids)))
 
 
-def _reassociate(e, tensor):
-    """Reorder every product chain of three or more factors by the chain DP.
-    A product's fold value is its chain's factors, left to right; the chain
-    is ordered once, where a parent that is not a product (or the root)
-    takes it. Any other node's fold value is the rebuilt node."""
-
-    def settle(value):
-        if not isinstance(value, list):
-            return value
-        if len(value) == 2:
-            return MatMul(*value)
-        return _chain_order(value, tensor)[0]
-
-    def visit(node, kids):
-        if isinstance(node, MatMul):
-            return [f for k in kids for f in (k if isinstance(k, list) else [k])]
-        return with_children(node, tuple(settle(k) for k in kids))
-
-    return settle(fold(e, visit))
-
-
 def plan(e, tensor) -> EvalPlan:
-    """Choose association and filter placement; record per-node choices."""
-    tree = _reassociate(_push_filters(e), tensor)
+    """Move row and column masks onto product factors; record per-node
+    estimates and representations."""
+    tree = _push_filters(e)
     # one fold estimates and renders every node; the steps list nodes
     # deepest first, so look each one up by identity
     facts = {}
@@ -362,7 +298,7 @@ def _pattern_vars(pat) -> dict:
     """Metavariables of a pattern by name, first occurrence in preorder."""
     acc: dict = {}
     for _, node in walk(pat):
-        for var in (node, *(getattr(node, f, None) for f in ("a", "b", "coef", "p"))):
+        for var in (node, *(getattr(node, f) for f in _SCALAR_FIELDS.get(type(node), ()))):
             if isinstance(var, (EVar, NVar, PVar, LVar)):
                 acc.setdefault(var.name, var)
     return acc

@@ -86,6 +86,16 @@ class Scale:
 _BINARY = (MatMul, Hadamard, Add)
 _UNARY = (Transpose, Not, Clip, VOut, VIn, Scale)
 
+# node type -> its non-expression fields: label, filter kind and vertex
+# names, scale factor, threshold
+_SCALAR_FIELDS = {
+    SliceRef: ("label",),
+    Filter: ("kind", "a", "b"),
+    Scale: ("coef",),
+    VOut: ("p",),
+    VIn: ("p",),
+}
+
 
 def children(e) -> tuple:
     if isinstance(e, _BINARY):
@@ -503,28 +513,24 @@ def check_signatures(e, tensor) -> SignatureReport:
     """
     violations: list[SignatureViolation] = []
 
-    def sig(node):
+    def sig(node, kids):
         if isinstance(node, SliceRef):
             s = tensor.slices.get(node.label)
             return s.signature if s is not None and s.signature else (None, None)
         if isinstance(node, Filter):
             return (None, None)
         if isinstance(node, Transpose):
-            d, r = sig(node.child)
+            d, r = kids[0]
             return (r, d)
-        if isinstance(node, (Not, Clip, VOut, VIn)):
-            return sig(node.child)
-        if isinstance(node, Scale):
-            return sig(node.child)
+        if isinstance(node, (Not, Clip, VOut, VIn, Scale)):
+            return kids[0]
         if isinstance(node, MatMul):
-            ld, lr = sig(node.left)
-            rd, rr = sig(node.right)
+            (ld, lr), (rd, rr) = kids
             if lr is not None and rd is not None and lr != rd:
                 violations.append(SignatureViolation(format_expr(node), lr, rd))
             return (ld, rr)
         if isinstance(node, (Hadamard, Add)):
-            left = sig(node.left)
-            right = sig(node.right)
+            left, right = kids
             if None in left:
                 return right if None not in right else tuple(
                     l if l is not None else r for l, r in zip(left, right)
@@ -536,5 +542,5 @@ def check_signatures(e, tensor) -> SignatureReport:
             return left
         raise TypeError(f"not a path expression: {node!r}")
 
-    derived = sig(e)
+    derived = fold(e, sig)
     return SignatureReport(ok=not violations, derived=derived, violations=tuple(violations))

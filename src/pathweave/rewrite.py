@@ -41,10 +41,10 @@ from .expr import (
     MatMul,
     Not,
     Scale,
-    SliceRef,
     Transpose,
     VIn,
     VOut,
+    _SCALAR_FIELDS,
     children,
     format_expr,
     is_boolean_expr,
@@ -86,17 +86,6 @@ class LVar:
     """Matches a scale factor."""
 
     name: str
-
-
-# node type -> its non-expression fields: label, filter kind and vertex
-# names, scale factor, threshold
-_SCALAR_FIELDS = {
-    SliceRef: ("label",),
-    Filter: ("kind", "a", "b"),
-    Scale: ("coef",),
-    VOut: ("p",),
-    VIn: ("p",),
-}
 
 
 def _bind_scalars(pat, e, bnd):

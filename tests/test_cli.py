@@ -212,6 +212,18 @@ def test_load_check_flags_violation(tmp_path, graph_file, capsys):
     assert "expected A" in out and "found H" in out
 
 
+def test_load_check_long_chain(tmp_path, graph_file, capsys):
+    sigs = tmp_path / "sigs.tsv"
+    sigs.write_text("cites\tA\tA\n")
+    chain = " . ".join(["A[cites]"] * 3000)
+    code, out, _ = run(
+        ["load-check", "--graph", graph_file, "--signatures", str(sigs), "--expr", chain],
+        capsys,
+    )
+    assert code == 0
+    assert "\nsignature\tA\tA\tok\n" in out
+
+
 def test_expr_file_with_let(tmp_path, graph_file, capsys):
     f = tmp_path / "expr.pw"
     f.write_text("# coauthors\nlet co = A[authored] . A[authored]' & not(I)\nlet z = clip(co)\n")
