@@ -19,6 +19,7 @@ each product's flops as estimated from nnz row/column profiles.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,9 +277,15 @@ def plan(e, tensor) -> EvalPlan:
         return fact
 
     fold(tree, note)
+    # level order, left to right, then reversed: deepest level first
+    order, queue = [], deque([tree])
+    while queue:
+        node = queue.popleft()
+        order.append(node)
+        queue.extend(children(node))
     steps = []
     total = 0.0
-    for _, node in sorted(walk(tree), key=lambda pn: (len(pn[0]), pn[0]), reverse=True):
+    for node in reversed(order):
         (_, rep, est, _), (text, _) = facts[id(node)]
         total += est
         op = type(node).__name__.lower() if children(node) else "load"

@@ -188,14 +188,23 @@ def is_boolean_expr(e) -> bool:
     Slices are boolean by construction of the tensor; filters and the
     clip/not/vout/vin results are boolean by definition; a product of
     booleans is not (counts exceed 1), nor is a sum or a scaling.
+
+    Transposes and filter products are boolean when all their operands are,
+    so this checks every leaf of the tree they form, on an explicit stack.
     """
-    if isinstance(e, (Filter, Not, Clip, VOut, VIn, SliceRef)):
-        return True
-    if isinstance(e, Transpose):
-        return is_boolean_expr(e.child)
-    if isinstance(e, Hadamard):
-        return is_boolean_expr(e.left) and is_boolean_expr(e.right)
-    return False
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Filter, Not, Clip, VOut, VIn, SliceRef)):
+            continue
+        if isinstance(node, Transpose):
+            stack.append(node.child)
+        elif isinstance(node, Hadamard):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            return False
+    return True
 
 
 # -- parsing -----------------------------------------------------------------

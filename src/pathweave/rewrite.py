@@ -21,7 +21,11 @@ hill, e.g. rewriting a row filter to a transposed column filter before
 fusing transposes). The returned expression always costs no more than the
 input under the weighted node count (matrix product 4, filter product 2,
 everything else 1); ties prefer more shared subtrees, then the shorter
-rendering, so chains come out left-associated.
+rendering, so chains come out left-associated. Within one ``simplify`` call
+each distinct subtree is matched against the rules once (its root rewrites
+are memoised), and a successor's cost is the current cost minus the
+rewritten subtree's plus its replacement's, so no candidate is re-walked to
+be costed.
 
 Boolean-valuedness guards are syntactic: slices, filters, and the
 clip/not/vout/vin results count as {0,1}-valued; products, sums, and
@@ -475,11 +479,11 @@ def _dag_size(e) -> int:
     return len({node for _, node in walk(e)})
 
 
-def _tie_key(e):
+def _tie_key(e, cost):
     # ties prefer shared subtrees, then shorter renderings (left-assoc
     # chains need no parentheses); remaining ties keep the first-discovered
     # expression, i.e. the one fewest steps from the input
-    return (weighted_cost(e), _dag_size(e), len(format_expr(e)))
+    return (cost, _dag_size(e), len(format_expr(e)))
 
 
 def _rules_by_root(rules):
@@ -489,16 +493,24 @@ def _rules_by_root(rules):
     return grouped
 
 
-def _single_steps(e, grouped_rules):
-    """All (rule, path, rewritten-whole-expression) single-step successors,
-    in deterministic preorder/rule order."""
-    out = []
+def _single_steps(e, grouped_rules, rewrites):
+    """All (rule, path, before, after) single-step rewrites of `e`, in
+    deterministic preorder/rule order.
+
+    `rewrites` memoises each subtree's root rewrites, [(rule, after), ...]
+    in rule order: a successor shares every subtree off its rewritten path
+    with its parent, so most nodes were matched before."""
     for path, node in walk(e):
-        for rule in grouped_rules.get(type(node), ()):
-            for new_sub in rule.apply(node):
-                if new_sub != node:
-                    out.append((rule, path, node, new_sub, replace_at(e, path, new_sub)))
-    return out
+        found = rewrites.get(node)
+        if found is None:
+            found = rewrites[node] = [
+                (rule, new_sub)
+                for rule in grouped_rules.get(type(node), ())
+                for new_sub in rule.apply(node)
+                if new_sub != node
+            ]
+        for rule, new_sub in found:
+            yield rule, path, node, new_sub
 
 
 HILL_ALLOWANCE = 2
@@ -513,19 +525,33 @@ def simplify(e, budget: int | None = None):
     grouped = _rules_by_root([r for r in RULES if r.search])
     if budget is None:
         budget = min(node_count(e) ** 2, 400)
-    cap = weighted_cost(e) + HILL_ALLOWANCE
+    # per-call memos: each subtree's root rewrites and weighted cost
+    rewrites: dict = {}
+    costs: dict = {}
+
+    def cost_of(sub):
+        c = costs.get(sub)
+        if c is None:
+            c = costs[sub] = weighted_cost(sub)
+        return c
+
+    start_cost = weighted_cost(e)
+    cap = start_cost + HILL_ALLOWANCE
     seen = {e: None}
-    best, best_key = e, _tie_key(e)
+    best, best_key = e, _tie_key(e, start_cost)
     counter = 0
-    frontier = [(weighted_cost(e), counter, e)]
+    frontier = [(start_cost, counter, e)]
     applications = 0
     while frontier and applications < budget:
-        _, _, current = heapq.heappop(frontier)
-        for rule, path, before, after, new_expr in _single_steps(current, grouped):
-            if new_expr in seen:
-                continue
-            cost = weighted_cost(new_expr)
+        current_cost, _, current = heapq.heappop(frontier)
+        for rule, path, before, after in _single_steps(current, grouped, rewrites):
+            # the cost is additive over nodes and replace_at keeps every
+            # ancestor's type, so only the rewritten subtree's share changes
+            cost = current_cost - cost_of(before) + cost_of(after)
             if cost > cap:
+                continue
+            new_expr = replace_at(current, path, after)
+            if new_expr in seen:
                 continue
             applications += 1
             seen[new_expr] = (current, rule, path, before, after)
@@ -534,7 +560,7 @@ def simplify(e, budget: int | None = None):
             # the key's tie-breakers walk and render the tree: skip them for a
             # candidate whose cost alone already loses
             if cost <= best_key[0]:
-                key = _tie_key(new_expr)
+                key = _tie_key(new_expr, cost)
                 if key < best_key:
                     best, best_key = new_expr, key
             if applications >= budget:

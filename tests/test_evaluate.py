@@ -3,7 +3,16 @@ import pytest
 
 from pathweave.errors import EvalError
 from pathweave.evaluate import EvalPlan, evaluate, plan
-from pathweave.expr import Hadamard, MatMul, SliceRef, Transpose, format_expr, parse
+from pathweave.expr import (
+    Hadamard,
+    MatMul,
+    SliceRef,
+    Transpose,
+    children,
+    format_expr,
+    parse,
+    walk,
+)
 from pathweave.tensor import MultiRelTensor, ingest_triples
 
 from conftest import FIXTURE1_TRIPLES
@@ -138,6 +147,22 @@ def test_plan_monotone_cost(rng):
         e = random_expr(rng, labels, tensor.vertices.names, depth=5)
         p = plan(e, tensor)
         assert p.est_flops <= p.naive_flops + 1e-9
+
+
+def test_plan_steps_deepest_level_first():
+    # the reference order: nodes sorted by (depth, path), reversed
+    rng = np.random.default_rng(7)
+    labels = ("alpha", "beta")
+    for _ in range(200):
+        tensor = random_tensor(rng, labels=labels)
+        e = random_expr(rng, labels, tensor.vertices.names, depth=6)
+        p = plan(e, tensor)
+        ordered = sorted(walk(p.tree), key=lambda pn: (len(pn[0]), pn[0]), reverse=True)
+        expected = [
+            (type(node).__name__.lower() if children(node) else "load", format_expr(node))
+            for _, node in ordered
+        ]
+        assert [(s.op, s.detail) for s in p.steps] == expected
 
 
 def test_plan_keeps_written_association():

@@ -17,6 +17,7 @@ from pathweave.expr import (
     check_signatures,
     fold,
     format_expr,
+    is_boolean_expr,
     node_count,
     parse,
     parse_program,
@@ -180,3 +181,11 @@ def test_fold_is_post_order_and_not_bounded_by_recursion():
     for _ in range(10_000):
         deep = Transpose(deep)
     assert fold(deep, lambda node, kids: 1 + sum(kids)) == 10_001
+
+
+def test_is_boolean_expr_not_bounded_by_recursion():
+    chain = parse(" & ".join(["A[x]"] * 3000))
+    assert is_boolean_expr(chain) is True
+    # a product anywhere in the filter chain makes it non-boolean
+    assert is_boolean_expr(Hadamard(chain, MatMul(SliceRef("x"), SliceRef("x")))) is False
+    assert is_boolean_expr(Transpose(Hadamard(Not(SliceRef("x")), Filter("row", "v")))) is True

@@ -209,3 +209,51 @@ def test_budget_is_node_count_squared():
     out, trace = simplify(e, budget=node_count(e) ** 2)
     assert out == parse(SELF_LOOP_TARGET)
     assert len(trace) <= node_count(e) ** 2
+
+
+def test_simplify_matches_each_subtree_once(monkeypatch):
+    calls = {}
+    apply = RewriteRule.apply
+
+    def counting(self, e):
+        calls[(self.name, e)] = calls.get((self.name, e), 0) + 1
+        return apply(self, e)
+
+    monkeypatch.setattr(RewriteRule, "apply", counting)
+    start = parse(SELF_LOOP_SRC)
+    out, trace = simplify(start)
+    assert calls and max(calls.values()) == 1
+    # the memo must not change what the search finds, nor how it gets there
+    assert out == parse(SELF_LOOP_TARGET)
+    assert [(s.rule, s.path, s.before, s.after) for s in trace.steps] == [
+        (rule, path, parse(before), parse(after))
+        for rule, path, before, after in (
+            (
+                "had-assoc",
+                (),
+                SELF_LOOP_SRC,
+                "A[authored] . A[cites] . A[authored]' "
+                "& (not(clip(A[authored] . A[authored]' & not(I))) & not(I))",
+            ),
+            (
+                "clip-split-boolean",
+                (1, 0, 0),
+                "clip(A[authored] . A[authored]' & not(I))",
+                "clip(A[authored] . A[authored]') & not(I)",
+            ),
+            (
+                "not-masked",
+                (1,),
+                "not(clip(A[authored] . A[authored]') & not(I)) & not(I)",
+                "not(clip(A[authored] . A[authored]')) & not(I)",
+            ),
+            (
+                "had-assoc-left",
+                (),
+                "A[authored] . A[cites] . A[authored]' "
+                "& (not(clip(A[authored] . A[authored]')) & not(I))",
+                SELF_LOOP_TARGET,
+            ),
+        )
+    ]
+    assert trace.replay(start) == out
