@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .expr import (
     _SCALAR_FIELDS,
     children,
     fold,
-    format_node,
+    format_expr,
     walk,
     with_children,
 )
@@ -115,9 +116,15 @@ def evaluate(e, tensor, use_plan: bool = True) -> kernels.PathMatrix:
 @dataclass(frozen=True)
 class PlanStep:
     op: str
-    detail: str
+    node: object
     repr: str
     est_flops: float
+
+    @cached_property
+    def detail(self) -> str:
+        """The step's subtree as text, rendered when first read: rendering
+        every step up front holds O(depth^2) text for a deep tree."""
+        return format_expr(self.node)
 
 
 @dataclass(frozen=True)
@@ -125,7 +132,14 @@ class EvalPlan:
     tree: object
     steps: tuple
     est_flops: float
-    naive_flops: float
+    source: object = field(repr=False, compare=False)
+    tensor: object = field(repr=False, compare=False)
+
+    @cached_property
+    def naive_flops(self) -> float:
+        """Estimated flops of the expression as given, computed when first
+        read: a second estimating fold that evaluation never needs."""
+        return fold(self.source, lambda node, kids: _estimate(node, kids, self.tensor))[3]
 
 
 def _repr_of(e, kids) -> str:
@@ -264,16 +278,12 @@ def plan(e, tensor) -> EvalPlan:
     """Move row and column masks onto product factors; record per-node
     estimates and representations."""
     tree = _push_filters(e)
-    # one fold estimates and renders every node; the steps list nodes
-    # deepest first, so look each one up by identity
+    # one fold estimates every node; the steps list nodes deepest first, so
+    # look each one up by identity
     facts = {}
 
     def note(node, kids):
-        fact = (
-            _estimate(node, tuple(k[0] for k in kids), tensor),
-            format_node(node, tuple(k[1] for k in kids)),
-        )
-        facts[id(node)] = fact
+        facts[id(node)] = fact = _estimate(node, kids, tensor)
         return fact
 
     fold(tree, note)
@@ -286,16 +296,11 @@ def plan(e, tensor) -> EvalPlan:
     steps = []
     total = 0.0
     for node in reversed(order):
-        (_, rep, est, _), (text, _) = facts[id(node)]
+        _, rep, est, _ = facts[id(node)]
         total += est
         op = type(node).__name__.lower() if children(node) else "load"
-        steps.append(PlanStep(op, text, rep, est))
-    return EvalPlan(
-        tree=tree,
-        steps=tuple(steps),
-        est_flops=total,
-        naive_flops=fold(e, lambda node, kids: _estimate(node, kids, tensor))[3],
-    )
+        steps.append(PlanStep(op, node, rep, est))
+    return EvalPlan(tree=tree, steps=tuple(steps), est_flops=total, source=e, tensor=tensor)
 
 
 # -- empirical rule verification ----------------------------------------------

@@ -4,17 +4,27 @@ A network with m edge labels over one vertex set is stored as m sparse
 boolean adjacency slices sharing a single dense integer id space. Ids are
 assigned in first-seen order across all labels, so ingestion order changes
 ids but never semantics.
+
+TSV text is split in bulk, a chunk of lines at a time, when it is regular:
+only "\\n" line ends, and no comment, blank line, or empty or padded field.
+Any other text is read line by line, and that reader words every format
+error; both give the same result.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import EvalError, GraphFormatError
 from .kernels import PathMatrix
+
+# the largest order n for which every key tail * n + head fits in int64
+_KEY_LIMIT = math.isqrt(np.iinfo(np.int64).max)
 
 
 class VertexDictionary:
@@ -25,16 +35,17 @@ class VertexDictionary:
     def __init__(self, names: Iterable[str] = ()):
         self.names: list[str] = []
         self.index: dict[str, int] = {}
-        for name in names:
-            self.add(name)
+        self.extend(names)
 
-    def add(self, name: str) -> int:
-        idx = self.index.get(name)
-        if idx is None:
-            idx = len(self.names)
-            self.names.append(name)
-            self.index[name] = idx
-        return idx
+    def extend(self, names: Iterable[str]) -> None:
+        """Give each name not yet present the next id, in first-seen order."""
+        fresh = list(itertools.filterfalse(self.index.__contains__, dict.fromkeys(names)))
+        self.index.update(zip(fresh, range(len(self.names), len(self.names) + len(fresh))))
+        self.names += fresh
+
+    def ids(self, names: Sequence[str]) -> np.ndarray:
+        """The int64 ids of `names`, all of which are present."""
+        return np.fromiter(map(self.index.__getitem__, names), np.int64, len(names))
 
     def id(self, name: str) -> int:
         return self.index[name]
@@ -62,20 +73,29 @@ class EdgeSlice:
     __slots__ = ("label", "n", "tails", "heads", "signature")
 
     def __init__(self, label, n, tails, heads, signature=None):
+        n = int(n)
         tails = np.asarray(tails, dtype=np.int64)
         heads = np.asarray(heads, dtype=np.int64)
         if tails.size and (tails.min() < 0 or tails.max() >= n):
             raise GraphFormatError(f"slice {label!r}: tail id out of range")
         if heads.size and (heads.min() < 0 or heads.max() >= n):
             raise GraphFormatError(f"slice {label!r}: head id out of range")
-        order = np.lexsort((heads, tails))
-        tails, heads = tails[order], heads[order]
-        if tails.size:
-            keep = np.ones(tails.size, dtype=bool)
-            keep[1:] = (tails[1:] != tails[:-1]) | (heads[1:] != heads[:-1])
-            tails, heads = tails[keep], heads[keep]
+        if n <= _KEY_LIMIT:
+            # one key per pair sorts in (tail, head) order
+            key = tails * n + heads
+            key.sort()
+            if key.size:
+                key = key[np.append(True, key[1:] != key[:-1])]
+            tails, heads = np.divmod(key, n)
+        else:
+            order = np.lexsort((heads, tails))
+            tails, heads = tails[order], heads[order]
+            if tails.size:
+                keep = np.ones(tails.size, dtype=bool)
+                keep[1:] = (tails[1:] != tails[:-1]) | (heads[1:] != heads[:-1])
+                tails, heads = tails[keep], heads[keep]
         self.label = label
-        self.n = int(n)
+        self.n = n
         self.tails = tails
         self.heads = heads
         self.signature = signature
@@ -174,28 +194,55 @@ def ingest_triples(rows: Iterable[Sequence[str]]) -> MultiRelTensor:
     collapse to one edge. Raises GraphFormatError for empty input or a
     malformed row (reported with its 1-based position).
     """
-    vertices = VertexDictionary()
-    by_label: dict[str, tuple[list[int], list[int]]] = {}
-    count = 0
+    fields: list[str] = []
     for lineno, row in enumerate(rows, start=1):
         if len(row) != 3:
             raise GraphFormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
         tail, label, head = row
         if not tail or not label or not head:
             raise GraphFormatError(f"line {lineno}: empty tail, label, or head")
-        ti = vertices.add(tail)
-        hi = vertices.add(head)
-        tails, heads = by_label.setdefault(label, ([], []))
-        tails.append(ti)
-        heads.append(hi)
-        count += 1
-    if count == 0:
-        raise GraphFormatError("no edges")
+        fields += row
+    return _tensor([fields])
+
+
+def _tensor(batches: Iterable[list[str]]) -> MultiRelTensor:
+    """Build a tensor from batches of (tail, label, head) fields, each batch
+    one flat row-major list. Vertex ids follow first appearance, tail before
+    head; slices follow the first appearance of their label."""
+    vertices, labels = VertexDictionary(), VertexDictionary()
+    ends, kinds = [], []
+    for fields in batches:
+        kind = fields[1::3]
+        del fields[1::3]  # leaves tail, head, tail, head, ...
+        vertices.extend(fields)
+        labels.extend(kind)
+        ends.append(vertices.ids(fields))
+        kinds.append(labels.ids(kind))
+    if not kinds:
+        return MultiRelTensor(vertices, {})  # raises: no edges
+    ends, kinds = np.concatenate(ends), np.concatenate(kinds)
+    order = np.argsort(kinds, kind="stable")
+    tails, heads = ends[0::2][order], ends[1::2][order]
+    stops = np.cumsum(np.bincount(kinds, minlength=len(labels))).tolist()
     n = len(vertices)
     slices = {
-        label: EdgeSlice(label, n, tails, heads) for label, (tails, heads) in by_label.items()
+        label: EdgeSlice(label, n, tails[start:stop], heads[start:stop])
+        for label, start, stop in zip(labels, [0, *stops], stops)
     }
     return MultiRelTensor(vertices, slices)
+
+
+# str.splitlines ends a line at each of these as well as at "\n"
+_OTHER_LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# the bulk reader splits this many characters at a time, up to a line end;
+# larger chunks are no faster and leave more memory resident after the read
+_CHUNK_CHARS = 1 << 14
+# the per-line reader hands on this many records at a time
+_BATCH_RECORDS = 4096
+
+
+class _Irregular(Exception):
+    """Input the bulk reader leaves to the per-line reader."""
 
 
 def _records(text: str, layout: str):
@@ -213,6 +260,59 @@ def _records(text: str, layout: str):
         yield tuple(f.strip() for f in fields)
 
 
+def _line_batches(text: str, layout: str):
+    """The records of `_records`, as flat row-major field lists of bounded
+    batches."""
+    records = _records(text, layout)
+    while batch := [f for record in itertools.islice(records, _BATCH_RECORDS) for f in record]:
+        yield batch
+
+
+def _bulk_batches(text: str, layout: str):
+    """The fields of TSV `text`, as flat row-major lists of bounded chunks of
+    lines, split whole rather than line by line. Raises _Irregular unless
+    every line ends at "\\n" and holds `layout`'s number of fields, none empty
+    or padded, and no line is blank or a `#` comment."""
+    width = layout.count("<TAB>") + 1
+    if (
+        not text
+        or text[0] in "\n#"
+        or "\n\n" in text
+        or "\n#" in text
+        or any(brk in text for brk in _OTHER_LINE_BREAKS)
+    ):
+        raise _Irregular
+    end = len(text) - 1 if text.endswith("\n") else len(text)
+    pos = 0
+    while pos < end:
+        cut = text.find("\n", pos + _CHUNK_CHARS, end)
+        cut = end if cut < 0 else cut
+        chunk = text[pos:cut]
+        pos = cut + 1
+        fields = chunk.replace("\n", "\t").split("\t")
+        # each line holds `width` fields iff every width-th separator is a
+        # line end; "\t" and "\n" are one byte each in UTF-8
+        raw = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
+        seps = raw[(raw == 9) | (raw == 10)]
+        if len(fields) % width or not np.array_equal(
+            np.flatnonzero(seps == 10), np.arange(width - 1, len(fields) - 1, width)
+        ):
+            raise _Irregular
+        distinct = list(set(fields))
+        if "" in distinct or list(map(str.strip, distinct)) != distinct:
+            raise _Irregular
+        yield fields
+
+
+def _parse(text: str, layout: str, build):
+    """`build` applied to the field batches of TSV `text`: read in bulk when
+    the text is regular, else line by line, which words every error."""
+    try:
+        return build(_bulk_batches(text, layout))
+    except _Irregular:
+        return build(_line_batches(text, layout))
+
+
 def _read(path: str) -> str:
     with io.open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -220,7 +320,7 @@ def _read(path: str) -> str:
 
 def parse_triples(text: str) -> MultiRelTensor:
     """Parse the TSV triple format: `tail<TAB>label<TAB>head`, `#` comments."""
-    return ingest_triples(_records(text, "tail<TAB>label<TAB>head"))
+    return _parse(text, "tail<TAB>label<TAB>head", _tensor)
 
 
 def read_triples(path: str) -> MultiRelTensor:
@@ -231,18 +331,32 @@ def format_triples(tensor: MultiRelTensor) -> str:
     return "".join(f"{t}\t{l}\t{h}\n" for t, l, h in tensor.to_triples())
 
 
+def _signatures(batches) -> dict[str, tuple[str, str]]:
+    out: dict[str, tuple[str, str]] = {}
+    for fields in batches:
+        out.update(zip(fields[0::3], zip(fields[1::3], fields[2::3])))
+    return out
+
+
 def parse_signatures(text: str) -> dict[str, tuple[str, str]]:
     """Parse the signature format: `label<TAB>domainClass<TAB>rangeClass`."""
-    return {label: (dom, rng) for label, dom, rng in _records(text, "label<TAB>domain<TAB>range")}
+    return _parse(text, "label<TAB>domain<TAB>range", _signatures)
 
 
 def read_signatures(path: str) -> dict[str, tuple[str, str]]:
     return parse_signatures(_read(path))
 
 
+def _properties(batches) -> dict[str, str]:
+    out: dict[str, str] = {}
+    for fields in batches:
+        out.update(zip(fields[0::2], fields[1::2]))
+    return out
+
+
 def parse_properties(text: str) -> dict[str, str]:
     """Parse a per-vertex property table: `vertex<TAB>value`."""
-    return dict(_records(text, "vertex<TAB>value"))
+    return _parse(text, "vertex<TAB>value", _properties)
 
 
 def read_properties(path: str) -> dict[str, str]:

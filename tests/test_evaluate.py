@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,23 @@ def test_long_product_chain_plans():
     planned = evaluate(chain, tensor).to_dense()
     assert np.array_equal(planned, evaluate(chain, tensor, use_plan=False).to_dense())
     assert np.array_equal(planned, np.eye(3))
+
+
+def test_deep_chain_plans_in_bounded_memory():
+    # step texts render when read: all 5999 of them up front hold O(k^2)
+    # characters for a k-factor chain (55 MB at k = 3000)
+    tensor = ingest_triples([("x", "cites", "y"), ("y", "cites", "z"), ("z", "cites", "x")])
+    chain = parse(" . ".join(["A[cites]"] * 3000))
+    tracemalloc.start()
+    try:
+        p = plan(chain, tensor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+    assert [s.detail for s in p.steps[:2]] == ["A[cites]", "A[cites]"]
+    assert p.steps[-1].detail == format_expr(chain)
+    assert p.naive_flops == p.est_flops
 
 
 def test_plan_rejects_unknown_vertex(fixture1):

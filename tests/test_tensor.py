@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathweave.errors import EvalError, GraphFormatError
 from pathweave.tensor import (
+    EdgeSlice,
     MultiRelTensor,
+    _Irregular,
+    _bulk_batches,
+    _line_batches,
+    _properties,
+    _records,
+    _signatures,
+    _tensor,
     format_triples,
     ingest_triples,
     parse_properties,
@@ -142,3 +152,156 @@ def test_from_edges_matches_ingest():
         ["x", "y", "z"], {"r": (np.array([0, 1]), np.array([1, 2]))}
     )
     assert set(t1.to_triples()) == set(t2.to_triples())
+
+
+def test_edge_slice_sorts_and_collapses_pairs():
+    rng = np.random.default_rng(5)
+    tails = rng.integers(0, 40, 500)
+    heads = rng.integers(0, 40, 500)
+    s = EdgeSlice("r", 40, tails, heads)
+    # 500 draws from 1600 pairs: duplicates are certain
+    assert s.nnz < 500
+    assert list(zip(s.tails.tolist(), s.heads.tolist())) == sorted(
+        set(zip(tails.tolist(), heads.tolist()))
+    )
+    assert s.tails.dtype == s.heads.dtype == np.int64
+
+
+def test_edge_slice_order_beyond_int64_key():
+    # n * n exceeds int64, so a tail * n + head key would wrap
+    n = 4_000_000_000
+    s = EdgeSlice("r", n, [n - 1, 3, n - 1, 0, 3, 3], [0, n - 2, 0, n - 1, 7, n - 2])
+    assert list(zip(s.tails.tolist(), s.heads.tolist())) == [
+        (0, n - 1),
+        (3, 7),
+        (3, n - 2),
+        (n - 1, 0),
+    ]
+
+
+# str.splitlines ends a line at each of these
+_LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_PADS = [" ", "\xa0", "\x1f", "\u3000"]
+
+
+_FLAWS = ("comment", "blank", "line end", "padded", "empty", "field count")
+
+
+@st.composite
+def tsv_texts(draw):
+    """TSV text of 2 or 3 fields a line: regular rows, which the bulk reader
+    takes, with up to three flaws that only the per-line reader handles."""
+    width = draw(st.sampled_from((2, 3)))
+    # a `#` may sit inside a name, but leading a line it makes a comment
+    names = st.tuples(st.sampled_from("abéß名😀"), st.text(alphabet="ab#é名😀", max_size=2))
+    names = names.map("".join)
+    rows = draw(st.lists(st.lists(names, min_size=width, max_size=width), min_size=1, max_size=8))
+    ends = ["\n"] * len(rows)
+    for flaw in draw(st.lists(st.sampled_from(_FLAWS), max_size=3)):
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        j = draw(st.integers(0, len(row) - 1))
+        if flaw == "comment":
+            rows.insert(i, [draw(st.sampled_from(["#", " #"])) + row[0], *row[1:]])
+            ends.insert(i, "\n")
+        elif flaw == "blank":
+            rows.insert(i, [draw(st.sampled_from(["", " ", "\xa0\x1f"]))])
+            ends.insert(i, "\n")
+        elif flaw == "line end":
+            ends[i] = draw(st.sampled_from(_LINE_ENDS[1:]))
+        elif flaw == "padded":
+            pad = draw(st.sampled_from(_PADS))
+            row[j] = draw(st.sampled_from([pad + row[j], row[j] + pad]))
+        elif flaw == "empty":
+            row[j] = ""
+        elif len(row) > 1 and draw(st.booleans()):
+            del row[j]
+        else:
+            row.insert(j, draw(names))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join("\t".join(row) + end for row, end in zip(rows, ends))
+
+
+def _reference_tensor(records):
+    """First-seen ids and slice order as a loop over the records."""
+    index, by_label = {}, {}
+    for tail, label, head in records:
+        tails, heads = by_label.setdefault(label, ([], []))
+        tails.append(index.setdefault(tail, len(index)))
+        heads.append(index.setdefault(head, len(index)))
+    if not by_label:
+        raise GraphFormatError("no edges")
+    edges = {label: (np.array(t), np.array(h)) for label, (t, h) in by_label.items()}
+    return MultiRelTensor.from_edges(list(index), edges)
+
+
+_READERS = [
+    (parse_triples, "tail<TAB>label<TAB>head", _tensor, _reference_tensor),
+    (
+        parse_signatures,
+        "label<TAB>domain<TAB>range",
+        _signatures,
+        lambda records: {label: (dom, rng) for label, dom, rng in records},
+    ),
+    (parse_properties, "vertex<TAB>value", _properties, dict),
+]
+
+
+def _outcome(read):
+    """What a reader gives: its result in comparable form, or its error text."""
+    try:
+        result = read()
+    except GraphFormatError as err:
+        return "error", str(err)
+    if isinstance(result, MultiRelTensor):
+        slices = [
+            (label, s.tails.tolist(), s.heads.tolist(), s.tails.dtype, s.heads.dtype)
+            for label, s in result.slices.items()
+        ]
+        return "ok", (result.vertices.names, result.vertices.index, slices)
+    return "ok", result
+
+
+@given(tsv_texts())
+@settings(max_examples=150, deadline=None)
+def test_bulk_and_per_line_readers_agree(text):
+    for parse, layout, build, reference in _READERS:
+        per_line = _outcome(lambda: build(_line_batches(text, layout)))
+        assert per_line == _outcome(lambda: reference(_records(text, layout)))
+        try:
+            bulk = _outcome(lambda: build(_bulk_batches(text, layout)))
+        except _Irregular:
+            bulk = per_line
+        assert bulk == per_line
+        assert _outcome(lambda: parse(text)) == per_line
+
+
+def test_bulk_reader_chunks_lose_no_record():
+    rng = np.random.default_rng(3)
+    rows = [
+        (f"v{rng.integers(3000)}", f"r{rng.integers(4)}", f"v{rng.integers(3000)}")
+        for _ in range(6000)
+    ]
+    text = "".join(f"{t}\t{l}\t{h}\n" for t, l, h in rows)
+    batches = list(_bulk_batches(text, "tail<TAB>label<TAB>head"))
+    assert len(batches) > 1
+    assert [f for batch in batches for f in batch] == [f for row in rows for f in row]
+    # ids continue across chunks in first-seen order
+    assert _outcome(lambda: parse_triples(text)) == _outcome(lambda: _reference_tensor(rows))
+
+
+@pytest.mark.parametrize("end", ["", "\n"])
+def test_bulk_reader_takes_regular_text(end):
+    text = "h1\tauthored\tété\n名\tcites\th1" + end
+    assert list(_bulk_batches(text, "tail<TAB>label<TAB>head")) == [
+        ["h1", "authored", "été", "名", "cites", "h1"]
+    ]
+    # a line break inside a field leaves the text's field count whole
+    other_ends = [f"h1\tau{brk}th\tété\n" for brk in _LINE_ENDS[1:]]
+    # two lines of 2 and 4 fields make 6, a whole number of records
+    short_long = "h1\tauthored\nété\tx\ty\tz\n"
+    comments = ["#c\td\te\n" + text, "h1\tx\ty\n#c\td\te\n"]
+    for irregular in ("", text + "\n\n", " " + text, short_long, *comments, *other_ends):
+        with pytest.raises(_Irregular):
+            list(_bulk_batches(irregular, "tail<TAB>label<TAB>head"))
