@@ -1,12 +1,14 @@
 """Textual DSL for path expressions: AST, parser, printer, signature checker.
 
-Grammar (loosest to tightest): `+` merges, `&` is the entrywise filter
-product, `.` is the matrix product, `NUMBER *` scales, postfix `'`
-transposes. Atoms are `A[label]`, the constant filters `I`, `ONES`, `ZERO`,
-vertex filters `R(name)`, `C(name)`, `E(name,name)`, and the functions
-`not(e)`, `clip(e)`, `vout(e[,p])`, `vin(e[,p])`. Vertex names resolve
-through the dictionary at evaluation time, keeping expressions portable
-across ingests.
+The grammar is written once, in the tables of the grammar section below,
+and the parser, the printer and the rewriter read it there: `_INFIX` ranks
+the binary operators (`+` merges, `&` is the entrywise filter product, `.`
+the matrix product), `_ATOMS` spells the filters and functions,
+`FILTER_KINDS` counts each filter's vertex names (`kernels.FilterSpec`
+checks the same table), and `_SCALAR_FIELDS` names each node's fields that
+are not expressions. `NUMBER *` scales, postfix `'` transposes, and
+`A[label]` names a slice. Vertex names resolve through the dictionary at
+evaluation time, keeping expressions portable across ingests.
 
 Infix `.` and `&` replace the overloaded composition symbol of the printed
 notation so products and filters can never be confused.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ExprSyntaxError
 
@@ -86,22 +89,10 @@ class Scale:
 _BINARY = (MatMul, Hadamard, Add)
 _UNARY = (Transpose, Not, Clip, VOut, VIn, Scale)
 
-# node type -> its non-expression fields: label, filter kind and vertex
-# names, scale factor, threshold
-_SCALAR_FIELDS = {
-    SliceRef: ("label",),
-    Filter: ("kind", "a", "b"),
-    Scale: ("coef",),
-    VOut: ("p",),
-    VIn: ("p",),
-}
-
 
 def children(e) -> tuple:
     if isinstance(e, _BINARY):
         return (e.left, e.right)
-    if isinstance(e, Scale):
-        return (e.child,)
     if isinstance(e, _UNARY):
         return (e.child,)
     return ()
@@ -207,6 +198,54 @@ def is_boolean_expr(e) -> bool:
     return True
 
 
+# -- the grammar ---------------------------------------------------------------
+
+# node type -> its non-expression fields: label, filter kind and vertex
+# names, scale factor, threshold
+_SCALAR_FIELDS = {
+    SliceRef: ("label",),
+    Filter: ("kind", "a", "b"),
+    Scale: ("coef",),
+    VOut: ("p",),
+    VIn: ("p",),
+}
+
+# filter kind -> the number of vertex indices it takes
+FILTER_KINDS = {"row": 1, "col": 1, "entry": 2, "identity": 0, "ones": 0, "zeros": 0}
+
+# the word of a slice reference, `A[label]`
+_SLICE = "A"
+
+# atom spelling -> a filter kind or a function's node type. A filter that
+# takes no index is the bare word; one that takes k is the word applied to
+# k vertex names, `R(v)`, `E(a,b)`. A function applies to one expression,
+# and one with a threshold field takes an optional integer after it,
+# `vout(e, 2)`.
+_ATOMS = {
+    "I": "identity",
+    "ONES": "ones",
+    "ZERO": "zeros",
+    "R": "row",
+    "C": "col",
+    "E": "entry",
+    "not": Not,
+    "clip": Clip,
+    "vout": VOut,
+    "vin": VIn,
+}
+_SPELLING = {meaning: word for word, meaning in _ATOMS.items()}
+
+# binary operators from loosest to tightest. An operator's level is its
+# position here, and its right operand needs the next level, so a chain of
+# one operator associates left. `NUMBER *` scaling binds tighter than all
+# three, and postfix `'` tightest.
+_INFIX = ((Add, "+"), (Hadamard, "&"), (MatMul, "."))
+# operator text -> its level, and operator node type -> its printed text and level
+_LEVEL = {text: level for level, (_, text) in enumerate(_INFIX)}
+_INFIX_TEXT = {op: (f" {text} ", level) for level, (op, text) in enumerate(_INFIX)}
+_LEVEL_SCALE, _LEVEL_POSTFIX = len(_INFIX), len(_INFIX) + 1
+
+
 # -- parsing -----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -218,8 +257,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_FUNCTIONS = {"not", "clip", "vout", "vin"}
-_RESERVED = {"I", "ONES", "ZERO", "R", "C", "E", "A", "let"} | _FUNCTIONS
+_RESERVED = {_SLICE, "let", *_ATOMS}
 
 
 @dataclass(frozen=True)
@@ -268,26 +306,18 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "op" and tok.value == value
 
-    def parse_expr(self):
-        node = self.parse_hadamard()
-        while self.at_op("+"):
-            self.take()
-            node = Add(node, self.parse_hadamard())
-        return node
-
-    def parse_hadamard(self):
-        node = self.parse_product()
-        while self.at_op("&"):
-            self.take()
-            node = Hadamard(node, self.parse_product())
-        return node
-
-    def parse_product(self):
+    def parse_infix(self, level: int = 0):
+        """Operands joined by the operators at `level` and tighter, by
+        precedence climbing: each operator takes as its right operand what
+        binds tighter than itself, so chains associate left."""
         node = self.parse_unary()
-        while self.at_op("."):
+        while True:
+            tok = self.peek()
+            own = _LEVEL.get(tok.value) if tok.kind == "op" else None
+            if own is None or own < level:
+                return node
             self.take()
-            node = MatMul(node, self.parse_unary())
-        return node
+            node = _INFIX[own][0](node, self.parse_infix(own + 1))
 
     def parse_unary(self):
         tok = self.peek()
@@ -308,14 +338,15 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.value == "(":
             self.take()
-            node = self.parse_expr()
+            node = self.parse_infix()
             self.expect(")")
             return node
         if tok.kind != "ident":
             shown = tok.value or "end of input"
             raise ExprSyntaxError(f"expected an expression, found {shown!r}", tok.pos)
         name = tok.value
-        if name == "A" and self.toks[self.i + 1].value == "[":
+        follows = self.toks[self.i + 1].value
+        if name == _SLICE and follows == "[":
             self.take()
             self.take()
             label = self.peek()
@@ -324,49 +355,27 @@ class _Parser:
             self.take()
             self.expect("]")
             return SliceRef(label.value)
-        if name == "I":
+        meaning = _ATOMS.get(name)
+        if isinstance(meaning, str) and FILTER_KINDS[meaning] == 0:
             self.take()
-            return Filter("identity")
-        if name == "ONES":
-            self.take()
-            return Filter("ones")
-        if name == "ZERO":
-            self.take()
-            return Filter("zeros")
-        if name in ("R", "C") and self.toks[self.i + 1].value == "(":
+            return Filter(meaning)
+        if meaning is not None and follows == "(":
             self.take()
             self.take()
-            vertex = self._vertex_name()
+            if isinstance(meaning, str):
+                names = [self._vertex_name()]
+                while len(names) < FILTER_KINDS[meaning]:
+                    self.expect(",")
+                    names.append(self._vertex_name())
+                node = Filter(meaning, *names)
+            else:
+                inner = self.parse_infix()
+                # a function with a scalar field, the threshold, takes `, p` too
+                args = (inner, self._threshold()) if meaning in _SCALAR_FIELDS else (inner,)
+                node = meaning(*args)
             self.expect(")")
-            return Filter("row" if name == "R" else "col", vertex)
-        if name == "E" and self.toks[self.i + 1].value == "(":
-            self.take()
-            self.take()
-            a = self._vertex_name()
-            self.expect(",")
-            b = self._vertex_name()
-            self.expect(")")
-            return Filter("entry", a, b)
-        if name in _FUNCTIONS and self.toks[self.i + 1].value == "(":
-            self.take()
-            self.take()
-            inner = self.parse_expr()
-            if name in ("vout", "vin"):
-                p = 0
-                if self.at_op(","):
-                    self.take()
-                    ptok = self.peek()
-                    if ptok.kind != "number" or not ptok.value.isdigit():
-                        raise ExprSyntaxError(
-                            "vertex threshold must be a nonnegative integer", ptok.pos
-                        )
-                    self.take()
-                    p = int(ptok.value)
-                self.expect(")")
-                return VOut(inner, p) if name == "vout" else VIn(inner, p)
-            self.expect(")")
-            return Not(inner) if name == "not" else Clip(inner)
-        if self.toks[self.i + 1].value == "(":
+            return node
+        if follows == "(":
             raise ExprSyntaxError(f"unknown function {name!r}", tok.pos)
         if name in self.env:
             self.take()
@@ -380,13 +389,24 @@ class _Parser:
         self.take()
         return tok.value
 
+    def _threshold(self) -> int:
+        """A vertex function's optional `, p` after its operand; 0 when absent."""
+        if not self.at_op(","):
+            return 0
+        self.take()
+        tok = self.peek()
+        if tok.kind != "number" or not tok.value.isdigit():
+            raise ExprSyntaxError("vertex threshold must be a nonnegative integer", tok.pos)
+        self.take()
+        return int(tok.value)
+
 
 def parse(text: str, env: dict | None = None):
     """Parse one expression; raises ExprSyntaxError with the failing offset."""
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(_tokenize(text), env)
-    node = parser.parse_expr()
+    node = parser.parse_infix()
     tok = parser.peek()
     if tok.kind != "eof":
         raise ExprSyntaxError(f"unexpected trailing input {tok.value!r}", tok.pos)
@@ -410,11 +430,11 @@ def parse_program(text: str):
             eq = parser.take()
             if eq.value != "=":
                 raise ExprSyntaxError("expected '=' in let binding", eq.pos)
-            bound = parser.parse_expr()
+            bound = parser.parse_infix()
             parser.env[name_tok.value] = bound
             result = bound
         else:
-            result = parser.parse_expr()
+            result = parser.parse_infix()
             tail = parser.peek()
             if tail.kind == "eof":
                 break
@@ -427,8 +447,6 @@ def parse_program(text: str):
 
 # -- printing ----------------------------------------------------------------
 
-_LEVEL_ADD, _LEVEL_HAD, _LEVEL_MUL, _LEVEL_SCALE, _LEVEL_POSTFIX = range(5)
-
 
 def _fmt_number(x) -> str:
     if isinstance(x, float) and x.is_integer() and abs(x) < 1e15:
@@ -439,14 +457,6 @@ def _fmt_number(x) -> str:
 def format_expr(e) -> str:
     """Render so that parse(format_expr(e)) reproduces the tree exactly."""
     return fold(e, format_node)[0]
-
-
-# binary operator -> (infix text, its own level, the level its right operand needs)
-_INFIX = {
-    Add: (" + ", _LEVEL_ADD, _LEVEL_HAD),
-    Hadamard: (" & ", _LEVEL_HAD, _LEVEL_MUL),
-    MatMul: (" . ", _LEVEL_MUL, _LEVEL_SCALE),
-}
 
 
 def _at(kid, level: int) -> str:
@@ -461,34 +471,24 @@ def format_node(e, kids) -> tuple:
     its children's; the text is what ``format_expr`` gives for the node alone,
     the level how tightly that text binds."""
     if isinstance(e, SliceRef):
-        return f"A[{e.label}]", _LEVEL_POSTFIX
-    if isinstance(e, Filter):
-        if e.kind == "identity":
-            return "I", _LEVEL_POSTFIX
-        if e.kind == "ones":
-            return "ONES", _LEVEL_POSTFIX
-        if e.kind == "zeros":
-            return "ZERO", _LEVEL_POSTFIX
-        if e.kind == "row":
-            return f"R({e.a})", _LEVEL_POSTFIX
-        if e.kind == "col":
-            return f"C({e.a})", _LEVEL_POSTFIX
-        return f"E({e.a},{e.b})", _LEVEL_POSTFIX
+        return f"{_SLICE}[{e.label}]", _LEVEL_POSTFIX
+    if isinstance(e, Filter) and e.kind in FILTER_KINDS:
+        word, count = _SPELLING[e.kind], FILTER_KINDS[e.kind]
+        if count == 0:
+            return word, _LEVEL_POSTFIX
+        return (f"{word}({e.a})" if count == 1 else f"{word}({e.a},{e.b})"), _LEVEL_POSTFIX
     if isinstance(e, _BINARY):
-        op, own, right = _INFIX[type(e)]
-        return f"{_at(kids[0], own)}{op}{_at(kids[1], right)}", own
+        text, own = _INFIX_TEXT[type(e)]
+        return f"{_at(kids[0], own)}{text}{_at(kids[1], own + 1)}", own
     if isinstance(e, Scale):
         return f"{_fmt_number(e.coef)} * {_at(kids[0], _LEVEL_SCALE)}", _LEVEL_SCALE
     if isinstance(e, Transpose):
         return f"{_at(kids[0], _LEVEL_POSTFIX)}'", _LEVEL_POSTFIX
-    if isinstance(e, Not):
-        return f"not({kids[0][0]})", _LEVEL_POSTFIX
-    if isinstance(e, Clip):
-        return f"clip({kids[0][0]})", _LEVEL_POSTFIX
-    if isinstance(e, (VOut, VIn)):
-        name = "vout" if isinstance(e, VOut) else "vin"
-        inner = kids[0][0]
-        return (f"{name}({inner})" if e.p == 0 else f"{name}({inner}, {e.p})"), _LEVEL_POSTFIX
+    word = _SPELLING.get(type(e))
+    if word is not None:  # a function, with its threshold (a scalar field) unless 0
+        if type(e) in _SCALAR_FIELDS and e.p != 0:
+            return f"{word}({kids[0][0]}, {e.p})", _LEVEL_POSTFIX
+        return f"{word}({kids[0][0]})", _LEVEL_POSTFIX
     raise TypeError(f"not a path expression: {e!r}")
 
 
@@ -497,9 +497,15 @@ def format_node(e, kids) -> tuple:
 
 @dataclass(frozen=True)
 class SignatureViolation:
-    subexpr: str
+    node: object
     expected: str
     found: str
+
+    @cached_property
+    def subexpr(self) -> str:
+        """The offending subtree as text, rendered when first read: rendering
+        every violation up front is quadratic in a mistyped chain's length."""
+        return format_expr(self.node)
 
 
 @dataclass(frozen=True)
@@ -536,7 +542,7 @@ def check_signatures(e, tensor) -> SignatureReport:
         if isinstance(node, MatMul):
             (ld, lr), (rd, rr) = kids
             if lr is not None and rd is not None and lr != rd:
-                violations.append(SignatureViolation(format_expr(node), lr, rd))
+                violations.append(SignatureViolation(node, lr, rd))
             return (ld, rr)
         if isinstance(node, (Hadamard, Add)):
             left, right = kids
@@ -546,7 +552,7 @@ def check_signatures(e, tensor) -> SignatureReport:
                 )
             if None not in right and left != right:
                 violations.append(
-                    SignatureViolation(format_expr(node), f"{left[0]}->{left[1]}", f"{right[0]}->{right[1]}")
+                    SignatureViolation(node, f"{left[0]}->{left[1]}", f"{right[0]}->{right[1]}")
                 )
             return left
         raise TypeError(f"not a path expression: {node!r}")

@@ -23,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EvalError
+from .expr import FILTER_KINDS
 
 ZERO_EPS = 1e-12
 
@@ -177,10 +178,6 @@ class PathMatrix:
         return f"<PathMatrix n={self.n} {kind} nnz={self.value_nnz()} dtype={self.dtype}>"
 
 
-# filter kind -> the number of vertex indices it takes
-FILTER_KINDS = {"row": 1, "col": 1, "entry": 2, "identity": 0, "ones": 0, "zeros": 0}
-
-
 @dataclass(frozen=True)
 class FilterSpec:
     """A vertex-specific or constant {0,1} filter matrix; `kind` is a key of
@@ -209,13 +206,6 @@ def _row_sums(a: PathMatrix) -> np.ndarray:
         counts = np.diff(a.mat.indptr)
         return (a.n - counts).astype(np.float64)
     return np.asarray(a.mat.sum(axis=1)).ravel().astype(np.float64)
-
-
-def _col_sums(a: PathMatrix) -> np.ndarray:
-    if a.complement:
-        counts = np.bincount(a.mat.indices, minlength=a.n)
-        return (a.n - counts).astype(np.float64)
-    return np.asarray(a.mat.sum(axis=0)).ravel().astype(np.float64)
 
 
 def _full_rows(rows: np.ndarray, n: int, values=None) -> sp.csr_array:
@@ -326,10 +316,9 @@ def vertex_out(a: PathMatrix, p: int = 0) -> PathMatrix:
 
 
 def vertex_in(a: PathMatrix, p: int = 0) -> PathMatrix:
-    """All-ones columns exactly where the (weighted) column sum exceeds p."""
-    _check_threshold(p)
-    cols = np.flatnonzero(_col_sums(a) > p)
-    return PathMatrix(_full_rows(cols, a.n).T)
+    """All-ones columns exactly where the (weighted) column sum exceeds p:
+    the transpose of `vertex_out` on the transpose."""
+    return transpose(vertex_out(transpose(a), p))
 
 
 def _check_threshold(p):

@@ -5,7 +5,9 @@ metavariables for subexpressions, vertex names, thresholds, and scale
 factors. This module is purely syntactic: matching, substitution, the rule
 table, and the search. Every rule is semantics preserving under its guard;
 ``pathweave.evaluate.verify_rule`` checks that by running both sides through
-the evaluator's interpreter.
+the evaluator's interpreter. Substitution fills each node's scalar fields
+from ``expr._SCALAR_FIELDS`` and rebuilds it through ``expr.with_children``,
+so it has no code per node type.
 
 Each identity is written once. Matching is commutative at the filter
 product ``&`` and the merge ``+`` (the rules ``had-commute`` and
@@ -35,7 +37,7 @@ scalings do not, even if their value happens to be boolean.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .expr import (
     Add,
@@ -57,6 +59,7 @@ from .expr import (
     subexpr_at,
     walk,
     weighted_cost,
+    with_children,
 )
 
 # -- pattern metavariables ----------------------------------------------------
@@ -149,21 +152,14 @@ def instantiate(template, bnd):
         return template(bnd)
     if isinstance(template, EVar):
         return bnd[template.name]
-    if isinstance(template, Filter):
-        a = bnd[template.a.name] if isinstance(template.a, NVar) else template.a
-        b = bnd[template.b.name] if isinstance(template.b, NVar) else template.b
-        return Filter(template.kind, a, b)
-    if isinstance(template, Scale):
-        coef = bnd[template.coef.name] if isinstance(template.coef, LVar) else template.coef
-        return Scale(coef, instantiate(template.child, bnd))
-    if isinstance(template, (VOut, VIn)):
-        p = bnd[template.p.name] if isinstance(template.p, PVar) else template.p
-        return type(template)(instantiate(template.child, bnd), p)
-    if isinstance(template, (MatMul, Hadamard, Add)):
-        return type(template)(instantiate(template.left, bnd), instantiate(template.right, bnd))
-    if isinstance(template, (Transpose, Not, Clip)):
-        return type(template)(instantiate(template.child, bnd))
-    return template
+    for field in _SCALAR_FIELDS.get(type(template), ()):
+        var = getattr(template, field)
+        if isinstance(var, (NVar, PVar, LVar)):
+            template = replace(template, **{field: bnd[var.name]})
+    kids = children(template)
+    if not kids:
+        return template
+    return with_children(template, tuple([instantiate(kid, bnd) for kid in kids]))
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,12 @@ from __future__ import annotations
 
 import io
 import itertools
-import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import EvalError, GraphFormatError
 from .kernels import PathMatrix
-
-# the largest order n for which every key tail * n + head fits in int64
-_KEY_LIMIT = math.isqrt(np.iinfo(np.int64).max)
 
 
 class VertexDictionary:
@@ -74,26 +70,22 @@ class EdgeSlice:
 
     def __init__(self, label, n, tails, heads, signature=None):
         n = int(n)
+        if not 0 <= n <= 2**32:
+            # no tensor holds more named vertices, and n * n then fits in uint64
+            raise GraphFormatError(f"slice {label!r}: order {n} is outside 0..2**32")
         tails = np.asarray(tails, dtype=np.int64)
         heads = np.asarray(heads, dtype=np.int64)
         if tails.size and (tails.min() < 0 or tails.max() >= n):
             raise GraphFormatError(f"slice {label!r}: tail id out of range")
         if heads.size and (heads.min() < 0 or heads.max() >= n):
             raise GraphFormatError(f"slice {label!r}: head id out of range")
-        if n <= _KEY_LIMIT:
-            # one key per pair sorts in (tail, head) order
-            key = tails * n + heads
-            key.sort()
-            if key.size:
-                key = key[np.append(True, key[1:] != key[:-1])]
-            tails, heads = np.divmod(key, n)
-        else:
-            order = np.lexsort((heads, tails))
-            tails, heads = tails[order], heads[order]
-            if tails.size:
-                keep = np.ones(tails.size, dtype=bool)
-                keep[1:] = (tails[1:] != tails[:-1]) | (heads[1:] != heads[:-1])
-                tails, heads = tails[keep], heads[keep]
+        # one key per pair, its two digits in base n, sorts in (tail, head) order
+        base = np.uint64(n)
+        key = tails.view(np.uint64) * base + heads.view(np.uint64)
+        key.sort()
+        if key.size:
+            key = key[np.append(True, key[1:] != key[:-1])]
+        tails, heads = (digit.view(np.int64) for digit in np.divmod(key, base))
         self.label = label
         self.n = n
         self.tails = tails

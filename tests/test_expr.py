@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathweave import expr
 from pathweave.errors import ExprSyntaxError
 from pathweave.expr import (
     Add,
@@ -138,6 +139,23 @@ def test_parse_program_trailing_expression():
         parse_program("# only a comment\n")
 
 
+# written out rather than read from the parser's tables, so that a spelling
+# dropped from a table shows here
+RESERVED_NAMES = ("I", "ONES", "ZERO", "R", "C", "E", "A", "let", "not", "clip", "vout", "vin")
+ATOM_TEXTS = ("I", "ONES", "ZERO", "R(v)", "E(a,b)", "not(A[x])", "clip(A[x])", "vout(A[x], 2)", "vin(A[x])")
+
+
+@pytest.mark.parametrize("name", RESERVED_NAMES)
+def test_reserved_name_is_not_a_let_name(name):
+    with pytest.raises(ExprSyntaxError, match="binding name"):
+        parse_program(f"let {name} = A[x]\n{name}\n")
+
+
+@pytest.mark.parametrize("text", ATOM_TEXTS)
+def test_atom_round_trips(text):
+    assert format_expr(parse(text)) == text
+
+
 def test_cost_and_count():
     tree = parse(COAUTHOR)
     assert node_count(tree) == 7
@@ -165,6 +183,22 @@ def test_signatures_polymorphic_filters(fixture1_signed):
     # filters adapt to the signed operand
     report = check_signatures(parse("A[authored] & ONES"), fixture1_signed)
     assert report.ok and report.derived == ("H", "A")
+
+
+def test_signature_violations_render_when_read(fixture1_signed, monkeypatch):
+    k = 3000
+    chain = parse(" . ".join(["A[authored]"] * k))
+    calls = []
+    real = expr.format_expr
+    monkeypatch.setattr(expr, "format_expr", lambda e: calls.append(e) or real(e))
+    report = check_signatures(chain, fixture1_signed)
+    # every product composes authored's range A with its domain H
+    assert len(report.violations) == k - 1
+    assert calls == []
+    first, last = report.violations[0], report.violations[-1]
+    assert (first.subexpr, first.expected, first.found) == ("A[authored] . A[authored]", "A", "H")
+    assert last.subexpr == " . ".join(["A[authored]"] * k)
+    assert len(calls) == 2
 
 
 def test_signatures_absent_means_unknown(fixture1):

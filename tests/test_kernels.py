@@ -145,6 +145,15 @@ def test_vertex_in(fixture1):
     expected = np.zeros((n, n))
     expected[:, ids["a2"]] = 1
     assert np.array_equal(v, expected)
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        mask = rng.random((6, 6)) < 0.4
+        weighted = PathMatrix.from_dense(rng.random((6, 6)) * 1.5 * mask)
+        complement = PathMatrix.from_dense(mask.astype(np.int64), complement=True)
+        for x in (weighted, complement):
+            for p in (0, 1, 2):
+                cols = (dense(x).sum(axis=0) > p).astype(float)
+                assert np.array_equal(dense(vertex_in(x, p)), np.broadcast_to(cols, (6, 6)))
 
 
 def test_scale(fixture1):

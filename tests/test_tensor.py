@@ -179,6 +179,15 @@ def test_edge_slice_order_beyond_int64_key():
     ]
 
 
+def test_edge_slice_order_limit():
+    # n * n - 1 is the largest key, and it fits in uint64 up to n = 2**32
+    n = 2**32
+    s = EdgeSlice("r", n, [n - 1, 0, n - 1], [n - 1, 5, n - 1])
+    assert list(zip(s.tails.tolist(), s.heads.tolist())) == [(0, 5), (n - 1, n - 1)]
+    with pytest.raises(GraphFormatError, match=str(n + 1)):
+        EdgeSlice("r", n + 1, [0], [0])
+
+
 # str.splitlines ends a line at each of these
 _LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 _PADS = [" ", "\xa0", "\x1f", "\u3000"]
