@@ -1,6 +1,6 @@
 """The tree interpreter: evaluation, planning, and rule verification.
 
-Every walk over an expression runs on ``expr.fold`` (or ``expr.walk``), so
+Every walk over an expression runs on ``expr.fold`` or an explicit queue, so
 depth is bounded by memory rather than the recursion limit. ``run`` is the
 one mapping from operators to kernels: ``evaluate`` gives it a leaf resolver
 for slices and name-addressed filters of a tensor, and ``verify_rule`` one
@@ -43,10 +43,18 @@ from .expr import (
     children,
     fold,
     format_expr,
-    walk,
     with_children,
 )
-from .rewrite import RULES_BY_NAME, EVar, LVar, NVar, PVar, RewriteRule, instantiate
+from .rewrite import (
+    RULES_BY_NAME,
+    EVar,
+    LVar,
+    NVar,
+    PVar,
+    RewriteRule,
+    _pattern_vars,
+    instantiate,
+)
 
 # indexed by the product side each rule moves its mask onto
 _PUSH_RULES = (RULES_BY_NAME["row-mask-into-product"], RULES_BY_NAME["col-mask-into-product"])
@@ -304,16 +312,6 @@ def plan(e, tensor) -> EvalPlan:
 
 
 # -- empirical rule verification ----------------------------------------------
-
-
-def _pattern_vars(pat) -> dict:
-    """Metavariables of a pattern by name, first occurrence in preorder."""
-    acc: dict = {}
-    for _, node in walk(pat):
-        for var in (node, *(getattr(node, f) for f in _SCALAR_FIELDS.get(type(node), ()))):
-            if isinstance(var, (EVar, NVar, PVar, LVar)):
-                acc.setdefault(var.name, var)
-    return acc
 
 
 def _pattern_leaf(n):

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
-from .errors import ExprSyntaxError
+from .errors import EvalError, ExprSyntaxError
 
 
 @dataclass(frozen=True, slots=True)
@@ -401,6 +401,22 @@ class _Parser:
         return int(tok.value)
 
 
+def _depth_guarded(parser):
+    """The parser descends once per parenthesis or call level, so input
+    nested deeper than the recursion limit allows raises EvalError, the
+    error the CLI reports as exit 1, not a bare RecursionError."""
+
+    @wraps(parser)
+    def guarded(*args, **kwargs):
+        try:
+            return parser(*args, **kwargs)
+        except RecursionError:
+            raise EvalError("input is nested too deeply to process") from None
+
+    return guarded
+
+
+@_depth_guarded
 def parse(text: str, env: dict | None = None):
     """Parse one expression; raises ExprSyntaxError with the failing offset."""
     if not text.strip():
@@ -413,6 +429,7 @@ def parse(text: str, env: dict | None = None):
     return node
 
 
+@_depth_guarded
 def parse_program(text: str):
     """Parse an expression file: `#` comments, optional `let name = expr`
     bindings, last binding (or a trailing bare expression) is the result."""

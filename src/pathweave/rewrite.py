@@ -16,6 +16,17 @@ order and a rule can rewrite a node in more than one way. An identity the
 search uses in both directions names its reverse (``back=``), and the rule
 table registers the reversed rule right after it.
 
+No searched rule reassociates. The search holds each ``&`` and ``+`` chain,
+flattened through its nested nodes of the same operator, as a list of
+operands, and at the chain's top node also rewrites any two operands as a
+pair: a rule rooted at the chain's operator applies to them as if they were
+one node. Pairs are found by matching each side of the rule's pattern
+against each operand alone and joining the bindings on shared
+metavariables, never by trying every pair (associative-commutative matching
+with an extension; S. Eker, Computer Journal 38(5), 1995). The result takes
+the earlier operand's place, the chain is rebuilt left-associated, and the
+laws ``had-assoc`` and ``add-assoc`` verify that this may be done.
+
 ``simplify`` runs a best-first search over single-step rewrites, bounded by
 a rule-application budget of at most node_count^2 and a small cost
 allowance above the input (several derivations pass through a one-step
@@ -24,10 +35,9 @@ fusing transposes). The returned expression always costs no more than the
 input under the weighted node count (matrix product 4, filter product 2,
 everything else 1); ties prefer more shared subtrees, then the shorter
 rendering, so chains come out left-associated. Within one ``simplify`` call
-each distinct subtree is matched against the rules once (its root rewrites
-are memoised), and a successor's cost is the current cost minus the
-rewritten subtree's plus its replacement's, so no candidate is re-walked to
-be costed.
+each distinct subtree is matched against the rules once and each chain's
+pairs are found once (both are memoised, with the change in cost each
+rewrite makes), so no candidate is walked to be costed.
 
 Boolean-valuedness guards are syntactic: slices, filters, and the
 clip/not/vout/vin results count as {0,1}-valued; products, sums, and
@@ -38,6 +48,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
+from functools import reduce
 
 from .expr import (
     Add,
@@ -52,6 +63,7 @@ from .expr import (
     VOut,
     _SCALAR_FIELDS,
     children,
+    fold,
     format_expr,
     is_boolean_expr,
     node_count,
@@ -108,6 +120,16 @@ def _bind_scalars(pat, e, bnd):
         if p != v:
             return None
     return bnd
+
+
+def _pattern_vars(pat) -> dict:
+    """Metavariables of a pattern by name, first occurrence in preorder."""
+    acc: dict = {}
+    for _, node in walk(pat):
+        for var in (node, *(getattr(node, f) for f in _SCALAR_FIELDS.get(type(node), ()))):
+            if isinstance(var, (EVar, NVar, PVar, LVar)):
+                acc.setdefault(var.name, var)
+    return acc
 
 
 def match(pat, e, bnd):
@@ -248,12 +270,16 @@ def _rules():
         back="transpose-over-had",
     )
     rule("had-idempotent", "A o A = A for boolean A", Hadamard(_A, EVar("a")), _a)
+    # verified but not searched, like the commutation laws: the search
+    # regroups `&` and `+` chains itself, by rewriting any two operands of a
+    # chain as a pair (see `_pair_rewrites`); this rule and add-assoc are
+    # what make that sound
     rule(
         "had-assoc",
         "entrywise product is associative",
         Hadamard(Hadamard(_a, _b), _c),
         Hadamard(_a, Hadamard(_b, _c)),
-        back="had-assoc-left",
+        search=False,
     )
 
     # not
@@ -393,6 +419,13 @@ def _rules():
     )
     rule("add-zero", "A + 0 = A", Add(_a, _ZERO), _a)
     rule("add-commute", "A + B = B + A", Add(_a, _b), Add(_b, _a), search=False)
+    rule(
+        "add-assoc",
+        "merge is associative",
+        Add(Add(_a, _b), _c),
+        Add(_a, Add(_b, _c)),
+        search=False,
+    )
     rule("matmul-zero", "A . 0 = 0", MatMul(_a, _ZERO), _ZERO)
     rule("matmul-zero-left", "0 . A = 0", MatMul(_ZERO, _a), _ZERO)
     rule("matmul-identity", "A . I = A", MatMul(_a, _I), _a)
@@ -427,6 +460,92 @@ def _rules():
 
 RULES = _rules()
 RULES_BY_NAME = {r.name: r for r in RULES}
+
+
+# -- chains ------------------------------------------------------------------------
+
+
+def _operands(op, e) -> list:
+    """`e` read as a chain of `op`: its operands left to right, through every
+    nested `op` node; [e] when `e` is no `op` node."""
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is op:
+            stack += (node.right, node.left)
+        else:
+            out.append(node)
+    return out
+
+
+def _pair_rules(rules):
+    """`&` or `+` -> [(rule, left side, right side, shared names), ...] for
+    the rules whose pattern is rooted at that operator, in rule order. Both
+    operators are associative and commutative (had-assoc, add-assoc,
+    had-commute, add-commute)."""
+    grouped: dict = {}
+    for rule in rules:
+        if isinstance(rule.lhs, (Hadamard, Add)):
+            left, right = children(rule.lhs)
+            shared = tuple(sorted(_pattern_vars(left).keys() & _pattern_vars(right).keys()))
+            grouped.setdefault(type(rule.lhs), []).append((rule, left, right, shared))
+    return grouped
+
+
+def _pair_rewrites(e, pair_rules) -> list:
+    """[(rule, at, drop, result, cost change), ...]: each rewrite of two
+    operands of the chain at `e` into `result`, which takes the place of
+    the earlier one, at position `at` of its operands, while the later
+    one, at `drop`, leaves the chain; in rule order, without repeats.
+
+    A chain of two operands is one node, whose root rewrites cover it. In a
+    longer one, each side of a rule's pattern is matched against each
+    operand alone, and the two sides' bindings are joined on their shared
+    metavariables, so the work grows with the operands and the matches, not
+    with all pairs of operands. Either operand may take either side, as
+    `match` commutes."""
+    op = type(e)
+    operands = _operands(op, e)
+    if len(operands) < 3:
+        return []
+    out, made = [], set()
+    for rule, left, right, shared in pair_rules:
+        index: dict = {}
+        for j, operand in enumerate(operands):
+            for bnd in match(right, operand, {}):
+                index.setdefault(tuple([bnd[v] for v in shared]), []).append((j, bnd))
+        if not index:
+            continue
+        for i, operand in enumerate(operands):
+            for bnd in match(left, operand, {}):
+                for j, other in index.get(tuple([bnd[v] for v in shared]), ()):
+                    both = {**other, **bnd}
+                    if j == i or (rule.guard is not None and not rule.guard(both)):
+                        continue
+                    result = instantiate(rule.rhs, both)
+                    at, drop = sorted((i, j))
+                    # a result equal to the earlier operand only removes the
+                    # later one: the same successor whatever the earlier was
+                    key = drop if result == operands[at] else (at, drop, result)
+                    if key not in made:
+                        made.add(key)
+                        pair = op(operands[i], operands[j])
+                        change = weighted_cost(result) - weighted_cost(pair)
+                        out.append((rule, at, drop, result, change))
+    return out
+
+
+def _regrouped(e, at, drop, result):
+    """The chain at `e` with `result`, its own operands spliced in, in place
+    of the operand at `at`, and without the one at `drop`; rebuilt
+    left-associated."""
+    op, operands = type(e), []
+    for k, operand in enumerate(_operands(op, e)):
+        if k == at:
+            operands += _operands(op, result)
+        elif k != drop:
+            operands.append(operand)
+    return reduce(op, operands)
 
 
 # -- the trace -------------------------------------------------------------------
@@ -472,7 +591,17 @@ def derivation_table(start, trace: RuleTrace):
 
 
 def _dag_size(e) -> int:
-    return len({node for _, node in walk(e)})
+    """The number of distinct subtrees of `e`. A node is keyed by its type,
+    its scalar fields and its children's keys, so each node is hashed once,
+    not once per ancestor."""
+    keys: dict = {}
+
+    def visit(node, kids):
+        key = (type(node), *[getattr(node, f) for f in _SCALAR_FIELDS.get(type(node), ())], *kids)
+        return keys.setdefault(key, len(keys))
+
+    fold(e, visit)
+    return len(keys)
 
 
 def _tie_key(e, cost):
@@ -489,24 +618,46 @@ def _rules_by_root(rules):
     return grouped
 
 
-def _single_steps(e, grouped_rules, rewrites):
-    """All (rule, path, before, after) single-step rewrites of `e`, in
-    deterministic preorder/rule order.
+def _root_rewrites(node, rules) -> list:
+    """[(rule, after, cost change), ...]: each rewrite of `node` at its root,
+    in rule order."""
+    found = [(rule, new) for rule in rules for new in rule.apply(node) if new != node]
+    cost = weighted_cost(node) if found else 0
+    return [(rule, new, weighted_cost(new) - cost) for rule, new in found]
 
-    `rewrites` memoises each subtree's root rewrites, [(rule, after), ...]
-    in rule order: a successor shares every subtree off its rewritten path
-    with its parent, so most nodes were matched before."""
+
+def _single_steps(e, grouped_rules, rewrites, pair_rules, pairs):
+    """All (rule, path, before, after, cost change) single-step rewrites of
+    `e`, in deterministic preorder/rule order: each node's root rewrites,
+    then, at the top node of an `&` or `+` chain, its pair rewrites. The
+    weighted cost is additive over nodes and `replace_at` keeps every
+    ancestor's type, so a step changes the cost of `e` by the change from
+    `before` to `after`.
+
+    `rewrites` memoises each subtree's root rewrites and `pairs` each
+    chain's pair rewrites: a successor shares every subtree off its
+    rewritten path with its parent, so most nodes were matched before."""
+    inner = set()  # paths of chain nodes below the top of their chain
     for path, node in walk(e):
         found = rewrites.get(node)
         if found is None:
-            found = rewrites[node] = [
-                (rule, new_sub)
-                for rule in grouped_rules.get(type(node), ())
-                for new_sub in rule.apply(node)
-                if new_sub != node
-            ]
-        for rule, new_sub in found:
-            yield rule, path, node, new_sub
+            found = rewrites[node] = _root_rewrites(node, grouped_rules.get(type(node), ()))
+        for rule, new_sub, change in found:
+            yield rule, path, node, new_sub, change
+        op = type(node)
+        if op not in pair_rules:
+            continue
+        for idx, kid in enumerate(children(node)):
+            if type(kid) is op:
+                inner.add(path + (idx,))
+        if path in inner:
+            continue
+        found = pairs.get(node)
+        if found is None:
+            found = pairs[node] = _pair_rewrites(node, pair_rules[op])
+        # each successor chain is built only when the search reaches it
+        for rule, at, drop, result, change in found:
+            yield rule, path, node, _regrouped(node, at, drop, result), change
 
 
 HILL_ALLOWANCE = 2
@@ -518,32 +669,29 @@ def simplify(e, budget: int | None = None):
     Never worse than the input; terminates within node_count^2 retained rule
     applications (or the supplied budget).
     """
-    grouped = _rules_by_root([r for r in RULES if r.search])
+    searched = [r for r in RULES if r.search]
+    grouped, pair_rules = _rules_by_root(searched), _pair_rules(searched)
     if budget is None:
         budget = min(node_count(e) ** 2, 400)
-    # per-call memos: each subtree's root rewrites and weighted cost
+    # per-call memos: each subtree's root rewrites and each chain's pair rewrites
     rewrites: dict = {}
-    costs: dict = {}
-
-    def cost_of(sub):
-        c = costs.get(sub)
-        if c is None:
-            c = costs[sub] = weighted_cost(sub)
-        return c
-
+    pairs: dict = {}
     start_cost = weighted_cost(e)
     cap = start_cost + HILL_ALLOWANCE
     seen = {e: None}
-    best, best_key = e, _tie_key(e, start_cost)
+    # the expressions at the lowest cost so far, in discovery order; the
+    # tie-breakers walk and render a tree, so they run at the end, and only
+    # on the expressions still tied then
+    best_cost, ties = start_cost, [e]
     counter = 0
     frontier = [(start_cost, counter, e)]
     applications = 0
     while frontier and applications < budget:
         current_cost, _, current = heapq.heappop(frontier)
-        for rule, path, before, after in _single_steps(current, grouped, rewrites):
-            # the cost is additive over nodes and replace_at keeps every
-            # ancestor's type, so only the rewritten subtree's share changes
-            cost = current_cost - cost_of(before) + cost_of(after)
+        for rule, path, before, after, change in _single_steps(
+            current, grouped, rewrites, pair_rules, pairs
+        ):
+            cost = current_cost + change
             if cost > cap:
                 continue
             new_expr = replace_at(current, path, after)
@@ -553,14 +701,13 @@ def simplify(e, budget: int | None = None):
             seen[new_expr] = (current, rule, path, before, after)
             counter += 1
             heapq.heappush(frontier, (cost, counter, new_expr))
-            # the key's tie-breakers walk and render the tree: skip them for a
-            # candidate whose cost alone already loses
-            if cost <= best_key[0]:
-                key = _tie_key(new_expr, cost)
-                if key < best_key:
-                    best, best_key = new_expr, key
+            if cost < best_cost:
+                best_cost, ties = cost, [new_expr]
+            elif cost == best_cost:
+                ties.append(new_expr)
             if applications >= budget:
                 break
+    best = min(ties, key=lambda x: _tie_key(x, best_cost))
     steps = []
     node = best
     while seen[node] is not None:

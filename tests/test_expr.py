@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathweave import expr
-from pathweave.errors import ExprSyntaxError
+from pathweave.errors import ExprSyntaxError, PathweaveError
 from pathweave.expr import (
     Add,
     Filter,
@@ -223,3 +223,14 @@ def test_is_boolean_expr_not_bounded_by_recursion():
     # a product anywhere in the filter chain makes it non-boolean
     assert is_boolean_expr(Hadamard(chain, MatMul(SliceRef("x"), SliceRef("x")))) is False
     assert is_boolean_expr(Transpose(Hadamard(Not(SliceRef("x")), Filter("row", "v")))) is True
+
+
+def test_too_deep_nesting_raises_a_pathweave_error():
+    deep = "(" * 300 + "A[x]" + ")" * 300
+    for parser in (parse, parse_program):
+        with pytest.raises(PathweaveError, match="nested too deeply"):
+            parser(deep)
+    assert parse("(" * 200 + "A[x]" + ")" * 200) == SliceRef("x")
+    assert parse_program("let y = " + "clip(" * 200 + "A[x]" + ")" * 200) == parse(
+        "clip(" * 200 + "A[x]" + ")" * 200
+    )
