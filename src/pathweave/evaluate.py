@@ -286,12 +286,12 @@ def plan(e, tensor) -> EvalPlan:
     """Move row and column masks onto product factors; record per-node
     estimates and representations."""
     tree = _push_filters(e)
-    # one fold estimates every node; the steps list nodes deepest first, so
-    # look each one up by identity
+    # one fold estimates every node, and the steps, which list nodes deepest
+    # first, read each node's estimate from it
     facts = {}
 
     def note(node, kids):
-        facts[id(node)] = fact = _estimate(node, kids, tensor)
+        facts[node] = fact = _estimate(node, kids, tensor)
         return fact
 
     fold(tree, note)
@@ -304,7 +304,7 @@ def plan(e, tensor) -> EvalPlan:
     steps = []
     total = 0.0
     for node in reversed(order):
-        _, rep, est, _ = facts[id(node)]
+        _, rep, est, _ = facts[node]
         total += est
         op = type(node).__name__.lower() if children(node) else "load"
         steps.append(PlanStep(op, node, rep, est))
@@ -314,13 +314,14 @@ def plan(e, tensor) -> EvalPlan:
 # -- empirical rule verification ----------------------------------------------
 
 
-def _pattern_leaf(n):
-    """Leaf resolver for an instantiated pattern: bound operands are path
-    matrices already, and filters carry integer indices."""
+def _pattern_leaf(n, operands):
+    """Leaf resolver for an instantiated pattern: each matrix metavariable is
+    bound to a slice named after it, which stands for its operand in
+    `operands`, and filters carry integer indices."""
 
     def leaf(node):
-        if isinstance(node, kernels.PathMatrix):
-            return node
+        if isinstance(node, SliceRef):
+            return operands[node.label]
         if isinstance(node, Filter):
             return kernels.materialize_filter(kernels.FilterSpec(node.kind, node.a, node.b), n)
         raise TypeError(f"cannot evaluate pattern node {node!r}")
@@ -329,7 +330,9 @@ def _pattern_leaf(n):
 
 
 def _sides_equal(rule, bnd, n) -> bool:
-    leaf = _pattern_leaf(n)
+    operands = {name: v for name, v in bnd.items() if isinstance(v, kernels.PathMatrix)}
+    bnd = {**bnd, **{name: SliceRef(name) for name in operands}}
+    leaf = _pattern_leaf(n, operands)
     lhs = run(instantiate(rule.lhs, bnd), leaf).to_dense().astype(float)
     rhs = run(instantiate(rule.rhs, bnd), leaf).to_dense().astype(float)
     return np.allclose(lhs, rhs, rtol=0, atol=1e-9)

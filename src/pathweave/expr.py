@@ -12,102 +12,289 @@ evaluation time, keeping expressions portable across ingests.
 
 Infix `.` and `&` replace the overloaded composition symbol of the printed
 notation so products and filters can never be confused.
+
+Nodes are hash-consed: every constructor returns the one live node with
+its type, its scalar fields (by value, so `Scale(2, x) is Scale(2.0, x)`)
+and its children, so equal trees are one object. `==` and hashing are
+identity, O(1) however deep the tree, and each node records its weighted
+cost and whether it is syntactically {0,1}-valued when it is built. Nodes
+cannot be changed; pickling and copying return the interned node. The
+table holds its nodes weakly, so it keeps no tree alive.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
+from _weakref import _remove_dead_weakref
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, wraps
 
 from .errors import EvalError, ExprSyntaxError
 
 
-@dataclass(frozen=True, slots=True)
-class SliceRef:
-    label: str
+# -- the node model --------------------------------------------------------------
+#
+# Hash-consing (J.-C. Filliatre and S. Conchon, "Type-safe modular
+# hash-consing", ML Workshop 2006). Every node is built through `_TABLE`,
+# keyed on its type, its scalar fields and its children themselves, which
+# compare and hash by identity. The table maps each key to a weak reference
+# whose callback is the key itself, so the entry goes when the node dies; a
+# key holds the node's children, which the node holds anyway.
+#
+# Every table operation is one dict call, atomic under the interpreter lock:
+# a thread that loses the race to publish a node takes the winner's, and
+# the callback removes an entry only while it is still the dead one.
+
+_TABLE: dict = {}
+
+# nodes refuse `setattr`, so their constructors write slots through object's
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class Filter:
-    kind: str
-    a: object = None
-    b: object = None
+class _Key(tuple):
+    """A table key that is also its entry's weakref callback: when the node
+    dies, the key removes its entry, unless a live node's has replaced it."""
+
+    __slots__ = ()
+
+    def __call__(self, ref, table=_TABLE, remove=_remove_dead_weakref):
+        remove(table, self)
 
 
-@dataclass(frozen=True, slots=True)
-class MatMul:
-    left: object
-    right: object
+# dead at once: `_TABLE.get(key, _ABSENT)()` reads a missing entry as a dead one
+_ABSENT = weakref.ref(set())
 
 
-@dataclass(frozen=True, slots=True)
-class Hadamard:
-    left: object
-    right: object
+def _publish(node, key):
+    """Record what `node` derives from its children, then make it the node
+    interned under `key`; returns the node that holds the key, which is
+    another thread's when that thread published first."""
+    node._derive()
+    key = _Key(key)
+    ref = weakref.ref(node, key)
+    while True:
+        held = _TABLE.setdefault(key, ref)
+        if held is ref:
+            return node
+        found = held()
+        if found is not None:
+            return found
+        _remove_dead_weakref(_TABLE, key)  # a dead entry whose callback is pending
 
 
-@dataclass(frozen=True, slots=True)
-class Add:
-    left: object
-    right: object
+class _Node:
+    """An immutable expression node. Equality and hashing are identity,
+    since equal trees are one object. `_cost` is the tree's weighted cost
+    and `_boolean` whether it is syntactically {0,1}-valued (see
+    `is_boolean_expr`), both recorded when the node is built. `_fields`
+    names the constructor's arguments in order."""
+
+    __slots__ = ("_cost", "__weakref__")
+    _fields: tuple = ()
+    _weight = 1
+    # a constant of each type, but a slot derived from the children where
+    # that depends on them (Hadamard, Transpose)
+    _boolean = True
+
+    def _derive(self):
+        _set(self, "_cost", 1)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # unpickling calls the constructor, so it returns the interned node
+        return type(self), tuple([getattr(self, f) for f in self._fields])
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
 
 
-@dataclass(frozen=True, slots=True)
-class Transpose:
-    child: object
+class SliceRef(_Node):
+    __slots__ = ("label",)
+    _fields = ("label",)
+
+    def __new__(cls, label):
+        key = (cls, label)
+        node = _TABLE.get(key, _ABSENT)()
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "label", label)
+            node = _publish(node, key)
+        return node
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
-    child: object
+class Filter(_Node):
+    __slots__ = ("kind", "a", "b")
+    _fields = ("kind", "a", "b")
+
+    def __new__(cls, kind, a=None, b=None):
+        key = (cls, kind, a, b)
+        node = _TABLE.get(key, _ABSENT)()
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "kind", kind)
+            _set(node, "a", a)
+            _set(node, "b", b)
+            node = _publish(node, key)
+        return node
 
 
-@dataclass(frozen=True, slots=True)
-class Clip:
-    child: object
+class _Binary(_Node):
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
+
+    def __new__(cls, left, right):
+        key = (cls, left, right)
+        node = _TABLE.get(key, _ABSENT)()
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "left", left)
+            _set(node, "right", right)
+            node = _publish(node, key)
+        return node
+
+    def _derive(self):
+        _set(self, "_cost", self._weight + self.left._cost + self.right._cost)
 
 
-@dataclass(frozen=True, slots=True)
-class VOut:
-    child: object
-    p: object = 0
+class MatMul(_Binary):
+    __slots__ = ()
+    _weight = 4
+    _boolean = False
 
 
-@dataclass(frozen=True, slots=True)
-class VIn:
-    child: object
-    p: object = 0
+class Hadamard(_Binary):
+    __slots__ = ("_boolean",)
+    _weight = 2
+
+    def _derive(self):
+        super()._derive()
+        _set(self, "_boolean", self.left._boolean and self.right._boolean)
 
 
-@dataclass(frozen=True, slots=True)
-class Scale:
-    coef: object
-    child: object
+class Add(_Binary):
+    __slots__ = ()
+    _boolean = False
+
+
+class _Unary(_Node):
+    __slots__ = ("child",)
+    _fields = ("child",)
+
+    def __new__(cls, child):
+        key = (cls, child)
+        node = _TABLE.get(key, _ABSENT)()
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "child", child)
+            node = _publish(node, key)
+        return node
+
+    def _derive(self):
+        _set(self, "_cost", 1 + self.child._cost)
+
+
+class Transpose(_Unary):
+    __slots__ = ("_boolean",)
+
+    def _derive(self):
+        super()._derive()
+        _set(self, "_boolean", self.child._boolean)
+
+
+class Not(_Unary):
+    __slots__ = ()
+
+
+class Clip(_Unary):
+    __slots__ = ()
+
+
+class _Vertex(_Unary):
+    __slots__ = ("p",)
+    _fields = ("child", "p")
+
+    def __new__(cls, child, p=0):
+        key = (cls, p, child)
+        node = _TABLE.get(key, _ABSENT)()
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "child", child)
+            _set(node, "p", p)
+            node = _publish(node, key)
+        return node
+
+
+class VOut(_Vertex):
+    __slots__ = ()
+
+
+class VIn(_Vertex):
+    __slots__ = ()
+
+
+class Scale(_Unary):
+    __slots__ = ("coef",)
+    _fields = ("coef", "child")
+    _boolean = False
+
+    def __new__(cls, coef, child):
+        key = (cls, coef, child)
+        node = _TABLE.get(key, _ABSENT)()
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "coef", coef)
+            _set(node, "child", child)
+            node = _publish(node, key)
+        return node
 
 
 _BINARY = (MatMul, Hadamard, Add)
 _UNARY = (Transpose, Not, Clip, VOut, VIn, Scale)
+# the node types above are never subclassed, so a node's type decides its shape
+_BINARY_TYPES, _UNARY_TYPES = frozenset(_BINARY), frozenset(_UNARY)
 
 
 def children(e) -> tuple:
-    if isinstance(e, _BINARY):
+    op = type(e)
+    if op in _BINARY_TYPES:
         return (e.left, e.right)
-    if isinstance(e, _UNARY):
+    if op in _UNARY_TYPES:
         return (e.child,)
     return ()
 
 
 def with_children(e, kids: tuple):
-    if isinstance(e, _BINARY):
-        return type(e)(kids[0], kids[1])
-    if isinstance(e, Scale):
+    op = type(e)
+    if op in _BINARY_TYPES:
+        return op(kids[0], kids[1])
+    if op is Scale:
         return Scale(e.coef, kids[0])
-    if isinstance(e, (VOut, VIn)):
-        return type(e)(kids[0], e.p)
-    if isinstance(e, _UNARY):
-        return type(e)(kids[0])
+    if op is VOut or op is VIn:
+        return op(kids[0], e.p)
+    if op in _UNARY_TYPES:
+        return op(kids[0])
     return e
+
+
+def build(op, scalars, kids):
+    """The node of type `op` with the values of its `_SCALAR_FIELDS`, in
+    that order, and its children."""
+    values = dict(zip(_SCALAR_FIELDS.get(op, ()), scalars))
+    kids = iter(kids)
+    return op(*[values[f] if f in values else next(kids) for f in op._fields])
 
 
 def walk(e):
@@ -149,53 +336,44 @@ def subexpr_at(e, path: tuple):
 
 
 def replace_at(e, path: tuple, new):
-    if not path:
-        return new
-    kids = list(children(e))
-    kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
-    return with_children(e, tuple(kids))
+    """`e` with the subtree at `path` replaced by `new`; every node along the
+    path is rebuilt, on an explicit stack, so depth is bounded by memory."""
+    spine = []
+    for idx in path:
+        spine.append(e)
+        e = children(e)[idx]
+    for node, idx in zip(reversed(spine), reversed(path)):
+        op = type(node)
+        if op in _BINARY_TYPES:
+            new = op(new, node.right) if idx == 0 else op(node.left, new)
+        else:
+            new = with_children(node, (new,))
+    return new
 
 
 def node_count(e) -> int:
-    return sum(1 for _ in walk(e))
+    count, stack = 0, [e]
+    while stack:
+        count += 1
+        stack += children(stack.pop())
+    return count
 
 
 def weighted_cost(e) -> int:
-    """Node count with matrix products weighted 4 and filter products 2."""
-    total = 0
-    for _, node in walk(e):
-        if isinstance(node, MatMul):
-            total += 4
-        elif isinstance(node, Hadamard):
-            total += 2
-        else:
-            total += 1
-    return total
+    """Node count with matrix products weighted 4 and filter products 2;
+    recorded when the node is built."""
+    return e._cost
 
 
 def is_boolean_expr(e) -> bool:
-    """Conservative syntactic {0,1}-valuedness.
+    """Conservative syntactic {0,1}-valuedness, recorded when a node is built.
 
     Slices are boolean by construction of the tensor; filters and the
     clip/not/vout/vin results are boolean by definition; a product of
     booleans is not (counts exceed 1), nor is a sum or a scaling.
-
-    Transposes and filter products are boolean when all their operands are,
-    so this checks every leaf of the tree they form, on an explicit stack.
+    Transposes and filter products are boolean when all their operands are.
     """
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Filter, Not, Clip, VOut, VIn, SliceRef)):
-            continue
-        if isinstance(node, Transpose):
-            stack.append(node.child)
-        elif isinstance(node, Hadamard):
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            return False
-    return True
+    return e._boolean
 
 
 # -- the grammar ---------------------------------------------------------------
@@ -474,6 +652,37 @@ def _fmt_number(x) -> str:
 def format_expr(e) -> str:
     """Render so that parse(format_expr(e)) reproduces the tree exactly."""
     return fold(e, format_node)[0]
+
+
+def format_length(e, memo: dict) -> int:
+    """``len(format_expr(e))``, without building the text. A node's rendered
+    length is its own text's, rendered around empty children, plus its
+    children's lengths; `memo` maps each node measured to its (length,
+    level), so trees sharing most of their nodes cost only their new ones.
+    A node with no scalar fields renders the same around children of the
+    same levels, so `memo` also keeps that text's (length, level) under
+    (type, children's levels)."""
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        kids = children(node)
+        pending = [kid for kid in kids if kid not in memo]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        if node in memo:  # pushed twice, as both children of one node
+            continue
+        shapes = [memo[kid] for kid in kids]
+        frame = (type(node), *[level for _, level in shapes])
+        own = memo.get(frame)
+        if own is None:
+            text, level = format_node(node, tuple([("", level) for _, level in shapes]))
+            own = (len(text), level)
+            if type(node) not in _SCALAR_FIELDS:
+                memo[frame] = own
+        memo[node] = (own[0] + sum([length for length, _ in shapes]), own[1])
+    return memo[e][0]
 
 
 def _at(kid, level: int) -> str:

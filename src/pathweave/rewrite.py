@@ -6,8 +6,8 @@ factors. This module is purely syntactic: matching, substitution, the rule
 table, and the search. Every rule is semantics preserving under its guard;
 ``pathweave.evaluate.verify_rule`` checks that by running both sides through
 the evaluator's interpreter. Substitution fills each node's scalar fields
-from ``expr._SCALAR_FIELDS`` and rebuilds it through ``expr.with_children``,
-so it has no code per node type.
+from ``expr._SCALAR_FIELDS`` and builds it through ``expr.build``, so it has
+no code per node type.
 
 Each identity is written once. Matching is commutative at the filter
 product ``&`` and the merge ``+`` (the rules ``had-commute`` and
@@ -34,10 +34,15 @@ hill, e.g. rewriting a row filter to a transposed column filter before
 fusing transposes). The returned expression always costs no more than the
 input under the weighted node count (matrix product 4, filter product 2,
 everything else 1); ties prefer more shared subtrees, then the shorter
-rendering, so chains come out left-associated. Within one ``simplify`` call
-each distinct subtree is matched against the rules once and each chain's
-pairs are found once (both are memoised, with the change in cost each
-rewrite makes), so no candidate is walked to be costed.
+rendering, so chains come out left-associated.
+
+Expression nodes are interned (see ``expr``), so a subtree hashes and
+compares in O(1) and carries its cost. Within one ``simplify`` call each
+distinct subtree is matched against the rules once and each chain's pairs
+are found once (both are memoised by node, with the change in cost each
+rewrite makes), so no candidate is walked to be costed. The tie-breakers
+count a candidate's distinct nodes and measure its rendering from its
+nodes' lengths, which the tied candidates share, so none is rendered.
 
 Boolean-valuedness guards are syntactic: slices, filters, and the
 clip/not/vout/vin results count as {0,1}-valued; products, sums, and
@@ -47,7 +52,7 @@ scalings do not, even if their value happens to be boolean.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
 from .expr import (
@@ -62,16 +67,16 @@ from .expr import (
     VIn,
     VOut,
     _SCALAR_FIELDS,
+    build,
     children,
-    fold,
     format_expr,
+    format_length,
     is_boolean_expr,
     node_count,
     replace_at,
     subexpr_at,
     walk,
     weighted_cost,
-    with_children,
 )
 
 # -- pattern metavariables ----------------------------------------------------
@@ -84,6 +89,14 @@ class EVar:
 
     name: str
     boolean: bool = False
+
+    # a metavariable stands where a subexpression does when a pattern is
+    # built: it counts as one node, boolean when it matches only booleans
+    _cost = 1
+
+    @property
+    def _boolean(self):
+        return self.boolean
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,7 +155,7 @@ def match(pat, e, bnd):
     pattern puts it."""
     if isinstance(pat, EVar):
         if pat.name in bnd:
-            if bnd[pat.name] == e:
+            if bnd[pat.name] is e:
                 yield bnd
         elif not pat.boolean or is_boolean_expr(e):
             yield {**bnd, pat.name: e}
@@ -174,14 +187,12 @@ def instantiate(template, bnd):
         return template(bnd)
     if isinstance(template, EVar):
         return bnd[template.name]
-    for field in _SCALAR_FIELDS.get(type(template), ()):
-        var = getattr(template, field)
-        if isinstance(var, (NVar, PVar, LVar)):
-            template = replace(template, **{field: bnd[var.name]})
-    kids = children(template)
-    if not kids:
-        return template
-    return with_children(template, tuple([instantiate(kid, bnd) for kid in kids]))
+    scalars = [getattr(template, field) for field in _SCALAR_FIELDS.get(type(template), ())]
+    return build(
+        type(template),
+        [bnd[v.name] if isinstance(v, (NVar, PVar, LVar)) else v for v in scalars],
+        [instantiate(kid, bnd) for kid in children(template)],
+    )
 
 
 @dataclass(frozen=True)
@@ -492,9 +503,9 @@ def _pair_rules(rules):
     return grouped
 
 
-def _pair_rewrites(e, pair_rules) -> list:
+def _pair_rewrites(op, operands, pair_rules) -> list:
     """[(rule, at, drop, result, cost change), ...]: each rewrite of two
-    operands of the chain at `e` into `result`, which takes the place of
+    `operands` of an `op` chain into `result`, which takes the place of
     the earlier one, at position `at` of its operands, while the later
     one, at `drop`, leaves the chain; in rule order, without repeats.
 
@@ -504,8 +515,6 @@ def _pair_rewrites(e, pair_rules) -> list:
     metavariables, so the work grows with the operands and the matches, not
     with all pairs of operands. Either operand may take either side, as
     `match` commutes."""
-    op = type(e)
-    operands = _operands(op, e)
     if len(operands) < 3:
         return []
     out, made = [], set()
@@ -529,23 +538,23 @@ def _pair_rewrites(e, pair_rules) -> list:
                     key = drop if result == operands[at] else (at, drop, result)
                     if key not in made:
                         made.add(key)
-                        pair = op(operands[i], operands[j])
+                        pair = op(operand, operands[j])
                         change = weighted_cost(result) - weighted_cost(pair)
                         out.append((rule, at, drop, result, change))
     return out
 
 
-def _regrouped(e, at, drop, result):
-    """The chain at `e` with `result`, its own operands spliced in, in place
-    of the operand at `at`, and without the one at `drop`; rebuilt
-    left-associated."""
-    op, operands = type(e), []
-    for k, operand in enumerate(_operands(op, e)):
+def _regrouped(op, operands, at, drop, result):
+    """The `op` chain of `operands` with `result`, its own operands spliced
+    in, in place of the operand at `at`, and without the one at `drop`;
+    rebuilt left-associated."""
+    kept = []
+    for k, operand in enumerate(operands):
         if k == at:
-            operands += _operands(op, result)
+            kept += _operands(op, result)
         elif k != drop:
-            operands.append(operand)
-    return reduce(op, operands)
+            kept.append(operand)
+    return reduce(op, kept)
 
 
 # -- the trace -------------------------------------------------------------------
@@ -591,24 +600,22 @@ def derivation_table(start, trace: RuleTrace):
 
 
 def _dag_size(e) -> int:
-    """The number of distinct subtrees of `e`. A node is keyed by its type,
-    its scalar fields and its children's keys, so each node is hashed once,
-    not once per ancestor."""
-    keys: dict = {}
-
-    def visit(node, kids):
-        key = (type(node), *[getattr(node, f) for f in _SCALAR_FIELDS.get(type(node), ())], *kids)
-        return keys.setdefault(key, len(keys))
-
-    fold(e, visit)
-    return len(keys)
+    """The number of distinct subtrees of `e`: equal subtrees are one node."""
+    seen, stack = {e}, [e]
+    while stack:
+        for kid in children(stack.pop()):
+            if kid not in seen:
+                seen.add(kid)
+                stack.append(kid)
+    return len(seen)
 
 
-def _tie_key(e, cost):
+def _tie_key(e, cost, lengths):
     # ties prefer shared subtrees, then shorter renderings (left-assoc
     # chains need no parentheses); remaining ties keep the first-discovered
-    # expression, i.e. the one fewest steps from the input
-    return (cost, _dag_size(e), len(format_expr(e)))
+    # expression, i.e. the one fewest steps from the input. `lengths`
+    # memoises rendered lengths across the tied candidates
+    return (cost, _dag_size(e), format_length(e, lengths))
 
 
 def _rules_by_root(rules):
@@ -654,10 +661,12 @@ def _single_steps(e, grouped_rules, rewrites, pair_rules, pairs):
             continue
         found = pairs.get(node)
         if found is None:
-            found = pairs[node] = _pair_rewrites(node, pair_rules[op])
+            operands = _operands(op, node)
+            found = pairs[node] = (operands, _pair_rewrites(op, operands, pair_rules[op]))
         # each successor chain is built only when the search reaches it
+        operands, found = found
         for rule, at, drop, result, change in found:
-            yield rule, path, node, _regrouped(node, at, drop, result), change
+            yield rule, path, node, _regrouped(op, operands, at, drop, result), change
 
 
 HILL_ALLOWANCE = 2
@@ -707,7 +716,8 @@ def simplify(e, budget: int | None = None):
                 ties.append(new_expr)
             if applications >= budget:
                 break
-    best = min(ties, key=lambda x: _tie_key(x, best_cost))
+    lengths: dict = {}
+    best = min(ties, key=lambda x: _tie_key(x, best_cost, lengths))
     steps = []
     node = best
     while seen[node] is not None:

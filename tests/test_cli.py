@@ -256,6 +256,17 @@ def test_too_deep_input_is_exit_1(tmp_path, graph_file, capsys):
     assert err == "pathweave: input is nested too deeply to process\n"
 
 
+def test_simplify_prints_a_long_product_chain(capsys):
+    # 3000 factors nest 2999 levels deep; this was exit 1, "nested too deeply"
+    chain = " . ".join(["A[x]"] * 2999)
+    code, out, err = run(["simplify", "--expr", "I . " + chain], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[-1] == chain
+    assert [line[:2] for line in lines[:-1]] == ["  ", "= "]
+    assert lines[1].rstrip().endswith("| matmul-identity-left: I . A = A")
+
+
 def test_out_of_memory_is_exit_1(monkeypatch, graph_file, capsys):
     import pathweave.cli as cli
 

@@ -191,7 +191,9 @@ def test_long_product_chain_plans():
     tensor = ingest_triples([("x", "cites", "y"), ("y", "cites", "z"), ("z", "cites", "x")])
     chain = parse(" . ".join(["A[cites]"] * 1500))
     p = plan(chain, tensor)
-    # compared by rendering: dataclass == recurses as deep as the tree
+    # equal trees are one object, so `is` compares them in O(1); the
+    # renderings must agree too
+    assert p.tree is chain
     assert format_expr(p.tree) == format_expr(chain)
     planned = evaluate(chain, tensor).to_dense()
     assert np.array_equal(planned, evaluate(chain, tensor, use_plan=False).to_dense())
@@ -287,7 +289,9 @@ def test_deep_chain_evaluates_planned(fixture1, wrap):
     for _ in range(3000):
         deep = wrap(deep)
     p = plan(deep, fixture1)
-    # compared by rendering: dataclass == recurses as deep as the tree
+    # equal trees are one object, so `is` compares them in O(1); the
+    # renderings must agree too
+    assert p.tree is deep
     assert format_expr(p.tree) == format_expr(deep)
     assert len(p.steps) == (3001 if wrap is Transpose else 6001)
     # an even number of transposes, or cites masked by itself, is cites

@@ -1,3 +1,11 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +26,7 @@ from pathweave.expr import (
     check_signatures,
     fold,
     format_expr,
+    format_length,
     is_boolean_expr,
     node_count,
     parse,
@@ -234,3 +243,110 @@ def test_too_deep_nesting_raises_a_pathweave_error():
     assert parse_program("let y = " + "clip(" * 200 + "A[x]" + ")" * 200) == parse(
         "clip(" * 200 + "A[x]" + ")" * 200
     )
+
+
+# -- interning -------------------------------------------------------------------
+
+
+def test_equal_text_parses_to_one_object():
+    assert parse(MERGE) is parse(MERGE)
+    assert parse(COAUTHOR).left is parse("A[authored] . A[authored]'")
+
+
+def test_constructed_trees_are_their_parsed_renderings():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        e = random_expr(rng, ("alpha", "beta"), ["v0", "v1", "v2"], 5)
+        assert parse(format_expr(e)) is e
+
+
+def test_rendered_length_is_measured_from_the_children():
+    rng = np.random.default_rng(12)
+    lengths = {}  # shared, as the tie-breakers share it across candidates
+    for _ in range(300):
+        e = random_expr(rng, ("alpha", "beta"), ["v0", "v1", "v2"], 5)
+        assert format_length(e, lengths) == len(format_expr(e))
+        assert format_length(e, {}) == len(format_expr(e))
+    deep = parse(" + ".join(["A[x] & I"] * 3000))
+    assert format_length(deep, lengths) == len(format_expr(deep))
+
+
+def test_keyword_default_and_equal_scalar_arguments_give_one_node():
+    x = SliceRef("x")
+    assert Filter(kind="row", a="v") is Filter("row", "v")
+    assert Filter("identity") is Filter("identity", None, None)
+    assert Scale(2, x) is Scale(2.0, x)
+    assert VOut(x) is VOut(x, 0) is VOut(child=x, p=0)
+    assert VIn(x, 1) is not VOut(x, 1)
+
+
+def test_pickle_and_copies_return_the_interned_node():
+    e = parse(MERGE + " + vout(E(a,b), 2)'")
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert copy.copy(e) is e
+    assert copy.deepcopy(e) is e
+    assert copy.deepcopy({"tree": e})["tree"] is e
+
+
+def test_nodes_cannot_be_changed():
+    e = parse("A[x] . A[y]")
+    with pytest.raises(AttributeError):
+        e.left = SliceRef("z")
+    with pytest.raises(AttributeError):
+        del e.right
+    with pytest.raises(AttributeError):
+        setattr(SliceRef("x"), "label", "y")
+    assert format_expr(e) == "A[x] . A[y]"
+
+
+def test_table_keeps_no_dead_tree():
+    # no cyclic collection runs in between, so only this tree's nodes come
+    # and go
+    gc.collect()
+    gc.disable()
+    try:
+        baseline = len(expr._TABLE)
+        tree = parse(" . ".join(f"A[dropped{k}]" for k in range(50)) + " & not(R(dropped))")
+        # 50 slices, 49 products, and the filter, its complement and the `&`
+        assert len(expr._TABLE) == baseline + 50 + 49 + 3
+        ref = weakref.ref(tree)
+        del tree
+        assert ref() is None
+        assert len(expr._TABLE) == baseline
+    finally:
+        gc.enable()
+
+
+def test_threads_building_the_same_trees_share_every_node():
+    count, workers = 500, 4
+
+    def tree(k):
+        return Hadamard(
+            MatMul(SliceRef(f"shared{k}"), Transpose(SliceRef(f"shared{k + 1}"))),
+            Not(Filter("row", f"w{k}")),
+        )
+
+    built = [None] * workers
+    start = threading.Barrier(workers, timeout=30)
+
+    def build(slot):
+        start.wait()
+        built[slot] = [tree(k) for k in range(count)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for k in range(count):
+        first = built[0][k]
+        assert all(trees[k] is first for trees in built[1:])
+        assert first is tree(k)
+    # neighbouring trees share a slice, whichever thread built each
+    assert all(built[0][k].left.right.child is built[1][k + 1].left.left for k in range(count - 1))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pathweave import expr
 from pathweave.expr import (
     Add,
     Hadamard,
@@ -292,3 +293,49 @@ def test_long_chain_pairs_are_joined_not_enumerated(monkeypatch):
     out, trace = simplify(e)
     assert trace.replay(e) == out
     assert calls[0] <= 25_000
+
+
+def test_tied_candidates_are_measured_not_rendered(monkeypatch):
+    # hundreds of candidates tie at the lowest cost here, and each is a
+    # 300-node tree; their lengths come from each node's children's, so
+    # the printer sees a handful of node shapes, not every candidate
+    rendered = [0]
+    format_node = expr.format_node
+
+    def counting(*args):
+        rendered[0] += 1
+        return format_node(*args)
+
+    monkeypatch.setattr(expr, "format_node", counting)
+    operands = ("A[l{}]", "R(v{})", "C(v{})", "I", "ONES")
+    e = parse(" & ".join(operands[k % 5].format(k % 7) for k in range(150)))
+    out, trace = simplify(e)
+    assert rendered[0] <= 300
+    assert trace.replay(e) is out
+    assert weighted_cost(out) < weighted_cost(e)
+
+
+@pytest.mark.parametrize(
+    "op, operands", [("+", 600), ("&", 600), ("+", 3000), ("&", 3000), (".", 3000)]
+)
+def test_long_chains_simplify(op, operands):
+    # each raised a bare RecursionError, from hashing the input as deep as
+    # it nests; interned nodes hash in O(1) and `replace_at` keeps a stack
+    e = parse(f" {op} ".join(f"A[l{k}]" for k in range(operands)))
+    out, trace = simplify(e)
+    assert trace.replay(e) is out
+    assert weighted_cost(out) <= weighted_cost(e)
+
+
+def test_identity_leaves_a_long_product_chain():
+    # the rewrite sits 2998 levels down, so replaying and printing it
+    # rebuild that whole path
+    factors = [f"A[l{k}]" for k in range(2999)]
+    e = parse(" . ".join(["I", *factors]))
+    out, trace = simplify(e)
+    assert out is parse(" . ".join(factors))
+    assert [(step.rule, step.path) for step in trace.steps] == [
+        ("matmul-identity-left", (0,) * 2998)
+    ]
+    assert trace.replay(e) is out
+    assert derivation_table(e, trace)[-1][0] == format_expr(out)
