@@ -296,9 +296,9 @@ def test_long_chain_pairs_are_joined_not_enumerated(monkeypatch):
 
 
 def test_tied_candidates_are_measured_not_rendered(monkeypatch):
-    # hundreds of candidates tie at the lowest cost here, and each is a
-    # 300-node tree; their lengths come from each node's children's, so
-    # the printer sees a handful of node shapes, not every candidate
+    # 400 candidates tie at the lowest cost here, each a tree of about 300
+    # nodes; their lengths come from each node's children's, so the printer
+    # sees a handful of node shapes, not every candidate
     rendered = [0]
     format_node = expr.format_node
 
