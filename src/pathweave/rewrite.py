@@ -40,9 +40,13 @@ Expression nodes are interned (see ``expr``), so a subtree hashes and
 compares in O(1) and carries its cost. Within one ``simplify`` call each
 distinct subtree is matched against the rules once and each chain's pairs
 are found once (both are memoised by node, with the change in cost each
-rewrite makes), so no candidate is walked to be costed. The tie-breakers
-count a candidate's distinct nodes and measure its rendering from its
-nodes' lengths, which the tied candidates share, so none is rendered.
+rewrite makes), so no candidate is walked to be costed. A node is matched
+only against the rules whose lhs has its shape (its type, or its kind at a
+filter) and its direct children's, in either operand order at ``&`` and
+``+``; that shape index is built once, over the searched rules. The
+tie-breakers count a candidate's distinct nodes and measure its rendering
+from its nodes' lengths, which the tied candidates share, so none is
+rendered.
 
 Boolean-valuedness guards are syntactic: slices, filters, and the
 clip/not/vout/vin results count as {0,1}-valued; products, sums, and
@@ -473,6 +477,57 @@ RULES = _rules()
 RULES_BY_NAME = {r.name: r for r in RULES}
 
 
+# -- the shape index ---------------------------------------------------------------
+#
+# Candidate rules are picked by the top symbols of the subject before any
+# full match (term indexing; W. McCune, "Experiments with discrimination-tree
+# indexing and path indexing for term retrieval", JAR 9(2), 1992). A node's
+# top is its shape and its direct children's; a rule fits a top when each
+# shape its lhs needs there is the one the node has. Most rules fail on
+# that alone, and `match` is never run for them.
+
+_SEARCHED = tuple(rule for rule in RULES if rule.search)
+
+
+def _shape(node):
+    """A node's type, or its kind when it is a filter; None for a
+    metavariable, which takes any shape."""
+    op = type(node)
+    if op is Filter:
+        return node.kind
+    return None if op is EVar else op
+
+
+def _top(node) -> tuple:
+    return (_shape(node), *map(_shape, children(node)))
+
+
+_NEEDS = tuple((rule, _top(rule.lhs)) for rule in _SEARCHED)
+
+# top -> the searched rules that fit it, in rule order; filled as tops are
+# met, of which there are finitely many
+_BY_TOP: dict = {}
+
+
+def _fits(need, top) -> bool:
+    # a root's shape fixes how many children it has
+    return all(n is None or n == s for n, s in zip(need, top))
+
+
+def _root_rules(node) -> tuple:
+    """The searched rules whose lhs can match `node`'s top, in rule order.
+    At `&` and `+` a rule fits either operand order, as `match` commutes."""
+    top = _top(node)
+    rules = _BY_TOP.get(top)
+    if rules is None:
+        tops = [top]
+        if top[0] is Hadamard or top[0] is Add:
+            tops.append((top[0], top[2], top[1]))
+        rules = tuple(rule for rule, need in _NEEDS if any(_fits(need, t) for t in tops))
+        _BY_TOP[top] = rules
+    return rules
+
+
 # -- chains ------------------------------------------------------------------------
 
 
@@ -490,20 +545,24 @@ def _operands(op, e) -> list:
 
 
 def _pair_rules(rules):
-    """`&` or `+` -> [(rule, left side, right side, shared names), ...] for
-    the rules whose pattern is rooted at that operator, in rule order. Both
-    operators are associative and commutative (had-assoc, add-assoc,
-    had-commute, add-commute)."""
+    """`&` or `+` -> [(rule, left side, right side, shared names, the sides'
+    shapes), ...] for the rules whose pattern is rooted at that operator, in
+    rule order. Both operators are associative and commutative (had-assoc,
+    add-assoc, had-commute, add-commute)."""
     grouped: dict = {}
     for rule in rules:
         if isinstance(rule.lhs, (Hadamard, Add)):
             left, right = children(rule.lhs)
             shared = tuple(sorted(_pattern_vars(left).keys() & _pattern_vars(right).keys()))
-            grouped.setdefault(type(rule.lhs), []).append((rule, left, right, shared))
+            entry = (rule, left, right, shared, _shape(left), _shape(right))
+            grouped.setdefault(type(rule.lhs), []).append(entry)
     return grouped
 
 
-def _pair_rewrites(op, operands, pair_rules) -> list:
+_PAIR_RULES = _pair_rules(_SEARCHED)
+
+
+def _pair_rewrites(op, operands) -> list:
     """[(rule, at, drop, result, cost change), ...]: each rewrite of two
     `operands` of an `op` chain into `result`, which takes the place of
     the earlier one, at position `at` of its operands, while the later
@@ -511,21 +570,30 @@ def _pair_rewrites(op, operands, pair_rules) -> list:
 
     A chain of two operands is one node, whose root rewrites cover it. In a
     longer one, each side of a rule's pattern is matched against each
-    operand alone, and the two sides' bindings are joined on their shared
-    metavariables, so the work grows with the operands and the matches, not
-    with all pairs of operands. Either operand may take either side, as
-    `match` commutes."""
+    operand of the shape it needs, and the two sides' bindings are joined
+    on their shared metavariables, so the work grows with the operands and
+    the matches, not with all pairs of operands. A rule skips the chain when
+    it has no operand of a shape one side needs. Either operand may take
+    either side, as `match` commutes."""
     if len(operands) < 3:
         return []
+    every = list(enumerate(operands))
+    by_shape: dict = {}
+    for j, operand in every:
+        by_shape.setdefault(_shape(operand), []).append((j, operand))
     out, made = [], set()
-    for rule, left, right, shared in pair_rules:
+    for rule, left, right, shared, left_shape, right_shape in _PAIR_RULES[op]:
+        lefts = every if left_shape is None else by_shape.get(left_shape)
+        rights = every if right_shape is None else by_shape.get(right_shape)
+        if not lefts or not rights:
+            continue
         index: dict = {}
-        for j, operand in enumerate(operands):
+        for j, operand in rights:
             for bnd in match(right, operand, {}):
                 index.setdefault(tuple([bnd[v] for v in shared]), []).append((j, bnd))
         if not index:
             continue
-        for i, operand in enumerate(operands):
+        for i, operand in lefts:
             for bnd in match(left, operand, {}):
                 for j, other in index.get(tuple([bnd[v] for v in shared]), ()):
                     both = {**other, **bnd}
@@ -618,22 +686,15 @@ def _tie_key(e, cost, lengths):
     return (cost, _dag_size(e), format_length(e, lengths))
 
 
-def _rules_by_root(rules):
-    grouped: dict = {}
-    for rule in rules:
-        grouped.setdefault(type(rule.lhs), []).append(rule)
-    return grouped
-
-
-def _root_rewrites(node, rules) -> list:
+def _root_rewrites(node) -> list:
     """[(rule, after, cost change), ...]: each rewrite of `node` at its root,
     in rule order."""
-    found = [(rule, new) for rule in rules for new in rule.apply(node) if new != node]
+    found = [(rule, new) for rule in _root_rules(node) for new in rule.apply(node) if new != node]
     cost = weighted_cost(node) if found else 0
     return [(rule, new, weighted_cost(new) - cost) for rule, new in found]
 
 
-def _single_steps(e, grouped_rules, rewrites, pair_rules, pairs):
+def _single_steps(e, rewrites, pairs):
     """All (rule, path, before, after, cost change) single-step rewrites of
     `e`, in deterministic preorder/rule order: each node's root rewrites,
     then, at the top node of an `&` or `+` chain, its pair rewrites. The
@@ -643,30 +704,41 @@ def _single_steps(e, grouped_rules, rewrites, pair_rules, pairs):
 
     `rewrites` memoises each subtree's root rewrites and `pairs` each
     chain's pair rewrites: a successor shares every subtree off its
-    rewritten path with its parent, so most nodes were matched before."""
-    inner = set()  # paths of chain nodes below the top of their chain
-    for path, node in walk(e):
+    rewritten path with its parent, so most nodes were matched before.
+    The walk keeps one index path as it descends and copies it only for a
+    node that yields a step, so an expansion costs the nodes, not their
+    depths."""
+    path = []
+    stack = [(e, None, 0, 0)]  # node, its parent's type, its depth, its index
+    while stack:
+        node, parent, depth, idx = stack.pop()
+        if depth:
+            del path[depth - 1 :]
+            path.append(idx)
+        at = None
         found = rewrites.get(node)
         if found is None:
-            found = rewrites[node] = _root_rewrites(node, grouped_rules.get(type(node), ()))
-        for rule, new_sub, change in found:
-            yield rule, path, node, new_sub, change
+            found = rewrites[node] = _root_rewrites(node)
+        if found:
+            at = tuple(path)
+            for rule, new_sub, change in found:
+                yield rule, at, node, new_sub, change
         op = type(node)
-        if op not in pair_rules:
-            continue
-        for idx, kid in enumerate(children(node)):
-            if type(kid) is op:
-                inner.add(path + (idx,))
-        if path in inner:
-            continue
-        found = pairs.get(node)
-        if found is None:
-            operands = _operands(op, node)
-            found = pairs[node] = (operands, _pair_rewrites(op, operands, pair_rules[op]))
-        # each successor chain is built only when the search reaches it
-        operands, found = found
-        for rule, at, drop, result, change in found:
-            yield rule, path, node, _regrouped(op, operands, at, drop, result), change
+        # pairs are found at a chain's top node, whose parent is no `op` node
+        if op in _PAIR_RULES and parent is not op:
+            found = pairs.get(node)
+            if found is None:
+                operands = _operands(op, node)
+                found = pairs[node] = (operands, _pair_rewrites(op, operands))
+            # each successor chain is built only when the search reaches it
+            operands, found = found
+            if found and at is None:
+                at = tuple(path)
+            for rule, i, drop, result, change in found:
+                yield rule, at, node, _regrouped(op, operands, i, drop, result), change
+        kids = children(node)
+        for k in range(len(kids) - 1, -1, -1):
+            stack.append((kids[k], op, depth + 1, k))
 
 
 HILL_ALLOWANCE = 2
@@ -678,8 +750,6 @@ def simplify(e, budget: int | None = None):
     Never worse than the input; terminates within node_count^2 retained rule
     applications (or the supplied budget).
     """
-    searched = [r for r in RULES if r.search]
-    grouped, pair_rules = _rules_by_root(searched), _pair_rules(searched)
     if budget is None:
         budget = min(node_count(e) ** 2, 400)
     # per-call memos: each subtree's root rewrites and each chain's pair rewrites
@@ -697,9 +767,7 @@ def simplify(e, budget: int | None = None):
     applications = 0
     while frontier and applications < budget:
         current_cost, _, current = heapq.heappop(frontier)
-        for rule, path, before, after, change in _single_steps(
-            current, grouped, rewrites, pair_rules, pairs
-        ):
+        for rule, path, before, after, change in _single_steps(current, rewrites, pairs):
             cost = current_cost + change
             if cost > cap:
                 continue

@@ -1,11 +1,15 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from pathweave import expr
 from pathweave.expr import (
     Add,
+    Filter,
     Hadamard,
     Not,
+    children,
     fold,
     format_expr,
     node_count,
@@ -24,7 +28,7 @@ from pathweave.rewrite import (
     simplify,
 )
 
-from util import random_expr, random_tensor
+from util import random_bool_expr, random_expr, random_tensor
 
 SELF_LOOP_SRC = (
     "A[authored] . A[cites] . A[authored]' "
@@ -275,6 +279,90 @@ def test_self_loop_query_expands_few_expressions(monkeypatch):
     assert out == parse(SELF_LOOP_TARGET)
     assert len(trace) == 2
     assert len(expansions) <= 20
+
+
+def _top_fits(rule, node) -> bool:
+    """Whether `node` and its direct children have the type, and at a filter
+    the kind, that `rule`'s lhs names there, in either operand order at `&`
+    and `+`; a metavariable takes anything."""
+
+    def shape(x):
+        if isinstance(x, EVar):
+            return None
+        return ("filter", x.kind) if isinstance(x, Filter) else type(x)
+
+    need = [shape(x) for x in (rule.lhs, *children(rule.lhs))]
+    have = [shape(x) for x in (node, *children(node))]
+    orders = [have, [have[0], have[2], have[1]]] if isinstance(node, (Hadamard, Add)) else [have]
+    return any(
+        len(need) == len(order) and all(n is None or n == s for n, s in zip(need, order))
+        for order in orders
+    )
+
+
+def test_rules_are_tried_only_where_their_top_fits(monkeypatch, rng):
+    calls, met = [], []
+    apply, root_rewrites = RewriteRule.apply, rewrite._root_rewrites
+
+    def recording(self, e):
+        calls.append((self, e))
+        return apply(self, e)
+
+    def meeting(node, *args):
+        met.append(node)
+        return root_rewrites(node, *args)
+
+    monkeypatch.setattr(RewriteRule, "apply", recording)
+    monkeypatch.setattr(rewrite, "_root_rewrites", meeting)
+    labels, names = ["alpha", "beta"], ["v0", "v1"]
+    for _ in range(80):
+        simplify(random_expr(rng, labels, names, depth=5))
+    monkeypatch.undo()
+    assert calls
+    assert not [(rule.name, format_expr(e)) for rule, e in calls if not _top_fits(rule, e)]
+    # nothing is lost: each searched rule that rewrites a node the search met
+    # is one the index offers for it
+    searched = [rule for rule in RULES if rule.search]
+    for node in set(met):
+        offered = rewrite._root_rules(node)
+        for rule in searched:
+            if any(new != node for new in rule.apply(node)):
+                assert rule in offered, (rule.name, format_expr(node))
+
+
+@pytest.mark.parametrize("op", [Hadamard, Add], ids=["&", "+"])
+def test_pair_rewrites_match_every_ordered_pair(op, rng):
+    # the oracle rewrites each ordered pair of operands as one node with
+    # every searched rule rooted at the chain's operator
+    labels, names = ["alpha", "beta"], ["v0", "v1"]
+    rules = [rule for rule in RULES if rule.search and type(rule.lhs) is op]
+    kinds = (random_bool_expr, random_expr)
+    found = 0
+    for _ in range(40):
+        operands = [
+            kinds[int(rng.integers(0, 2))](rng, labels, names, int(rng.integers(0, 3)))
+            for _ in range(int(rng.integers(3, 13)))
+        ]
+        chain = reduce(op, operands)
+        operands = rewrite._operands(op, chain)
+        expected = set()
+        for rule in rules:
+            for i, left in enumerate(operands):
+                for j, right in enumerate(operands):
+                    if i != j:
+                        for new in rule.apply(op(left, right)):
+                            expected.add((rule.name, min(i, j), max(i, j), new))
+        got = rewrite._pair_rewrites(op, operands)
+        for rule, at, drop, result, change in got:
+            assert (rule.name, at, drop, result) in expected
+            assert change == weighted_cost(result) - weighted_cost(op(operands[at], operands[drop]))
+        # each pair rewrite the oracle finds leads to a successor that
+        # `_pair_rewrites` also reaches (it keeps one of several rewrites
+        # that only drop the same operand)
+        successors = {rewrite._regrouped(op, operands, *step[1:4]) for step in got}
+        assert successors == {rewrite._regrouped(op, operands, *step[1:]) for step in expected}
+        found += len(got)
+    assert found > 40
 
 
 def test_long_chain_pairs_are_joined_not_enumerated(monkeypatch):
