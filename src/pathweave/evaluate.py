@@ -39,7 +39,6 @@ from .expr import (
     Transpose,
     VIn,
     VOut,
-    _SCALAR_FIELDS,
     children,
     fold,
     format_expr,
@@ -47,10 +46,6 @@ from .expr import (
 )
 from .rewrite import (
     RULES_BY_NAME,
-    EVar,
-    LVar,
-    NVar,
-    PVar,
     RewriteRule,
     _pattern_vars,
     instantiate,
@@ -81,7 +76,7 @@ def run(e, leaf) -> kernels.PathMatrix:
         name = _KERNELS.get(type(node))
         if name is None:
             return leaf(node)
-        params = (getattr(node, f) for f in _SCALAR_FIELDS.get(type(node), ()))
+        params = (getattr(node, f) for f in type(node)._scalars)
         return getattr(kernels, name)(*args, *params)
 
     return fold(e, visit)
@@ -338,26 +333,26 @@ def _sides_equal(rule, bnd, n) -> bool:
     return np.allclose(lhs, rhs, rtol=0, atol=1e-9)
 
 
+# how a scalar metavariable's value is drawn, by the field it fills, in draw
+# order: a filter's vertex names, then thresholds, then scale factors
+_DRAWS = (
+    (("a", "b"), lambda n, rng: int(rng.integers(0, n))),
+    (("p",), lambda n, rng: int(rng.integers(0, 3))),
+    (("coef",), lambda n, rng: float(rng.choice([0.0, 0.5, 1.0, 2.0]))),
+)
+
+
 def verify_rule(rule: RewriteRule, trials: int = 200, rng=None) -> bool:
     """Empirical soundness: the two sides evaluate identically on random
     operands satisfying the guard; exhaustive over 2x2 boolean matrices when
     the pattern has at most two matrix metavariables."""
     rng = rng if rng is not None else np.random.default_rng(7)
     acc = _pattern_vars(rule.lhs)
-    evars = [v for v in acc.values() if isinstance(v, EVar)]
-    nvars = [v for v in acc.values() if isinstance(v, NVar)]
-    pvars = [v for v in acc.values() if isinstance(v, PVar)]
-    lvars = [v for v in acc.values() if isinstance(v, LVar)]
+    evars = [v for v, field in acc.values() if field is None]
+    draws = [(name, draw) for fields, draw in _DRAWS for name, (_, f) in acc.items() if f in fields]
 
     def scalar_rounds(n, rng):
-        bnd = {}
-        for v in nvars:
-            bnd[v.name] = int(rng.integers(0, n))
-        for v in pvars:
-            bnd[v.name] = int(rng.integers(0, 3))
-        for v in lvars:
-            bnd[v.name] = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
-        return bnd
+        return {name: draw(n, rng) for name, draw in draws}
 
     if len(evars) <= 2:
         mats = [

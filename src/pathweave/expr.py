@@ -3,32 +3,36 @@
 The grammar is written once, in the tables of the grammar section below,
 and the parser, the printer and the rewriter read it there: `_INFIX` ranks
 the binary operators (`+` merges, `&` is the entrywise filter product, `.`
-the matrix product), `_ATOMS` spells the filters and functions,
+the matrix product), `_ATOMS` spells the filters and functions, and
 `FILTER_KINDS` counts each filter's vertex names (`kernels.FilterSpec`
-checks the same table), and `_SCALAR_FIELDS` names each node's fields that
-are not expressions. `NUMBER *` scales, postfix `'` transposes, and
+checks the same table). Each node type names its own fields that are not
+expressions, `_scalars`. `NUMBER *` scales, postfix `'` transposes, and
 `A[label]` names a slice. Vertex names resolve through the dictionary at
 evaluation time, keeping expressions portable across ingests.
 
 Infix `.` and `&` replace the overloaded composition symbol of the printed
 notation so products and filters can never be confused.
 
-Nodes are hash-consed: every constructor returns the one live node with
-its type, its scalar fields (by value, so `Scale(2, x) is Scale(2.0, x)`)
-and its children, so equal trees are one object. `==` and hashing are
-identity, O(1) however deep the tree, and each node records its weighted
-cost and whether it is syntactically {0,1}-valued when it is built. Nodes
-cannot be changed; pickling and copying return the interned node. The
-table holds its nodes weakly, so it keeps no tree alive.
+Every node is its type, its scalar fields and a tuple of its children,
+and is hash-consed: every constructor, and `build` under them, returns the
+one live node with its type, its scalar fields (by value, so
+`Scale(2, x) is Scale(2.0, x)`) and its children, so equal trees are one
+object. `==` and hashing are identity, O(1) however deep the tree, and
+each node records its weighted cost and whether it is syntactically
+{0,1}-valued when it is built. Nodes cannot be changed; pickling and
+copying return the interned node. The table holds its nodes weakly, so it
+keeps no tree alive.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, wraps
+from operator import attrgetter
 
 from .errors import EvalError, ExprSyntaxError
 
@@ -36,11 +40,13 @@ from .errors import EvalError, ExprSyntaxError
 # -- the node model --------------------------------------------------------------
 #
 # Hash-consing (J.-C. Filliatre and S. Conchon, "Type-safe modular
-# hash-consing", ML Workshop 2006). Every node is built through `_TABLE`,
-# keyed on its type, its scalar fields and its children themselves, which
+# hash-consing", ML Workshop 2006). Every node is its type, its scalar
+# fields and the tuple of its children, and `build` makes it through
+# `_TABLE`, keyed on those three, (type, children, *scalars); the children
 # compare and hash by identity. The table maps each key to a weak reference
-# whose callback is the key itself, so the entry goes when the node dies; a
-# key holds the node's children, which the node holds anyway.
+# whose callback is the key itself, so the entry goes when the node dies.
+# A node keeps its key, which shares the node's tuple of children, so
+# rebuilding it around new children reads its scalars in one slice.
 #
 # Every table operation is one dict call, atomic under the interpreter lock:
 # a thread that loses the race to publish a node takes the winner's, and
@@ -48,7 +54,7 @@ from .errors import EvalError, ExprSyntaxError
 
 _TABLE: dict = {}
 
-# nodes refuse `setattr`, so their constructors write slots through object's
+# nodes refuse `setattr`, so `build` writes their slots through object's
 _set = object.__setattr__
 
 
@@ -67,11 +73,10 @@ _ABSENT = weakref.ref(set())
 
 
 def _publish(node, key):
-    """Record what `node` derives from its children, then make it the node
-    interned under `key`; returns the node that holds the key, which is
-    another thread's when that thread published first."""
-    node._derive()
+    """Make `node` the node interned under `key`; returns the node that holds
+    the key, which is another thread's when that thread published first."""
     key = _Key(key)
+    _set(node, "_key", key)
     ref = weakref.ref(node, key)
     while True:
         held = _TABLE.setdefault(key, ref)
@@ -83,22 +88,101 @@ def _publish(node, key):
         _remove_dead_weakref(_TABLE, key)  # a dead entry whose callback is pending
 
 
+def build(op, scalars: tuple, kids: tuple):
+    """The node of type `op` with the values of its `_scalars`, in that
+    order, and the children `kids`: the live one if there is one, else a new
+    one, which records what it derives from its children. Every node is
+    built here."""
+    key = (op, kids) + scalars
+    node = _TABLE.get(key, _ABSENT)()
+    if node is None:
+        node = object.__new__(op)
+        _set(node, "_kids", kids)
+        for name, value in zip(op._scalars, scalars):
+            _set(node, name, value)
+        cost, boolean = op._weight, True
+        for kid in kids:
+            cost += kid._cost
+            boolean = boolean and kid._boolean
+        _set(node, "_cost", cost)
+        if op._boolean_kids:
+            _set(node, "_boolean", boolean)
+        node = _publish(node, key)
+    return node
+
+
+def _scalar_values(e) -> tuple:
+    """The values of `e`'s `_scalars`, in order, read from its key."""
+    return e._key[2:]
+
+
+def _bind(op, args: tuple, kwargs: dict) -> tuple:
+    """The values of `op`'s fields, in order, from a constructor call's
+    positional and keyword arguments and the fields' defaults; raises
+    TypeError where a written-out signature would."""
+    fields, name = op._fields, op.__name__
+    if len(args) > len(fields):
+        raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+    rest = fields[len(args) :]
+    for field in kwargs:
+        if field in rest:
+            continue
+        if field in fields:
+            raise TypeError(f"{name}() got multiple values for argument {field!r}")
+        raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+    values = list(args)
+    for field in rest:
+        if field in kwargs:
+            values.append(kwargs[field])
+        elif field in op._defaults:
+            values.append(op._defaults[field])
+        else:
+            raise TypeError(f"{name}() missing required argument {field!r}")
+    return tuple(values)
+
+
 class _Node:
-    """An immutable expression node. Equality and hashing are identity,
-    since equal trees are one object. `_cost` is the tree's weighted cost
-    and `_boolean` whether it is syntactically {0,1}-valued (see
-    `is_boolean_expr`), both recorded when the node is built. `_fields`
-    names the constructor's arguments in order."""
+    """An immutable expression node: its type, the scalar fields its type
+    names in `_scalars` (slots of those names) and its children, the tuple
+    `_kids`. Equality and hashing are identity, since equal trees are one
+    object. `_cost` is the tree's weighted cost and `_boolean` whether it is
+    syntactically {0,1}-valued (see `is_boolean_expr`), both recorded when
+    the node is built.
 
-    __slots__ = ("_cost", "__weakref__")
+    A type names its constructor's arguments in order (`_fields`), which of
+    them are scalars (`_scalars`, one run before or after the children) and
+    their defaults (`_defaults`). The other fields are the children, in
+    order, each readable by its name. A constructor call binds its
+    arguments to the fields and builds the node through `build`."""
+
+    __slots__ = ("_kids", "_key", "_cost", "__weakref__")
     _fields: tuple = ()
+    _scalars: tuple = ()
+    _defaults: dict = {}
     _weight = 1
-    # a constant of each type, but a slot derived from the children where
-    # that depends on them (Hadamard, Transpose)
+    # a constant of each type, but a slot holding whether every child is
+    # boolean where `_boolean_kids` is set (Hadamard, Transpose)
     _boolean = True
+    _boolean_kids = False
 
-    def _derive(self):
-        _set(self, "_cost", 1)
+    def __init_subclass__(cls):
+        kids = tuple(f for f in cls._fields if f not in cls._scalars)
+        # a call's arguments, bound in field order, hold the scalars and the
+        # children each as one run, sliced out by `_scalar_run`, `_kid_run`
+        runs = []
+        for names in (cls._scalars, kids):
+            start = cls._fields.index(names[0]) if names else 0
+            if cls._fields[start : start + len(names)] != names:
+                raise TypeError(f"{cls.__name__}: scalars must precede or follow the children")
+            runs.append(slice(start, start + len(names)))
+        cls._scalar_run, cls._kid_run = runs
+        for k, name in enumerate(kids):
+            setattr(cls, name, property(lambda self, k=k: self._kids[k]))
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = _bind(cls, args, kwargs)
+        return build(cls, args[cls._scalar_run], args[cls._kid_run])
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -107,8 +191,8 @@ class _Node:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # unpickling calls the constructor, so it returns the interned node
-        return type(self), tuple([getattr(self, f) for f in self._fields])
+        # unpickling builds the node, so it returns the interned one
+        return build, (type(self), _scalar_values(self), self._kids)
 
     def __copy__(self):
         return self
@@ -122,51 +206,17 @@ class _Node:
 
 
 class SliceRef(_Node):
-    __slots__ = ("label",)
-    _fields = ("label",)
-
-    def __new__(cls, label):
-        key = (cls, label)
-        node = _TABLE.get(key, _ABSENT)()
-        if node is None:
-            node = object.__new__(cls)
-            _set(node, "label", label)
-            node = _publish(node, key)
-        return node
+    __slots__ = _fields = _scalars = ("label",)
 
 
 class Filter(_Node):
-    __slots__ = ("kind", "a", "b")
-    _fields = ("kind", "a", "b")
-
-    def __new__(cls, kind, a=None, b=None):
-        key = (cls, kind, a, b)
-        node = _TABLE.get(key, _ABSENT)()
-        if node is None:
-            node = object.__new__(cls)
-            _set(node, "kind", kind)
-            _set(node, "a", a)
-            _set(node, "b", b)
-            node = _publish(node, key)
-        return node
+    __slots__ = _fields = _scalars = ("kind", "a", "b")
+    _defaults = {"a": None, "b": None}
 
 
 class _Binary(_Node):
-    __slots__ = ("left", "right")
+    __slots__ = ()
     _fields = ("left", "right")
-
-    def __new__(cls, left, right):
-        key = (cls, left, right)
-        node = _TABLE.get(key, _ABSENT)()
-        if node is None:
-            node = object.__new__(cls)
-            _set(node, "left", left)
-            _set(node, "right", right)
-            node = _publish(node, key)
-        return node
-
-    def _derive(self):
-        _set(self, "_cost", self._weight + self.left._cost + self.right._cost)
 
 
 class MatMul(_Binary):
@@ -178,10 +228,7 @@ class MatMul(_Binary):
 class Hadamard(_Binary):
     __slots__ = ("_boolean",)
     _weight = 2
-
-    def _derive(self):
-        super()._derive()
-        _set(self, "_boolean", self.left._boolean and self.right._boolean)
+    _boolean_kids = True
 
 
 class Add(_Binary):
@@ -190,28 +237,13 @@ class Add(_Binary):
 
 
 class _Unary(_Node):
-    __slots__ = ("child",)
+    __slots__ = ()
     _fields = ("child",)
-
-    def __new__(cls, child):
-        key = (cls, child)
-        node = _TABLE.get(key, _ABSENT)()
-        if node is None:
-            node = object.__new__(cls)
-            _set(node, "child", child)
-            node = _publish(node, key)
-        return node
-
-    def _derive(self):
-        _set(self, "_cost", 1 + self.child._cost)
 
 
 class Transpose(_Unary):
     __slots__ = ("_boolean",)
-
-    def _derive(self):
-        super()._derive()
-        _set(self, "_boolean", self.child._boolean)
+    _boolean_kids = True
 
 
 class Not(_Unary):
@@ -223,18 +255,9 @@ class Clip(_Unary):
 
 
 class _Vertex(_Unary):
-    __slots__ = ("p",)
+    __slots__ = _scalars = ("p",)
     _fields = ("child", "p")
-
-    def __new__(cls, child, p=0):
-        key = (cls, p, child)
-        node = _TABLE.get(key, _ABSENT)()
-        if node is None:
-            node = object.__new__(cls)
-            _set(node, "child", child)
-            _set(node, "p", p)
-            node = _publish(node, key)
-        return node
+    _defaults = {"p": 0}
 
 
 class VOut(_Vertex):
@@ -246,55 +269,18 @@ class VIn(_Vertex):
 
 
 class Scale(_Unary):
-    __slots__ = ("coef",)
+    __slots__ = _scalars = ("coef",)
     _fields = ("coef", "child")
     _boolean = False
 
-    def __new__(cls, coef, child):
-        key = (cls, coef, child)
-        node = _TABLE.get(key, _ABSENT)()
-        if node is None:
-            node = object.__new__(cls)
-            _set(node, "coef", coef)
-            _set(node, "child", child)
-            node = _publish(node, key)
-        return node
 
-
-_BINARY = (MatMul, Hadamard, Add)
-_UNARY = (Transpose, Not, Clip, VOut, VIn, Scale)
-# the node types above are never subclassed, so a node's type decides its shape
-_BINARY_TYPES, _UNARY_TYPES = frozenset(_BINARY), frozenset(_UNARY)
-
-
-def children(e) -> tuple:
-    op = type(e)
-    if op in _BINARY_TYPES:
-        return (e.left, e.right)
-    if op in _UNARY_TYPES:
-        return (e.child,)
-    return ()
+# a node's children, in order; attribute access is the hot path of every walk
+children = attrgetter("_kids")
 
 
 def with_children(e, kids: tuple):
-    op = type(e)
-    if op in _BINARY_TYPES:
-        return op(kids[0], kids[1])
-    if op is Scale:
-        return Scale(e.coef, kids[0])
-    if op is VOut or op is VIn:
-        return op(kids[0], e.p)
-    if op in _UNARY_TYPES:
-        return op(kids[0])
-    return e
-
-
-def build(op, scalars, kids):
-    """The node of type `op` with the values of its `_SCALAR_FIELDS`, in
-    that order, and its children."""
-    values = dict(zip(_SCALAR_FIELDS.get(op, ()), scalars))
-    kids = iter(kids)
-    return op(*[values[f] if f in values else next(kids) for f in op._fields])
+    """`e` rebuilt around the tuple of children `kids`."""
+    return build(type(e), _scalar_values(e), kids)
 
 
 def walk(e):
@@ -343,11 +329,11 @@ def replace_at(e, path: tuple, new):
         spine.append(e)
         e = children(e)[idx]
     for node, idx in zip(reversed(spine), reversed(path)):
-        op = type(node)
-        if op in _BINARY_TYPES:
-            new = op(new, node.right) if idx == 0 else op(node.left, new)
-        else:
-            new = with_children(node, (new,))
+        kids = children(node)
+        # a node has one or two children; building their tuple outright is
+        # cheaper than slicing it
+        kids = (new,) if len(kids) == 1 else (new, kids[1]) if idx == 0 else (kids[0], new)
+        new = with_children(node, kids)
     return new
 
 
@@ -377,16 +363,6 @@ def is_boolean_expr(e) -> bool:
 
 
 # -- the grammar ---------------------------------------------------------------
-
-# node type -> its non-expression fields: label, filter kind and vertex
-# names, scale factor, threshold
-_SCALAR_FIELDS = {
-    SliceRef: ("label",),
-    Filter: ("kind", "a", "b"),
-    Scale: ("coef",),
-    VOut: ("p",),
-    VIn: ("p",),
-}
 
 # filter kind -> the number of vertex indices it takes
 FILTER_KINDS = {"row": 1, "col": 1, "entry": 2, "identity": 0, "ones": 0, "zeros": 0}
@@ -501,8 +477,12 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.take()
+            coef = float(tok.value)
+            # an overflowing factor reads as inf, which would print as a name
+            if not math.isfinite(coef):
+                raise ExprSyntaxError(f"scale factor {tok.value} is out of range", tok.pos)
             self.expect("*")
-            return Scale(float(tok.value), self.parse_unary())
+            return Scale(coef, self.parse_unary())
         return self.parse_postfix()
 
     def parse_postfix(self):
@@ -549,7 +529,7 @@ class _Parser:
             else:
                 inner = self.parse_infix()
                 # a function with a scalar field, the threshold, takes `, p` too
-                args = (inner, self._threshold()) if meaning in _SCALAR_FIELDS else (inner,)
+                args = (inner, self._threshold()) if meaning._scalars else (inner,)
                 node = meaning(*args)
             self.expect(")")
             return node
@@ -679,7 +659,7 @@ def format_length(e, memo: dict) -> int:
         if own is None:
             text, level = format_node(node, tuple([("", level) for _, level in shapes]))
             own = (len(text), level)
-            if type(node) not in _SCALAR_FIELDS:
+            if not type(node)._scalars:
                 memo[frame] = own
         memo[node] = (own[0] + sum([length for length, _ in shapes]), own[1])
     return memo[e][0]
@@ -703,8 +683,9 @@ def format_node(e, kids) -> tuple:
         if count == 0:
             return word, _LEVEL_POSTFIX
         return (f"{word}({e.a})" if count == 1 else f"{word}({e.a},{e.b})"), _LEVEL_POSTFIX
-    if isinstance(e, _BINARY):
-        text, own = _INFIX_TEXT[type(e)]
+    infix = _INFIX_TEXT.get(type(e))
+    if infix is not None:
+        text, own = infix
         return f"{_at(kids[0], own)}{text}{_at(kids[1], own + 1)}", own
     if isinstance(e, Scale):
         return f"{_fmt_number(e.coef)} * {_at(kids[0], _LEVEL_SCALE)}", _LEVEL_SCALE
@@ -712,7 +693,7 @@ def format_node(e, kids) -> tuple:
         return f"{_at(kids[0], _LEVEL_POSTFIX)}'", _LEVEL_POSTFIX
     word = _SPELLING.get(type(e))
     if word is not None:  # a function, with its threshold (a scalar field) unless 0
-        if type(e) in _SCALAR_FIELDS and e.p != 0:
+        if type(e)._scalars and e.p != 0:
             return f"{word}({kids[0][0]}, {e.p})", _LEVEL_POSTFIX
         return f"{word}({kids[0][0]})", _LEVEL_POSTFIX
     raise TypeError(f"not a path expression: {e!r}")

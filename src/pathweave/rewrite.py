@@ -1,13 +1,15 @@
 """Cost-directed rewriting of path expressions using the algebra's identities.
 
 Rules are (lhs, rhs) pattern pairs over the expression AST with
-metavariables for subexpressions, vertex names, thresholds, and scale
-factors. This module is purely syntactic: matching, substitution, the rule
-table, and the search. Every rule is semantics preserving under its guard;
+metavariables for subexpressions (``EVar``) and for scalar fields
+(``SVar``: a vertex name, a threshold or a scale factor). This module is
+purely syntactic: matching, substitution, the rule table, and the search.
+Every rule is semantics preserving under its guard;
 ``pathweave.evaluate.verify_rule`` checks that by running both sides through
-the evaluator's interpreter. Substitution fills each node's scalar fields
-from ``expr._SCALAR_FIELDS`` and builds it through ``expr.build``, so it has
-no code per node type.
+the evaluator's interpreter. Patterns are nodes like any other, so matching
+and substitution read a node's scalar fields from its type's ``_scalars``
+and its children from ``children``, and substitution builds each node
+through ``expr.build``: neither has code per node type.
 
 Each identity is written once. Matching is commutative at the filter
 product ``&`` and the merge ``+`` (the rules ``had-commute`` and
@@ -56,8 +58,8 @@ scalings do not, even if their value happens to be boolean.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
-from functools import reduce
 
 from .expr import (
     Add,
@@ -70,7 +72,7 @@ from .expr import (
     Transpose,
     VIn,
     VOut,
-    _SCALAR_FIELDS,
+    _scalar_values,
     build,
     children,
     format_expr,
@@ -95,7 +97,9 @@ class EVar:
     boolean: bool = False
 
     # a metavariable stands where a subexpression does when a pattern is
-    # built: it counts as one node, boolean when it matches only booleans
+    # built: a leaf that counts as one node, boolean when it matches only
+    # booleans
+    _kids = ()
     _cost = 1
 
     @property
@@ -104,22 +108,9 @@ class EVar:
 
 
 @dataclass(frozen=True, slots=True)
-class NVar:
-    """Matches a vertex name inside a row/col/entry filter."""
-
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class PVar:
-    """Matches a vertex-function threshold."""
-
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class LVar:
-    """Matches a scale factor."""
+class SVar:
+    """Matches the value of a scalar field: a filter's vertex name, a
+    vertex-function threshold or a scale factor."""
 
     name: str
 
@@ -127,9 +118,9 @@ class LVar:
 def _bind_scalars(pat, e, bnd):
     """`bnd` extended by matching the scalar fields of two nodes of the same
     type, or None when they disagree."""
-    for field in _SCALAR_FIELDS.get(type(pat), ()):
+    for field in type(pat)._scalars:
         p, v = getattr(pat, field), getattr(e, field)
-        if isinstance(p, (NVar, PVar, LVar)):
+        if isinstance(p, SVar):
             if p.name not in bnd:
                 bnd = {**bnd, p.name: v}
                 continue
@@ -140,12 +131,18 @@ def _bind_scalars(pat, e, bnd):
 
 
 def _pattern_vars(pat) -> dict:
-    """Metavariables of a pattern by name, first occurrence in preorder."""
+    """Metavariables of a pattern by name, first occurrence in preorder:
+    name -> (the metavariable, the scalar field it fills, or None for an
+    `EVar`)."""
     acc: dict = {}
     for _, node in walk(pat):
-        for var in (node, *(getattr(node, f) for f in _SCALAR_FIELDS.get(type(node), ()))):
-            if isinstance(var, (EVar, NVar, PVar, LVar)):
-                acc.setdefault(var.name, var)
+        if isinstance(node, EVar):
+            acc.setdefault(node.name, (node, None))
+            continue
+        for field in type(node)._scalars:
+            var = getattr(node, field)
+            if isinstance(var, SVar):
+                acc.setdefault(var.name, (var, field))
     return acc
 
 
@@ -191,11 +188,10 @@ def instantiate(template, bnd):
         return template(bnd)
     if isinstance(template, EVar):
         return bnd[template.name]
-    scalars = [getattr(template, field) for field in _SCALAR_FIELDS.get(type(template), ())]
     return build(
         type(template),
-        [bnd[v.name] if isinstance(v, (NVar, PVar, LVar)) else v for v in scalars],
-        [instantiate(kid, bnd) for kid in children(template)],
+        tuple([bnd[v.name] if isinstance(v, SVar) else v for v in _scalar_values(template)]),
+        tuple([instantiate(kid, bnd) for kid in children(template)]),
     )
 
 
@@ -229,9 +225,9 @@ class RewriteRule:
 _a, _b, _c = EVar("a"), EVar("b"), EVar("c")
 _A, _B = EVar("a", boolean=True), EVar("b", boolean=True)
 _z = EVar("z")
-_i, _j = NVar("i"), NVar("j")
-_p, _q = PVar("p"), PVar("q")
-_l, _m = LVar("l"), LVar("m")
+_i, _j = SVar("i"), SVar("j")
+_p, _q = SVar("p"), SVar("q")
+_l, _m = SVar("l"), SVar("m")
 _ONES, _ZERO, _I = Filter("ones"), Filter("zeros"), Filter("identity")
 _R = Filter("row", _i)
 _C = Filter("col", _i)
@@ -452,6 +448,8 @@ def _rules():
         "l(mA) = (lm)A",
         Scale(_l, Scale(_m, _a)),
         lambda bnd: Scale(bnd["l"] * bnd["m"], bnd["a"]),
+        # a product that overflows would print as `inf`, which does not parse
+        guard=lambda bnd: math.isfinite(bnd["l"] * bnd["m"]),
     )
 
     # planner-only commutations: masking a product's rows (columns) equals
@@ -538,7 +536,7 @@ def _operands(op, e) -> list:
     while stack:
         node = stack.pop()
         if type(node) is op:
-            stack += (node.right, node.left)
+            stack += reversed(children(node))
         else:
             out.append(node)
     return out
@@ -622,7 +620,10 @@ def _regrouped(op, operands, at, drop, result):
             kept += _operands(op, result)
         elif k != drop:
             kept.append(operand)
-    return reduce(op, kept)
+    chain = kept[0]
+    for operand in kept[1:]:
+        chain = build(op, (), (chain, operand))
+    return chain
 
 
 # -- the trace -------------------------------------------------------------------
@@ -744,14 +745,13 @@ def _single_steps(e, rewrites, pairs):
 HILL_ALLOWANCE = 2
 
 
-def simplify(e, budget: int | None = None):
+def simplify(e):
     """Rewrite toward minimal weighted cost; returns (expression, RuleTrace).
 
-    Never worse than the input; terminates within node_count^2 retained rule
-    applications (or the supplied budget).
+    Never worse than the input; terminates within min(node_count^2, 400)
+    retained rule applications.
     """
-    if budget is None:
-        budget = min(node_count(e) ** 2, 400)
+    budget = min(node_count(e) ** 2, 400)
     # per-call memos: each subtree's root rewrites and each chain's pair rewrites
     rewrites: dict = {}
     pairs: dict = {}

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathweave import expr
+from pathweave.cli import main
 from pathweave.errors import ExprSyntaxError, PathweaveError
 from pathweave.expr import (
     Add,
+    Clip,
     Filter,
     Hadamard,
     MatMul,
@@ -23,7 +25,9 @@ from pathweave.expr import (
     Transpose,
     VIn,
     VOut,
+    build,
     check_signatures,
+    children,
     fold,
     format_expr,
     format_length,
@@ -31,7 +35,9 @@ from pathweave.expr import (
     node_count,
     parse,
     parse_program,
+    replace_at,
     weighted_cost,
+    with_children,
 )
 
 from util import random_expr
@@ -80,6 +86,17 @@ def test_filters_and_thresholds():
     assert parse("vin(A[x])") == VIn(SliceRef("x"), 0)
     with pytest.raises(ExprSyntaxError, match="nonnegative integer"):
         parse("vout(A[x], 1.5)")
+
+
+@pytest.mark.parametrize("text, pos", [("1e999 * A[x]", 0), ("A[x] + 2e400 * A[y]", 7)])
+def test_non_finite_scale_factor_is_a_syntax_error(text, pos, capsys):
+    # it would parse as inf, which prints as a name that does not parse back
+    with pytest.raises(ExprSyntaxError, match="out of range") as err:
+        parse(text)
+    assert err.value.pos == pos
+    assert main(["simplify", "--expr", text]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "out of range" in out.err
 
 
 def test_precedence():
@@ -278,6 +295,67 @@ def test_keyword_default_and_equal_scalar_arguments_give_one_node():
     assert Scale(2, x) is Scale(2.0, x)
     assert VOut(x) is VOut(x, 0) is VOut(child=x, p=0)
     assert VIn(x, 1) is not VOut(x, 1)
+
+
+_x, _y, _z = SliceRef("x"), SliceRef("y"), SliceRef("z")
+
+# one node of each type: (type, positional arguments, which may leave
+# defaults out, and every field by keyword)
+LAYOUTS = [
+    (SliceRef, ("x",), {"label": "x"}),
+    (Filter, ("identity",), {"kind": "identity", "a": None, "b": None}),
+    (Filter, ("row", "v"), {"kind": "row", "a": "v", "b": None}),
+    (Filter, ("entry", "v", "w"), {"b": "w", "a": "v", "kind": "entry"}),
+    (MatMul, (_x, _y), {"right": _y, "left": _x}),
+    (Hadamard, (_x, _y), {"left": _x, "right": _y}),
+    (Add, (_y, _x), {"left": _y, "right": _x}),
+    (Transpose, (_x,), {"child": _x}),
+    (Not, (_x,), {"child": _x}),
+    (Clip, (_x,), {"child": _x}),
+    (VOut, (_x,), {"child": _x, "p": 0}),
+    (VIn, (_x, 2), {"p": 2, "child": _x}),
+    (Scale, (2, _x), {"child": _x, "coef": 2.0}),
+]
+
+
+@pytest.mark.parametrize(
+    "op, args, kwargs", LAYOUTS, ids=[f"{op.__name__}{len(args)}" for op, args, _ in LAYOUTS]
+)
+def test_every_node_type_is_its_scalars_and_children(op, args, kwargs):
+    e = op(*args)
+    assert op(**kwargs) is e
+    assert op(*[kwargs[f] for f in op._fields]) is e
+    scalars = tuple(getattr(e, f) for f in op._scalars)
+    kids = tuple(kwargs[f] for f in op._fields if f not in op._scalars)
+    assert children(e) == kids
+    assert build(op, scalars, kids) is e
+    assert with_children(e, children(e)) is e
+    for k, kid in enumerate(kids):
+        assert replace_at(e, (k,), kid) is e
+        # a new child keeps the others and the scalars
+        other = replace_at(e, (k,), _z)
+        assert children(other) == kids[:k] + (_z,) + kids[k + 1 :]
+        assert type(other) is op and tuple(getattr(other, f) for f in op._scalars) == scalars
+    assert pickle.loads(pickle.dumps(e)) is e
+
+
+@pytest.mark.parametrize(
+    "call, problem",
+    [
+        (lambda: Filter(), "missing required argument 'kind'"),
+        (lambda: Scale(2.0), "missing required argument 'child'"),
+        (lambda: VIn(p=1), "missing required argument 'child'"),
+        (lambda: SliceRef(name="x"), "unexpected keyword argument 'name'"),
+        (lambda: VOut(_x, q=1), "unexpected keyword argument 'q'"),
+        (lambda: SliceRef("x", label="x"), "multiple values for argument 'label'"),
+        (lambda: MatMul(_x, _y, left=_x), "multiple values for argument 'left'"),
+        (lambda: Not(_x, _y), "takes 1 arguments but 2 were given"),
+        (lambda: Filter("entry", "v", "w", "u"), "takes 3 arguments but 4 were given"),
+    ],
+)
+def test_constructors_bind_their_arguments_as_a_signature_would(call, problem):
+    with pytest.raises(TypeError, match=problem):
+        call()
 
 
 def test_pickle_and_copies_return_the_interned_node():

@@ -218,9 +218,17 @@ def test_global_soundness_500_random_expressions(rng):
 def test_budget_is_node_count_squared():
     e = parse(SELF_LOOP_SRC)
     # generous expression: budget must not exceed node_count^2 applications
-    out, trace = simplify(e, budget=node_count(e) ** 2)
+    out, trace = simplify(e)
     assert out == parse(SELF_LOOP_TARGET)
     assert len(trace) <= node_count(e) ** 2
+
+
+def test_scale_factors_are_not_fused_into_an_overflow():
+    # the fused factor would be inf, which prints as a name that does not parse
+    e = parse("1e200 * 1e200 * A[x]")
+    out, _ = simplify(e)
+    assert out is e and parse(format_expr(out)) is out
+    assert simplify(parse("1e100 * 1e100 * A[x]"))[0] is parse("1e200 * A[x]")
 
 
 def test_simplify_matches_each_subtree_once(monkeypatch):
