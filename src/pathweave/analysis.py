@@ -69,7 +69,11 @@ def shortest_paths(z: PathMatrix) -> GeodesicResult:
     diameter, and closeness."""
     n = z.n
     _refuse_dense(n, "all-pairs shortest paths")
-    support = clip(z).explicit().astype(np.float64)
+    pattern = clip(z).explicit()
+    # unit weights over the pattern's arrays; `astype` would sort a copy
+    support = sp.csr_array(
+        (np.ones(pattern.nnz), pattern.indices, pattern.indptr), shape=pattern.shape
+    )
     dist = csgraph.shortest_path(support, method="D", unweighted=True, directed=True)
     np.fill_diagonal(dist, 0.0)
     # the reached vertices: finite and off the diagonal; the row reductions
@@ -95,12 +99,20 @@ def shortest_paths(z: PathMatrix) -> GeodesicResult:
 
 
 def _row_normalized(z: PathMatrix):
-    """Row-stochastic rescaling of z; returns (matrix, dangling row mask)."""
-    w = z.explicit().astype(np.float64).tocsr()
-    out = np.asarray(w.sum(axis=1)).ravel()
+    """Row-stochastic rescaling of z; returns (matrix, dangling row mask).
+
+    The matrix is a float64 CSR over z's own index arrays, in z's order:
+    each row's data divided by the row's weighted out-sum. It is only ever
+    read, so sharing the arrays is safe."""
+    w = z.explicit()
+    data = w.data.astype(np.float64, copy=False)
+    counts = np.diff(w.indptr)
+    nonempty = np.flatnonzero(counts)
+    out = np.zeros(z.n)
+    out[nonempty] = np.add.reduceat(data, w.indptr[nonempty])
     dangling = out <= 0
     inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, out))
-    normalized = sp.csr_array(sp.diags_array(inv) @ w)
+    normalized = sp.csr_array((data * np.repeat(inv, counts), w.indices, w.indptr), shape=w.shape)
     return normalized, dangling
 
 

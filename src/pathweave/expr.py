@@ -27,6 +27,7 @@ keeps no tree alive.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import weakref
 from _weakref import _remove_dead_weakref
@@ -272,6 +273,15 @@ class Scale(_Unary):
     __slots__ = _scalars = ("coef",)
     _fields = ("coef", "child")
     _boolean = False
+
+    def __new__(cls, *args, **kwargs):
+        # a factor the kernel would refuse is refused here: `inf` prints as a
+        # name that does not parse, and `nan` (unequal to itself) defeats
+        # interning; a pattern's metavariable is not a number and passes
+        coef, child = _bind(cls, args, kwargs)
+        if isinstance(coef, numbers.Real) and not (math.isfinite(coef) and coef >= 0):
+            raise EvalError(f"scale factor must be a finite nonnegative real, got {float(coef)!r}")
+        return build(cls, (coef,), (child,))
 
 
 # a node's children, in order; attribute access is the hot path of every walk

@@ -12,6 +12,19 @@ A path matrix is a nonnegative real n x n matrix whose (i, j) entry counts
 Integer pipelines stay exact in int64 until a scale or merge introduces
 reals; float results drop entries below 1e-12 so that ``clip`` never flips
 on rounding noise.
+
+The representation contract: a stored CSR holds no duplicate (row, col)
+entries and no stored zeros, and its column order within a row is
+unspecified. The public constructors sum duplicates (which sorts) in what
+they are given. A kernel result is taken as its scipy routine left it: the
+sparse product (``csr_matmat``) and the entrywise routines (``csr_binop_csr``
+under ``+``, ``-`` and ``multiply``) emit no duplicates and no zeros, in an
+unspecified order when an operand is unsorted (Gustavson's product emits a
+row's columns in the order it first meets them); the CSC-to-CSR conversion
+of a transpose sorts as it goes. Order is sorted only where a caller sees
+it, in ``PathMatrix.entries`` and so in ``export_tsv``. The kernels avoid
+the scipy methods that canonicalise their operand on the way (``astype``,
+through ``sum_duplicates``): casts go through ``_as_dtype``.
 """
 
 from __future__ import annotations
@@ -36,16 +49,21 @@ _INT_SAFE_BOUND = float(2**62)
 _BAND_CELLS = 1 << 20
 
 
-def _canon(mat, prune: bool = True):
-    """Canonical CSR: summed duplicates, sorted indices, no stored zeros."""
-    mat = sp.csr_array(mat)
-    mat.sum_duplicates()
-    if prune and mat.dtype.kind == "f":
-        data = mat.data
-        data[np.abs(data) < ZERO_EPS] = 0.0
-    mat.eliminate_zeros()
-    mat.sort_indices()
-    return mat
+def _dropped(mat, drop):
+    """CSR `mat` without the stored entries at the ascending positions
+    `drop`, in new arrays and in `mat`'s order."""
+    keep = np.ones(mat.nnz, dtype=bool)
+    keep[drop] = False
+    indptr = mat.indptr - np.searchsorted(drop, mat.indptr).astype(mat.indptr.dtype)
+    return sp.csr_array((mat.data[keep], mat.indices[keep], indptr), shape=mat.shape)
+
+
+def _as_dtype(mat, dtype):
+    """CSR `mat` with its data cast to `dtype`, sharing its index arrays;
+    scipy's `astype` would also sum duplicates, sorting a copy of them."""
+    if mat.dtype == dtype:
+        return mat
+    return sp.csr_array((mat.data.astype(dtype), mat.indices, mat.indptr), shape=mat.shape)
 
 
 def _check_entries(mat):
@@ -63,22 +81,48 @@ class PathMatrix:
     ``complement=True``: the denoted value is all-ones minus ``mat``'s
     pattern; ``mat`` then stores exactly the positions holding zero, with
     data forced to int64 ones. Complements are only ever {0,1}-valued.
+
+    ``mat`` holds no duplicate entries and no stored zeros (float entries
+    below ``ZERO_EPS`` count as zeros); the order of the column indices in
+    a row is unspecified. ``PathMatrix(mat)`` accepts any square input and
+    sums its duplicates; kernels build their results with ``_result``,
+    which trusts the no-duplicates guarantee of the scipy routine that made
+    them and sorts nothing. ``entries`` (and so ``export_tsv``) sort.
     """
 
     __slots__ = ("n", "mat", "complement")
 
     def __init__(self, mat, complement: bool = False):
-        mat = _canon(mat)
+        mat = sp.csr_array(mat)
         rows, cols = mat.shape
         if rows != cols:
             raise EvalError(f"path matrix must be square, got {rows}x{cols}")
+        mat.sum_duplicates()
         if complement:
-            pattern = mat.copy()
-            pattern.data = np.ones(pattern.nnz, dtype=np.int64)
-            mat = pattern
+            mat = mat.copy()  # the pattern must not share the caller's arrays
+        self._adopt(mat, complement)
+
+    @classmethod
+    def _result(cls, mat, complement: bool = False) -> "PathMatrix":
+        """A kernel's result from a square `mat` without duplicate entries,
+        in any order, whose arrays nothing else holds."""
+        self = object.__new__(cls)
+        self._adopt(mat if type(mat) is sp.csr_array else sp.csr_array(mat), complement)
+        return self
+
+    def _adopt(self, mat, complement: bool):
+        """Hold CSR `mat`, less its zeros and float noise (into new arrays),
+        as entries or, with `complement`, as the pattern of zeros."""
+        data = mat.data
+        zero = np.abs(data) < ZERO_EPS if data.dtype.kind == "f" else data == 0
+        if zero.any():
+            mat = _dropped(mat, np.flatnonzero(zero))
+        if complement:
+            ones = np.ones(mat.nnz, dtype=np.int64)
+            mat = sp.csr_array((ones, mat.indices, mat.indptr), shape=mat.shape)
         else:
             _check_entries(mat)
-        self.n = rows
+        self.n = mat.shape[0]
         self.mat = mat
         self.complement = complement
 
@@ -101,6 +145,19 @@ class PathMatrix:
         tails = np.asarray(tails, dtype=np.int64)
         data = np.ones(tails.size, dtype=np.int64)
         return cls(sp.csr_array((data, (tails, np.asarray(heads, dtype=np.int64))), shape=(n, n)))
+
+    @classmethod
+    def _from_sorted_pairs(cls, n: int, tails, heads) -> "PathMatrix":
+        """The {0,1} matrix of (tail, head) id pairs that are sorted in
+        row-major order without repeats (an `EdgeSlice`'s): the heads are the
+        column indices as they stand, and each row spans its count of tails."""
+        idx_dtype = np.int32 if max(n, tails.size) < 2**31 else np.int64
+        indptr = np.zeros(n + 1, dtype=idx_dtype)
+        np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+        data = np.ones(tails.size, dtype=np.int64)
+        mat = sp.csr_array((data, heads.astype(idx_dtype), indptr), shape=(n, n))
+        mat.has_canonical_format = True
+        return cls._result(mat)
 
     @classmethod
     def from_dense(cls, arr, complement: bool = False) -> "PathMatrix":
@@ -162,8 +219,10 @@ class PathMatrix:
 
     def entries(self):
         """(tails, heads, values) of the nonzero denoted entries, as Python
-        lists in row-major order (canonical CSR is already sorted that way)."""
+        lists in row-major order; a copy of an unsorted CSR is sorted here."""
         mat = self.explicit()
+        if not mat.has_sorted_indices:
+            mat = mat.sorted_indices()
         tails = np.repeat(np.arange(self.n), np.diff(mat.indptr))
         return tails.tolist(), mat.indices.tolist(), mat.data.tolist()
 
@@ -230,18 +289,24 @@ def _int_checked(op, x, y, bound):
     sums cannot wrap; only past the safe range is op redone in float64."""
     if x.dtype.kind == "i" and y.dtype.kind == "i" and x.nnz and y.nnz:
         if bound(x, y) * (1.0 + 1e-9) >= _INT_SAFE_BOUND:
-            approx = op(x.astype(np.float64), y.astype(np.float64))
+            approx = op(_as_dtype(x, np.float64), _as_dtype(y, np.float64))
             if approx.nnz and float(np.abs(approx.data).max()) >= _INT_SAFE_BOUND:
                 raise EvalError("path counts exceed the 64-bit integer range")
     return op(x, y)
 
 
+def _max_row_sum(x) -> float:
+    """The largest row sum of a nonempty CSR `x`, accumulated in float64."""
+    starts = x.indptr[:-1][np.diff(x.indptr) > 0]
+    return float(np.add.reduceat(x.data, starts, dtype=np.float64).max())
+
+
 def _checked_matmul(x, y):
     """Sparse product: exact in int64 when both operands are, else float64."""
     if x.dtype.kind == "i" and y.dtype.kind == "i":
-        rowsum_bound = lambda x, y: float(x.astype(np.float64).sum(axis=1).max()) * y.data.max()
+        rowsum_bound = lambda x, y: _max_row_sum(x) * y.data.max()
         return _int_checked(operator.matmul, x, y, rowsum_bound)
-    return x.astype(np.float64) @ y.astype(np.float64)
+    return _as_dtype(x, np.float64) @ _as_dtype(y, np.float64)
 
 
 # -- the eight operations --------------------------------------------------
@@ -252,51 +317,63 @@ def matmul(a: PathMatrix, b: PathMatrix) -> PathMatrix:
     _same_order(a, b)
     n = a.n
     if not a.complement and not b.complement:
-        return PathMatrix(_checked_matmul(a.mat, b.mat))
+        return PathMatrix._result(_checked_matmul(a.mat, b.mat))
     if not a.complement and b.complement:
         # A . (1 - B) = rowsum(A) broadcast - A . B
         sums = np.asarray(a.mat.sum(axis=1)).ravel()
         rows = np.flatnonzero(sums)
         broadcast = _full_rows(rows, n, values=sums[rows])
-        prod = _checked_matmul(a.mat, b.mat.astype(a.mat.dtype))
-        return PathMatrix(broadcast.astype(prod.dtype) - prod)
+        prod = _checked_matmul(a.mat, _as_dtype(b.mat, a.mat.dtype))
+        return PathMatrix._result(_as_dtype(broadcast, prod.dtype) - prod)
     if a.complement and not b.complement:
         sums = np.asarray(b.mat.sum(axis=0)).ravel()
         cols = np.flatnonzero(sums)
         broadcast = _full_rows(cols, n, values=sums[cols]).T.tocsr()
-        prod = _checked_matmul(a.mat.astype(b.mat.dtype), b.mat)
-        return PathMatrix(sp.csr_array(broadcast) - prod)
+        prod = _checked_matmul(_as_dtype(a.mat, b.mat.dtype), b.mat)
+        return PathMatrix._result(sp.csr_array(broadcast) - prod)
     # (1 - A) . (1 - B): inherently dense; go through the guarded expansion.
     da = a.to_dense()
     db = b.to_dense()
-    return PathMatrix(sp.csr_array(da @ db))
+    return PathMatrix._result(da @ db)
 
 
 def transpose(a: PathMatrix) -> PathMatrix:
-    return PathMatrix(a.mat.T, complement=a.complement)
+    # the CSC-to-CSR conversion builds new, sorted arrays
+    return PathMatrix._result(a.mat.T, complement=a.complement)
 
 
 def hadamard(a: PathMatrix, b: PathMatrix) -> PathMatrix:
     """Entrywise product; the algebra's filter application."""
     _same_order(a, b)
     if a.complement and b.complement:
-        return PathMatrix(a.mat + b.mat, complement=True)
+        return PathMatrix._result(a.mat + b.mat, complement=True)
     if a.complement:
         a, b = b, a  # the entrywise product commutes
     if not b.complement:
         bound = lambda x, y: float(x.data.max()) * float(y.data.max())
-        return PathMatrix(_int_checked(lambda x, y: x.multiply(y), a.mat, b.mat, bound))
+        return PathMatrix._result(_int_checked(lambda x, y: x.multiply(y), a.mat, b.mat, bound))
     # A o (1 - B): drop A's entries that fall on B's pattern.
-    return PathMatrix(a.mat - a.mat.multiply(b.mat.astype(a.mat.dtype)))
+    x, pat = a.mat, b.mat
+    pat_rows = np.repeat(np.arange(a.n, dtype=pat.indices.dtype), np.diff(pat.indptr))
+    if np.array_equal(pat_rows, pat.indices):
+        # B's pattern lies on the diagonal (I, E(v,v) or part of them): one
+        # mask over A's arrays drops A's diagonal entries in B's rows
+        masked = np.zeros(a.n, dtype=bool)
+        masked[pat_rows] = True
+        rows = np.repeat(np.arange(a.n, dtype=x.indices.dtype), np.diff(x.indptr))
+        diag = np.flatnonzero(x.indices == rows)
+        diag = diag[masked[rows[diag]]]
+        return PathMatrix._result(_dropped(x, diag)) if diag.size else a
+    return PathMatrix._result(x - x.multiply(_as_dtype(pat, x.dtype)))
 
 
 def not_(a: PathMatrix) -> PathMatrix:
     """Boolean complement: swaps 0s and 1s. Defined on {0,1} matrices only."""
     if a.complement:
-        return PathMatrix(a.mat.copy())
+        return PathMatrix._result(a.mat.copy())
     if not a.is_boolean():
         raise EvalError("not requires a {0,1} matrix; apply clip first")
-    return PathMatrix(a.mat, complement=True)
+    return PathMatrix._result(a.mat.copy(), complement=True)
 
 
 def clip(a: PathMatrix) -> PathMatrix:
@@ -305,14 +382,14 @@ def clip(a: PathMatrix) -> PathMatrix:
         return a
     pat = a.mat.copy()
     pat.data = np.ones(pat.nnz, dtype=np.int64)
-    return PathMatrix(pat)
+    return PathMatrix._result(pat)
 
 
 def vertex_out(a: PathMatrix, p: int = 0) -> PathMatrix:
     """All-ones rows exactly where the (weighted) row sum exceeds p."""
     _check_threshold(p)
     rows = np.flatnonzero(_row_sums(a) > p)
-    return PathMatrix(_full_rows(rows, a.n))
+    return PathMatrix._result(_full_rows(rows, a.n))
 
 
 def vertex_in(a: PathMatrix, p: int = 0) -> PathMatrix:
@@ -336,7 +413,8 @@ def scale(a: PathMatrix, lam) -> PathMatrix:
     if lam == 0.0:
         return PathMatrix.zeros(a.n)
     base = a.explicit() if a.complement else a.mat
-    return PathMatrix(base.astype(np.float64) * lam)
+    # scipy's scalar product copies the index arrays
+    return PathMatrix._result(_as_dtype(base, np.float64) * lam)
 
 
 def add(a: PathMatrix, b: PathMatrix) -> PathMatrix:
@@ -345,10 +423,10 @@ def add(a: PathMatrix, b: PathMatrix) -> PathMatrix:
     x = a.explicit() if a.complement else a.mat
     y = b.explicit() if b.complement else b.mat
     if x.dtype.kind != y.dtype.kind:
-        x = x.astype(np.float64)
-        y = y.astype(np.float64)
+        x = _as_dtype(x, np.float64)
+        y = _as_dtype(y, np.float64)
     bound = lambda x, y: float(x.data.max()) + float(y.data.max())
-    return PathMatrix(_int_checked(operator.add, x, y, bound))
+    return PathMatrix._result(_int_checked(operator.add, x, y, bound))
 
 
 def materialize_filter(spec: FilterSpec, n: int) -> PathMatrix:

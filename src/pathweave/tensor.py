@@ -101,7 +101,7 @@ class EdgeSlice:
         return set(zip(self.tails.tolist(), self.heads.tolist()))
 
     def to_matrix(self) -> PathMatrix:
-        return PathMatrix.from_pairs(self.n, self.tails, self.heads)
+        return PathMatrix._from_sorted_pairs(self.n, self.tails, self.heads)
 
 
 class MultiRelTensor:

@@ -99,6 +99,17 @@ def test_non_finite_scale_factor_is_a_syntax_error(text, pos, capsys):
     assert out.out == "" and "out of range" in out.err
 
 
+@pytest.mark.parametrize("coef", [float("inf"), float("-inf"), float("nan"), -1.0, -2])
+def test_scale_refuses_a_factor_the_kernel_refuses(coef):
+    # `inf * A[x]` would print as a name that does not parse back, and a nan
+    # factor, unequal to itself, would be a new node at every call
+    x = SliceRef("x")
+    for make in (lambda: Scale(coef, x), lambda: Scale(child=x, coef=coef)):
+        with pytest.raises(PathweaveError, match="scale factor must be a finite nonnegative real"):
+            make()
+    assert Scale(0.0, x) is Scale(0, x)
+
+
 def test_precedence():
     # `.` tighter than `&` tighter than `+`
     tree = parse("A[a] . A[b] & A[c] + A[d]")

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from pathweave.errors import EvalError
+from pathweave.evaluate import evaluate
+from pathweave.expr import Hadamard, Not, parse
 from pathweave.kernels import (
     FilterSpec,
     PathMatrix,
@@ -19,7 +21,8 @@ from pathweave.kernels import (
 )
 
 from conftest import FIXTURE1_TRIPLES
-from oracles import count_typed_paths
+from oracles import count_typed_paths, dense_reference_eval
+from util import random_tensor
 
 
 def dense(pm):
@@ -253,30 +256,114 @@ def test_export_tsv(fixture1):
     assert text == "h1\th2\t1\nh2\th1\t1\n"
 
 
+def unsorted(arr):
+    """A path matrix equal to `arr` holding a raw scipy SpGEMM output: the
+    product by the identity emits each row's columns in reverse."""
+    pm = matmul(PathMatrix.from_dense(arr), PathMatrix.identity(len(arr)))
+    assert not pm.mat.has_sorted_indices  # the precondition: unsorted CSR
+    return pm
+
+
+def representation_ok(pm):
+    """A kernel result keeps the representation contract: no duplicate
+    (row, col) entries and no stored zeros; a complement stores ones."""
+    mat = pm.mat
+    rows = np.repeat(np.arange(pm.n), np.diff(mat.indptr))
+    keys = rows * pm.n + mat.indices
+    return (
+        np.unique(keys).size == keys.size
+        and np.all(mat.data != 0)
+        and (not pm.complement or np.all(mat.data == 1))
+    )
+
+
 def test_representation_transparency(rng):
-    """Kernel results agree entrywise whichever representation operands use."""
+    """Kernel results agree entrywise whichever representation operands use,
+    sorted or not, and keep the representation contract."""
     n = 6
     bools = [(rng.random((n, n)) < 0.4).astype(np.int64) for _ in range(4)]
+
+    def variants(arr):
+        return [
+            PathMatrix.from_dense(arr),
+            PathMatrix.from_dense(arr, complement=True),
+            unsorted(arr),
+            not_(unsorted(1 - arr)),  # a complement over an unsorted pattern
+        ]
+
+    def same(pm, want):
+        assert representation_ok(pm)
+        return np.array_equal(dense(pm), want)
+
     for arr in bools:
-        variants = [PathMatrix.from_dense(arr), PathMatrix.from_dense(arr, complement=True)]
         for other_arr in bools:
-            others = [
-                PathMatrix.from_dense(other_arr),
-                PathMatrix.from_dense(other_arr, complement=True),
-            ]
-            for a in variants:
-                for b in others:
-                    assert np.array_equal(dense(matmul(a, b)), arr.astype(float) @ other_arr)
-                    assert np.array_equal(dense(hadamard(a, b)), arr * other_arr)
-                    assert np.array_equal(dense(add(a, b)), arr + other_arr)
-        for a in variants:
-            assert np.array_equal(dense(transpose(a)), arr.T)
-            assert np.array_equal(dense(clip(a)), arr)
-            assert np.array_equal(dense(not_(a)), 1 - arr)
-            assert np.array_equal(dense(vertex_out(a, 1)), dense(vertex_out(variants[0], 1)))
-            assert np.array_equal(dense(vertex_in(a, 1)), dense(vertex_in(variants[0], 1)))
-            sc = dense(scale(a, 0.5))
-            assert np.allclose(sc, 0.5 * arr, rtol=1e-12, atol=0)
+            for a in variants(arr):
+                for b in variants(other_arr):
+                    assert same(matmul(a, b), arr.astype(float) @ other_arr)
+                    assert same(hadamard(a, b), arr * other_arr)
+                    assert same(add(a, b), arr + other_arr)
+        base = variants(arr)[0]
+        for a in variants(arr):
+            assert same(transpose(a), arr.T)
+            assert same(clip(a), arr)
+            assert same(not_(a), 1 - arr)
+            assert same(vertex_out(a, 1), dense(vertex_out(base, 1)))
+            assert same(vertex_in(a, 1), dense(vertex_in(base, 1)))
+            sc = scale(a, 0.5)
+            assert representation_ok(sc)
+            assert np.allclose(dense(sc), 0.5 * arr, rtol=1e-12, atol=0)
+
+
+# X, as written over a tensor with slices x and y; the products are raw
+# SpGEMM outputs, so their CSR indices are unsorted
+_MASKED = {
+    "int-sorted": "A[x]",
+    "int-unsorted": "A[x] . A[y]",
+    "float-sorted": "0.5 * A[x]",
+    "float-unsorted": "0.25 * (A[x] . A[y]) + 0.5 * (A[y] . A[x])",
+}
+# P, whose complement masks X: on the diagonal (the one-pass path), or not
+_MASKS = ["I", "E(v2,v2)", "clip(E(v1,v1) + E(v4,v4))", "E(v1,v3)"]
+
+
+@pytest.mark.parametrize("x_src", list(_MASKED))
+def test_hadamard_with_a_complemented_mask(x_src):
+    rng = np.random.default_rng(404)
+    t = random_tensor(rng, 6, labels=("x", "y"), density=0.5)
+    x_expr = parse(_MASKED[x_src])
+    x = evaluate(x_expr, t, use_plan=False)
+    assert x.dtype.kind == x_src[0] and x.mat.has_sorted_indices == x_src.endswith("-sorted")
+    assert np.count_nonzero(np.diag(dense(x))) >= 4  # the masks have diagonal entries to drop
+    before = [getattr(x.mat, f).copy() for f in ("data", "indices", "indptr")]
+    for p_src in _MASKS:
+        p_expr = parse(p_src)
+        mask = not_(evaluate(p_expr, t, use_plan=False))
+        want = dense_reference_eval(Hadamard(x_expr, Not(p_expr)), t)
+        for got in (hadamard(x, mask), hadamard(mask, x)):
+            assert got.dtype == x.dtype and representation_ok(got)
+            assert np.array_equal(got.to_dense(), want), p_src
+    for field, old in zip(("data", "indices", "indptr"), before):
+        assert np.array_equal(getattr(x.mat, field), old)  # the operand is untouched
+
+
+@pytest.mark.parametrize("x_src", ["int-unsorted", "float-unsorted"])
+def test_unsorted_product_renders_in_row_major_order(x_src):
+    rng = np.random.default_rng(405)
+    t = random_tensor(rng, 7, labels=("x", "y"), density=0.5)
+    e = parse(f"({_MASKED[x_src]}) & not(I)")
+    z = evaluate(e, t)
+    assert not z.mat.has_sorted_indices
+    stored = z.mat.indices.copy()
+    want = dense_reference_eval(e, t)
+    tails, heads = np.nonzero(want)
+    values = want[tails, heads].tolist()
+    assert z.entries() == (tails.tolist(), heads.tolist(), values)
+    names = t.vertices.names
+    if want.dtype.kind == "f":
+        values = [format(v, ".12g") for v in values]
+    rendered = "".join(f"{names[i]}\t{names[j]}\t{w}\n" for i, j, w in zip(tails, heads, values))
+    assert export_tsv(z, names) == rendered
+    assert np.array_equal(z.mat.indices, stored)  # rendering sorted a copy
 
 
 @pytest.mark.parametrize(
