@@ -154,7 +154,8 @@ class _Node:
     them are scalars (`_scalars`, one run before or after the children) and
     their defaults (`_defaults`). The other fields are the children, in
     order, each readable by its name. A constructor call binds its
-    arguments to the fields and builds the node through `build`."""
+    arguments to the fields, lets the type refuse its scalars
+    (`_check_scalars`) and builds the node through `build`."""
 
     __slots__ = ("_kids", "_key", "_cost", "__weakref__")
     _fields: tuple = ()
@@ -165,6 +166,9 @@ class _Node:
     # boolean where `_boolean_kids` is set (Hadamard, Transpose)
     _boolean = True
     _boolean_kids = False
+    # refuses a constructor call's scalar values, in order, that a type
+    # cannot hold; `build` does not call it
+    _check_scalars = None
 
     def __init_subclass__(cls):
         kids = tuple(f for f in cls._fields if f not in cls._scalars)
@@ -183,7 +187,10 @@ class _Node:
     def __new__(cls, *args, **kwargs):
         if kwargs or len(args) != len(cls._fields):
             args = _bind(cls, args, kwargs)
-        return build(cls, args[cls._scalar_run], args[cls._kid_run])
+        scalars = args[cls._scalar_run]
+        if cls._check_scalars is not None:
+            cls._check_scalars(*scalars)
+        return build(cls, scalars, args[cls._kid_run])
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -274,14 +281,13 @@ class Scale(_Unary):
     _fields = ("coef", "child")
     _boolean = False
 
-    def __new__(cls, *args, **kwargs):
+    @staticmethod
+    def _check_scalars(coef):
         # a factor the kernel would refuse is refused here: `inf` prints as a
         # name that does not parse, and `nan` (unequal to itself) defeats
         # interning; a pattern's metavariable is not a number and passes
-        coef, child = _bind(cls, args, kwargs)
         if isinstance(coef, numbers.Real) and not (math.isfinite(coef) and coef >= 0):
             raise EvalError(f"scale factor must be a finite nonnegative real, got {float(coef)!r}")
-        return build(cls, (coef,), (child,))
 
 
 # a node's children, in order; attribute access is the hot path of every walk

@@ -141,16 +141,11 @@ class PathMatrix:
         return cls(sp.eye_array(n, dtype=np.int64, format="csr"))
 
     @classmethod
-    def from_pairs(cls, n: int, tails, heads) -> "PathMatrix":
-        tails = np.asarray(tails, dtype=np.int64)
-        data = np.ones(tails.size, dtype=np.int64)
-        return cls(sp.csr_array((data, (tails, np.asarray(heads, dtype=np.int64))), shape=(n, n)))
-
-    @classmethod
     def _from_sorted_pairs(cls, n: int, tails, heads) -> "PathMatrix":
         """The {0,1} matrix of (tail, head) id pairs that are sorted in
-        row-major order without repeats (an `EdgeSlice`'s): the heads are the
-        column indices as they stand, and each row spans its count of tails."""
+        row-major order without repeats (an `EdgeSlice`'s, or an entry
+        filter's one pair): the heads are the column indices as they stand,
+        and each row spans its count of tails."""
         idx_dtype = np.int32 if max(n, tails.size) < 2**31 else np.int64
         indptr = np.zeros(n + 1, dtype=idx_dtype)
         np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
@@ -439,7 +434,7 @@ def materialize_filter(spec: FilterSpec, n: int) -> PathMatrix:
     if spec.kind == "col":
         return PathMatrix(_full_rows(np.array([spec.i]), n).T)
     if spec.kind == "entry":
-        return PathMatrix.from_pairs(n, [spec.i], [spec.j])
+        return PathMatrix._from_sorted_pairs(n, np.array([spec.i]), np.array([spec.j]))
     if spec.kind == "identity":
         return PathMatrix.identity(n)
     if spec.kind == "ones":
