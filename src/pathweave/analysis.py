@@ -98,6 +98,15 @@ def shortest_paths(z: PathMatrix) -> GeodesicResult:
     )
 
 
+def _row_sums(w) -> np.ndarray:
+    """The out-weight of each row of CSR `w`, summed in float64 (an int64
+    sum of path counts could wrap)."""
+    nonempty = np.flatnonzero(np.diff(w.indptr))
+    out = np.zeros(w.shape[0])
+    out[nonempty] = np.add.reduceat(w.data, w.indptr[nonempty], dtype=np.float64)
+    return out
+
+
 def _row_normalized(z: PathMatrix):
     """Row-stochastic rescaling of z; returns (matrix, dangling row mask).
 
@@ -105,14 +114,11 @@ def _row_normalized(z: PathMatrix):
     each row's data divided by the row's weighted out-sum. It is only ever
     read, so sharing the arrays is safe."""
     w = z.explicit()
-    data = w.data.astype(np.float64, copy=False)
-    counts = np.diff(w.indptr)
-    nonempty = np.flatnonzero(counts)
-    out = np.zeros(z.n)
-    out[nonempty] = np.add.reduceat(data, w.indptr[nonempty])
+    out = _row_sums(w)
     dangling = out <= 0
     inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, out))
-    normalized = sp.csr_array((data * np.repeat(inv, counts), w.indices, w.indptr), shape=w.shape)
+    data = w.data.astype(np.float64, copy=False) * np.repeat(inv, np.diff(w.indptr))
+    normalized = sp.csr_array((data, w.indices, w.indptr), shape=w.shape)
     return normalized, dangling
 
 
@@ -187,19 +193,23 @@ def spreading_activation(
     return acc
 
 
-def _entries(z: PathMatrix):
-    """The explicit CSR of z; raises when z has no entries."""
+def _weights(z: PathMatrix):
+    """(w, rows, cols): the explicit CSR of z with float64 data over z's
+    index arrays, and its row and column sums. Raises when z has no entries.
+    Weights are summed in float64, since an int64 sum of path counts could
+    wrap; casting the data once costs less than a cast in each reduction."""
     mat = z.explicit()
     if mat.nnz == 0:
         raise AnalysisError("empty path matrix")
-    return mat
+    data = mat.data.astype(np.float64, copy=False)
+    w = sp.csr_array((data, mat.indices, mat.indptr), shape=mat.shape)
+    return w, _row_sums(w), w.T @ np.ones(z.n)
 
 
-def _property_values(values, n):
-    vals = np.asarray(values)
-    if vals.shape != (n,):
-        raise AnalysisError(f"property must supply one value per vertex ({n})")
-    return vals
+def _on_paths(w, cols):
+    """The vertices that start or end an entry of CSR `w`, whose column sums
+    are `cols` (every entry is positive)."""
+    return (np.diff(w.indptr) > 0) | (cols != 0)
 
 
 def assortativity_scalar(z: PathMatrix, values) -> float:
@@ -207,21 +217,36 @@ def assortativity_scalar(z: PathMatrix, values) -> float:
 
     Each nonzero entry is one path whose weight is its fraction of the total
     path weight; on a unit-weight boolean matrix this reduces to the
-    ordinary edge-list correlation.
+    ordinary edge-list correlation. Values must be numbers; a vertex that
+    starts or ends no path may hold NaN. The sums over paths are taken per
+    vertex: with out-weights r and in-weights c (the row and column sums of
+    W) and total T, the means are r.v/T and c.v/T, the variances are
+    r.(v - mj)^2/T and c.(v - mk)^2/T, and the covariance is the one
+    product (v - mj).W(v - mk)/T, so each entry of W is read once.
     """
-    coo = _entries(z).tocoo()
-    weights = coo.data.astype(np.float64)
-    vals = _property_values(values, z.n).astype(np.float64)
-    jv = vals[coo.row]
-    kv = vals[coo.col]
-    if not np.isfinite(jv).all() or not np.isfinite(kv).all():
+    w, rows, cols = _weights(z)
+    n = z.n
+    try:
+        vals = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise AnalysisError(f"scalar property values must be numbers: {err}") from None
+    if vals.shape != (n,):
+        raise AnalysisError(f"property must supply one value per vertex ({n})")
+    on_path = _on_paths(w, cols)
+    if not np.isfinite(vals[on_path]).all():
         raise AnalysisError("scalar property missing (non-finite) on a path endpoint")
-    total = weights.sum()
-    mj = (weights * jv).sum() / total
-    mk = (weights * kv).sum() / total
-    cov_jk = (weights * (jv - mj) * (kv - mk)).sum() / total
-    cov_jj = (weights * (jv - mj) ** 2).sum() / total
-    cov_kk = (weights * (kv - mk) ** 2).sum() / total
+    # 0 * NaN is NaN: values off every path must not reach the products
+    vals = np.where(on_path, vals, 0.0)
+    # numpy's pairwise sums, not BLAS dots: on a 5M-entry matrix a dot
+    # left r 21 ulps from an 80-bit sum, these at most 5
+    total = rows.sum()
+    mj = (rows * vals).sum() / total
+    mk = (cols * vals).sum() / total
+    dj = vals - mj
+    dk = vals - mk
+    cov_jj = (rows * dj * dj).sum() / total
+    cov_kk = (cols * dk * dk).sum() / total
+    cov_jk = (dj * (w @ dk)).sum() / total
     if cov_jj <= _TINY or cov_kk <= _TINY:
         raise AnalysisError("degenerate property: zero variance on tails or heads")
     return float(cov_jk / np.sqrt(cov_jj * cov_kk))
@@ -235,8 +260,9 @@ def assortativity_categorical(z: PathMatrix, labels) -> float:
     of e): r = (sum_a e_aa - sum_a i_a j_a) / (1 - sum_a i_a j_a) (Newman
     2003), and r = 1 iff all weight stays within categories. Labels are
     categories under Python equality; None marks a vertex without one, which
-    may not end a path."""
-    mat = _entries(z)
+    may not end a path. i and j are summed from each vertex's out- and
+    in-weight, and e_aa from one same-category test per entry."""
+    w, rows, cols = _weights(z)
     labels = list(labels)
     n = z.n
     if len(labels) != n:
@@ -244,18 +270,17 @@ def assortativity_categorical(z: PathMatrix, labels) -> float:
     category: dict = {}
     codes = np.fromiter((category.setdefault(a, len(category)) for a in labels), np.int64, n)
     missing = np.fromiter((a is None for a in labels), bool, n)
-    out_degree = np.diff(mat.indptr)
-    if missing[out_degree > 0].any() or missing[mat.indices].any():
+    if missing[_on_paths(w, cols)].any():
         raise AnalysisError("categorical property missing on a path endpoint")
     # Per-category sums rather than the k x k matrix e, which would be
     # quadratic in the number of distinct labels.
-    tail = np.repeat(codes, out_degree)
-    head = codes[mat.indices]
-    tail_weight = np.bincount(tail, weights=mat.data, minlength=len(category))
+    tail_weight = np.bincount(codes, weights=rows, minlength=len(category))
+    head_weight = np.bincount(codes, weights=cols, minlength=len(category))
     total = tail_weight.sum()
-    head_weight = np.bincount(head, weights=mat.data, minlength=len(category))
     s = float((tail_weight / total) @ (head_weight / total))
     if 1.0 - s <= 1e-12:
         raise AnalysisError("degenerate: one category")
-    inside = float(mat.data[tail == head].sum(dtype=np.float64)) / total
+    c = codes.astype(np.min_scalar_type(len(category) - 1))
+    same = np.repeat(c, np.diff(w.indptr)) == c[w.indices]
+    inside = float(w.data[same].sum()) / total
     return float((inside - s) / (1.0 - s))

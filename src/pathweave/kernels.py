@@ -84,8 +84,9 @@ class PathMatrix:
 
     ``mat`` holds no duplicate entries and no stored zeros (float entries
     below ``ZERO_EPS`` count as zeros); the order of the column indices in
-    a row is unspecified. ``PathMatrix(mat)`` accepts any square input and
-    sums its duplicates; kernels build their results with ``_result``,
+    a row is unspecified. ``PathMatrix(mat)`` accepts any square input,
+    copies it (so it neither changes nor shares a caller's arrays) and sums
+    its duplicates; kernels build their results with ``_result``,
     which trusts the no-duplicates guarantee of the scipy routine that made
     them and sorts nothing. ``entries`` (and so ``export_tsv``) sort.
     """
@@ -93,13 +94,12 @@ class PathMatrix:
     __slots__ = ("n", "mat", "complement")
 
     def __init__(self, mat, complement: bool = False):
-        mat = sp.csr_array(mat)
+        # summing duplicates sorts in place: never in a caller's arrays
+        mat = sp.csr_array(mat, copy=True)
         rows, cols = mat.shape
         if rows != cols:
             raise EvalError(f"path matrix must be square, got {rows}x{cols}")
         mat.sum_duplicates()
-        if complement:
-            mat = mat.copy()  # the pattern must not share the caller's arrays
         self._adopt(mat, complement)
 
     @classmethod
@@ -130,15 +130,15 @@ class PathMatrix:
 
     @classmethod
     def zeros(cls, n: int) -> "PathMatrix":
-        return cls(sp.csr_array((n, n), dtype=np.int64))
+        return cls._result(sp.csr_array((n, n), dtype=np.int64))
 
     @classmethod
     def ones(cls, n: int) -> "PathMatrix":
-        return cls(sp.csr_array((n, n), dtype=np.int64), complement=True)
+        return cls._result(sp.csr_array((n, n), dtype=np.int64), complement=True)
 
     @classmethod
     def identity(cls, n: int) -> "PathMatrix":
-        return cls(sp.eye_array(n, dtype=np.int64, format="csr"))
+        return cls._result(sp.eye_array(n, dtype=np.int64, format="csr"))
 
     @classmethod
     def _from_sorted_pairs(cls, n: int, tails, heads) -> "PathMatrix":
@@ -430,9 +430,9 @@ def materialize_filter(spec: FilterSpec, n: int) -> PathMatrix:
         if idx is not None and not (0 <= idx < n):
             raise EvalError(f"filter index {idx} out of range for order {n}")
     if spec.kind == "row":
-        return PathMatrix(_full_rows(np.array([spec.i]), n))
+        return PathMatrix._result(_full_rows(np.array([spec.i]), n))
     if spec.kind == "col":
-        return PathMatrix(_full_rows(np.array([spec.i]), n).T)
+        return PathMatrix._result(_full_rows(np.array([spec.i]), n).T)
     if spec.kind == "entry":
         return PathMatrix._from_sorted_pairs(n, np.array([spec.i]), np.array([spec.j]))
     if spec.kind == "identity":

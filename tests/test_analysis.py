@@ -13,7 +13,7 @@ from pathweave.analysis import (
     spreading_activation,
 )
 from pathweave.errors import AnalysisError
-from pathweave.kernels import PathMatrix, matmul, transpose
+from pathweave.kernels import PathMatrix, matmul, not_, transpose
 
 from oracles import (
     categorical_r,
@@ -314,6 +314,85 @@ def test_scalar_errors():
     z[0, 1] = 1
     with pytest.raises(AnalysisError, match="degenerate"):
         assortativity_scalar(pm(z), np.ones(3))
+
+
+def test_scalar_values_must_be_numbers():
+    z = np.zeros((3, 3), dtype=np.int64)
+    z[0, 1] = z[1, 2] = 1
+    for values in (["a", "b", "c"], [{}, 1.0, 2.0]):
+        with pytest.raises(AnalysisError, match="numbers"):
+            assortativity_scalar(pm(z), values)
+
+
+def _entry_list(z):
+    """(i, j, w) per nonzero entry, with Python numbers as weights so that
+    the oracles' sums cannot wrap."""
+    return [(i, j, z[i, j].item()) for i, j in zip(*np.nonzero(z))]
+
+
+# Vertex 3 only starts paths, vertex 4 only ends them, vertex 5 is on none.
+_ENDPOINTS = np.zeros((6, 6))
+_ENDPOINTS[0, 1], _ENDPOINTS[1, 2], _ENDPOINTS[2, 0] = 2.0, 1.0, 3.0
+_ENDPOINTS[3, 1], _ENDPOINTS[2, 4], _ENDPOINTS[1, 0] = 0.5, 1.5, 1.0
+_VALUES = [0.3, 1.7, 2.2, 4.1, 9.9, 5.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("vertex", [3, 4], ids=["tail", "head"])
+def test_scalar_non_finite_value_on_endpoint_raises(vertex, bad):
+    values = list(_VALUES)
+    values[vertex] = bad
+    with pytest.raises(AnalysisError, match="missing"):
+        assortativity_scalar(pm(_ENDPOINTS), values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scalar_non_finite_value_off_every_path_is_accepted(bad):
+    values = list(_VALUES)
+    want = weighted_scalar_r(_entry_list(_ENDPOINTS), values, values)
+    values[5] = bad
+    got = assortativity_scalar(pm(_ENDPOINTS), values)
+    assert got == pytest.approx(want, abs=1e-12)
+    assert got == pytest.approx(assortativity_scalar(pm(_ENDPOINTS), _VALUES), abs=1e-12)
+
+
+def _both_match_oracles(z, matrix, values, labels):
+    entries = _entry_list(z)
+    got = assortativity_scalar(matrix, values)
+    assert got == pytest.approx(weighted_scalar_r(entries, values, values), abs=1e-12)
+    got = assortativity_categorical(matrix, labels)
+    assert got == pytest.approx(categorical_r(entries, labels, labels), abs=1e-12)
+
+
+def test_coefficients_read_unsorted_and_complement_matrices(rng):
+    checked = 0
+    while checked < 30:
+        n = 7
+        z = random_digraph(rng, n, density=0.5, weighted=True)
+        b = random_digraph(rng, n, density=0.6)
+        values = (rng.random(n) * 10).tolist()
+        labels = [("a", "b", "c")[k] for k in rng.integers(0, 3, size=n)]
+        if any(len({labels[i] for i in np.flatnonzero(m.any(0) | m.any(1))}) < 2 for m in (z, b)):
+            continue  # one category on the paths: degenerate
+        # the product by the identity emits each row's columns in reverse
+        unsorted = matmul(pm(z), PathMatrix.identity(n))
+        assert not unsorted.mat.has_sorted_indices
+        _both_match_oracles(z, unsorted, values, labels)
+        complement = not_(pm(1 - b))
+        assert complement.complement
+        _both_match_oracles(b, complement, values, labels)
+        checked += 1
+
+
+def test_coefficients_sum_huge_counts_in_float():
+    # within category x, the int64 sum of the weights would wrap past 2**63
+    big = 2**62 + 2**61
+    z = np.zeros((4, 4), dtype=np.int64)
+    z[0, 1], z[1, 0], z[0, 0] = big, big - 7, big + 3
+    z[2, 3], z[3, 2], z[1, 2] = 5, 2**40, 2**62
+    inside = z[:2, :2].ravel()
+    assert int(inside.sum()) != sum(inside.tolist())  # the wrap the coefficients must not make
+    _both_match_oracles(z, pm(z), [1.0, 2.5, 3.0, 7.0], ["x", "x", "y", "y"])
 
 
 def test_categorical_within_one_of_two_categories():

@@ -171,6 +171,33 @@ def test_assort_categorical(tmp_path, capsys):
     assert out == "#r\t1\n"
 
 
+def test_assort_scalar_needs_values_only_on_paths(tmp_path, capsys):
+    import numpy as np
+
+    from pathweave.analysis import assortativity_scalar
+    from pathweave.kernels import PathMatrix
+
+    graph = tmp_path / "g.tsv"
+    graph.write_text(
+        "h1\tauthored\ta1\nh2\tauthored\ta1\nh3\tauthored\ta1\n"
+        "h2\tauthored\ta2\nh3\tauthored\ta2\n"
+    )
+    argv = ["assort", "--graph", str(graph), "--expr", "A[authored] . A[authored]' & not(I)"]
+    props = tmp_path / "p.tsv"
+    # a1 and a2 have no value, and start and end no coauthor path
+    props.write_text("h1\t0\nh2\t1\nh3\t1\n")
+    code, out, err = run(argv + ["--property", str(props), "--kind", "scalar"], capsys)
+    coauthors = np.array([[0, 1, 1], [1, 0, 2], [1, 2, 0]])
+    r = assortativity_scalar(PathMatrix.from_dense(coauthors), [0.0, 1.0, 1.0])
+    assert (code, err) == (0, "")
+    assert out == f"#r\t{format(r, '.12g')}\n" == "#r\t-0.333333333333\n"
+    # h3 ends (and starts) paths
+    props.write_text("h1\t0\nh2\t1\n")
+    code, out, err = run(argv + ["--property", str(props), "--kind", "scalar"], capsys)
+    assert (code, out) == (1, "")
+    assert "missing" in err and "Traceback" not in err
+
+
 def test_load_check_reports_signature(tmp_path, graph_file, capsys):
     sigs = tmp_path / "sigs.tsv"
     sigs.write_text("authored\tH\tA\ncites\tA\tA\ncontains\tJ\tA\ncategory\tJ\tS\n")

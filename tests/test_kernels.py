@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pathweave.errors import EvalError
 from pathweave.evaluate import evaluate
@@ -36,6 +37,24 @@ def as_ids(fixture1, counts):
     for (t, h), c in counts.items():
         out[ids[t], ids[h]] = c
     return out
+
+
+@pytest.mark.parametrize("container", [sp.csr_array, sp.csr_matrix])
+def test_constructor_neither_changes_nor_shares_the_callers_arrays(container):
+    # row 0 holds columns 2, 0, 1, 0: unsorted, with (0, 0) twice
+    m = container(
+        (np.array([1, 2, 3, 4]), np.array([2, 0, 1, 0]), np.array([0, 4, 4, 4])), shape=(3, 3)
+    )
+    fields = ("indptr", "indices", "data")
+    before = [getattr(m, f).copy() for f in fields]
+    p = PathMatrix(m)
+    want = np.array([[6, 3, 1], [0, 0, 0], [0, 0, 0]])
+    assert np.array_equal(p.to_dense(), want)
+    for f, old in zip(fields, before):
+        assert np.array_equal(getattr(m, f), old), f
+    m.data[:] = 9  # a later write to the caller's arrays
+    m.indices[:] = 1
+    assert np.array_equal(p.to_dense(), want)
 
 
 def test_matmul_typed_two_step(fixture1):
