@@ -6,7 +6,12 @@ a positive (i, j) entry gives the shortest path length, which breadth-first
 traversal computes directly). Rank and diffusion algorithms row-normalize
 by weighted out-sums. Mixing coefficients treat each nonzero entry as one
 path carrying its aggregated weight, so all weights enter as fractions and
-the results are invariant under uniform rescaling of the matrix.
+the results are invariant under uniform rescaling of the matrix. They are
+summed per vertex, from its out- and in-weight (the row and column sums),
+plus one sparse matrix-vector product for the scalar coefficient and one
+same-category test per entry for the categorical one, so each entry is
+read once. Weights are summed in float64 (integer counts are cast once),
+since an int64 sum of path counts could wrap.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import AnalysisError
-from .kernels import DENSIFY_LIMIT, PathMatrix, clip
+from .kernels import DENSIFY_LIMIT, PathMatrix, _as_dtype, clip
 
 _TINY = 1e-300
 
@@ -99,11 +104,10 @@ def shortest_paths(z: PathMatrix) -> GeodesicResult:
 
 
 def _row_sums(w) -> np.ndarray:
-    """The out-weight of each row of CSR `w`, summed in float64 (an int64
-    sum of path counts could wrap)."""
+    """The out-weight of each row of a CSR `w` with float64 data."""
     nonempty = np.flatnonzero(np.diff(w.indptr))
     out = np.zeros(w.shape[0])
-    out[nonempty] = np.add.reduceat(w.data, w.indptr[nonempty], dtype=np.float64)
+    out[nonempty] = np.add.reduceat(w.data, w.indptr[nonempty])
     return out
 
 
@@ -113,11 +117,11 @@ def _row_normalized(z: PathMatrix):
     The matrix is a float64 CSR over z's own index arrays, in z's order:
     each row's data divided by the row's weighted out-sum. It is only ever
     read, so sharing the arrays is safe."""
-    w = z.explicit()
+    w = _as_dtype(z.explicit(), np.float64)
     out = _row_sums(w)
     dangling = out <= 0
     inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, out))
-    data = w.data.astype(np.float64, copy=False) * np.repeat(inv, np.diff(w.indptr))
+    data = w.data * np.repeat(inv, np.diff(w.indptr))
     normalized = sp.csr_array((data, w.indices, w.indptr), shape=w.shape)
     return normalized, dangling
 
@@ -196,13 +200,11 @@ def spreading_activation(
 def _weights(z: PathMatrix):
     """(w, rows, cols): the explicit CSR of z with float64 data over z's
     index arrays, and its row and column sums. Raises when z has no entries.
-    Weights are summed in float64, since an int64 sum of path counts could
-    wrap; casting the data once costs less than a cast in each reduction."""
+    Casting the data once costs less than a cast in each reduction."""
     mat = z.explicit()
     if mat.nnz == 0:
         raise AnalysisError("empty path matrix")
-    data = mat.data.astype(np.float64, copy=False)
-    w = sp.csr_array((data, mat.indices, mat.indptr), shape=mat.shape)
+    w = _as_dtype(mat, np.float64)
     return w, _row_sums(w), w.T @ np.ones(z.n)
 
 
