@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from pathweave.analysis import assortativity_scalar
 from pathweave.cli import main
+from pathweave.kernels import PathMatrix
 
 from conftest import FIXTURE1_TRIPLES
 
@@ -172,11 +175,6 @@ def test_assort_categorical(tmp_path, capsys):
 
 
 def test_assort_scalar_needs_values_only_on_paths(tmp_path, capsys):
-    import numpy as np
-
-    from pathweave.analysis import assortativity_scalar
-    from pathweave.kernels import PathMatrix
-
     graph = tmp_path / "g.tsv"
     graph.write_text(
         "h1\tauthored\ta1\nh2\tauthored\ta1\nh3\tauthored\ta1\n"
