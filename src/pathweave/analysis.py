@@ -10,8 +10,9 @@ the results are invariant under uniform rescaling of the matrix. They are
 summed per vertex, from its out- and in-weight (the row and column sums),
 plus one sparse matrix-vector product for the scalar coefficient and one
 same-category test per entry for the categorical one, so each entry is
-read once. Weights are summed in float64 (integer counts are cast once),
-since an int64 sum of path counts could wrap.
+read once. Row and column sums come from ``kernels._row_sums`` and
+``kernels._col_sums``, in float64 (integer counts are cast once), since an
+int64 sum of path counts could wrap.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import AnalysisError
-from .kernels import DENSIFY_LIMIT, PathMatrix, _as_dtype, clip
+from .kernels import DENSIFY_LIMIT, PathMatrix, _as_dtype, _col_sums, _row_sums, clip
 
 _TINY = 1e-300
 
@@ -54,7 +55,7 @@ class PageRankConfig:
     def __post_init__(self):
         if not (0.0 < self.delta <= 1.0):
             raise AnalysisError(f"delta must be in (0, 1], got {self.delta}")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # NaN too
             raise AnalysisError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_iters < 1:
             raise AnalysisError("max_iters must be at least 1")
@@ -101,14 +102,6 @@ def shortest_paths(z: PathMatrix) -> GeodesicResult:
         closeness=close,
         reach_counts=reach.astype(np.int64),
     )
-
-
-def _row_sums(w) -> np.ndarray:
-    """The out-weight of each row of a CSR `w` with float64 data."""
-    nonempty = np.flatnonzero(np.diff(w.indptr))
-    out = np.zeros(w.shape[0])
-    out[nonempty] = np.add.reduceat(w.data, w.indptr[nonempty])
-    return out
 
 
 def _row_normalized(z: PathMatrix):
@@ -180,8 +173,8 @@ def spreading_activation(
         raise AnalysisError("steps must be nonnegative")
     if not (0.0 <= decay <= 1.0):
         raise AnalysisError(f"decay must be in [0, 1], got {decay}")
-    if threshold < 0:
-        raise AnalysisError("threshold must be nonnegative")
+    if not threshold >= 0:  # NaN too
+        raise AnalysisError(f"threshold must be nonnegative, got {threshold}")
     seed = np.asarray(seed, dtype=np.float64)
     if seed.shape != (z.n,):
         raise AnalysisError(f"seed must have length {z.n}")
@@ -205,7 +198,7 @@ def _weights(z: PathMatrix):
     if mat.nnz == 0:
         raise AnalysisError("empty path matrix")
     w = _as_dtype(mat, np.float64)
-    return w, _row_sums(w), w.T @ np.ones(z.n)
+    return w, _row_sums(w), _col_sums(w)
 
 
 def _on_paths(w, cols):

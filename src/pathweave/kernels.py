@@ -13,6 +13,17 @@ Integer pipelines stay exact in int64 until a scale or merge introduces
 reals; float results drop entries below 1e-12 so that ``clip`` never flips
 on rounding noise.
 
+One overflow rule covers every int64 kernel (``_int_checked``): a float64
+bound on the result's entries (from the operands' largest entries, or the
+largest row or column sum of the uncomplemented operand in a mixed
+product ``A . not(B)`` or ``not(A) . B``). Below 2**62 the kernel runs in
+int64. At or above it the kernel is redone in float64, and raises
+``EvalError`` only if a result entry reaches 2**62; otherwise the int64
+result, exact modulo 2**64, is the true one. Row and column sums come from
+``_row_sums`` and ``_col_sums`` alone, in float64, which cannot wrap. Only a
+mixed product sums in int64, for the exact value it broadcasts, since a
+float64 sum is exact only below 2**53.
+
 The representation contract: a stored CSR holds no duplicate (row, col)
 entries and no stored zeros, and its column order within a row is
 unspecified. The public constructors sum duplicates (which sorts) in what
@@ -255,11 +266,19 @@ def _same_order(a: PathMatrix, b: PathMatrix):
         raise EvalError(f"dimension mismatch: {a.n} vs {b.n}")
 
 
-def _row_sums(a: PathMatrix) -> np.ndarray:
-    if a.complement:
-        counts = np.diff(a.mat.indptr)
-        return (a.n - counts).astype(np.float64)
-    return np.asarray(a.mat.sum(axis=1)).ravel().astype(np.float64)
+def _row_sums(mat, dtype=np.float64) -> np.ndarray:
+    """Each row's sum of CSR `mat`, accumulated in `dtype`: one reduction
+    over the non-empty rows' spans of the data."""
+    nonempty = np.flatnonzero(np.diff(mat.indptr))
+    out = np.zeros(mat.shape[0], dtype=dtype)
+    out[nonempty] = np.add.reduceat(mat.data, mat.indptr[nonempty], dtype=dtype)
+    return out
+
+
+def _col_sums(mat, dtype=np.float64) -> np.ndarray:
+    """Each column's sum of CSR `mat`, accumulated in `dtype`: one
+    transposed matrix-vector product."""
+    return mat.T @ np.ones(mat.shape[0], dtype=dtype)
 
 
 def _full_rows(rows: np.ndarray, n: int, values=None) -> sp.csr_array:
@@ -280,9 +299,11 @@ def _full_rows(rows: np.ndarray, n: int, values=None) -> sp.csr_array:
 
 def _int_checked(op, x, y, bound):
     """op(x, y) on CSR operands; int64 pipelines detect (rather than wrap on)
-    overflow. `bound(x, y)` caps the result's entries in float64, where int64
-    sums cannot wrap; only past the safe range is op redone in float64."""
-    if x.dtype.kind == "i" and y.dtype.kind == "i" and x.nnz and y.nnz:
+    overflow. `bound(x, y)` caps the result's entries in float64, where sums
+    cannot wrap; only past the safe range is op redone in float64. If no
+    entry reaches it there, op's int64 result, exact modulo 2**64, is the
+    true one."""
+    if x.dtype.kind == "i" and y.dtype.kind == "i":
         if bound(x, y) * (1.0 + 1e-9) >= _INT_SAFE_BOUND:
             approx = op(_as_dtype(x, np.float64), _as_dtype(y, np.float64))
             if approx.nnz and float(np.abs(approx.data).max()) >= _INT_SAFE_BOUND:
@@ -290,16 +311,10 @@ def _int_checked(op, x, y, bound):
     return op(x, y)
 
 
-def _max_row_sum(x) -> float:
-    """The largest row sum of a nonempty CSR `x`, accumulated in float64."""
-    starts = x.indptr[:-1][np.diff(x.indptr) > 0]
-    return float(np.add.reduceat(x.data, starts, dtype=np.float64).max())
-
-
 def _checked_matmul(x, y):
     """Sparse product: exact in int64 when both operands are, else float64."""
     if x.dtype.kind == "i" and y.dtype.kind == "i":
-        rowsum_bound = lambda x, y: _max_row_sum(x) * y.data.max()
+        rowsum_bound = lambda x, y: _row_sums(x).max(initial=0) * y.data.max(initial=0)
         return _int_checked(operator.matmul, x, y, rowsum_bound)
     return _as_dtype(x, np.float64) @ _as_dtype(y, np.float64)
 
@@ -314,18 +329,23 @@ def matmul(a: PathMatrix, b: PathMatrix) -> PathMatrix:
     if not a.complement and not b.complement:
         return PathMatrix._result(_checked_matmul(a.mat, b.mat))
     if not a.complement and b.complement:
-        # A . (1 - B) = rowsum(A) broadcast - A . B
-        sums = np.asarray(a.mat.sum(axis=1)).ravel()
-        rows = np.flatnonzero(sums)
-        broadcast = _full_rows(rows, n, values=sums[rows])
-        prod = _checked_matmul(a.mat, _as_dtype(b.mat, a.mat.dtype))
-        return PathMatrix._result(_as_dtype(broadcast, prod.dtype) - prod)
+        # A . (1 - B) = rowsum(A) broadcast - A . B; no entry passes rowsum(A)
+        def masked(x, pat):
+            sums = _row_sums(x, dtype=x.dtype)
+            rows = np.flatnonzero(sums)
+            return _full_rows(rows, n, values=sums[rows]) - x @ pat
+
+        bound = lambda x, pat: _row_sums(x).max(initial=0)
+        return PathMatrix._result(_int_checked(masked, a.mat, _as_dtype(b.mat, a.dtype), bound))
     if a.complement and not b.complement:
-        sums = np.asarray(b.mat.sum(axis=0)).ravel()
-        cols = np.flatnonzero(sums)
-        broadcast = _full_rows(cols, n, values=sums[cols]).T.tocsr()
-        prod = _checked_matmul(_as_dtype(a.mat, b.mat.dtype), b.mat)
-        return PathMatrix._result(sp.csr_array(broadcast) - prod)
+        # (1 - A) . B = colsum(B) broadcast - A . B; no entry passes colsum(B)
+        def masked(pat, y):
+            sums = _col_sums(y, dtype=y.dtype)
+            cols = np.flatnonzero(sums)
+            return _full_rows(cols, n, values=sums[cols]).T.tocsr() - pat @ y
+
+        bound = lambda pat, y: _col_sums(y).max(initial=0)
+        return PathMatrix._result(_int_checked(masked, _as_dtype(a.mat, b.dtype), b.mat, bound))
     # (1 - A) . (1 - B): inherently dense; go through the guarded expansion.
     da = a.to_dense()
     db = b.to_dense()
@@ -345,7 +365,7 @@ def hadamard(a: PathMatrix, b: PathMatrix) -> PathMatrix:
     if a.complement:
         a, b = b, a  # the entrywise product commutes
     if not b.complement:
-        bound = lambda x, y: float(x.data.max()) * float(y.data.max())
+        bound = lambda x, y: float(x.data.max(initial=0)) * float(y.data.max(initial=0))
         return PathMatrix._result(_int_checked(lambda x, y: x.multiply(y), a.mat, b.mat, bound))
     # A o (1 - B): drop A's entries that fall on B's pattern.
     x, pat = a.mat, b.mat
@@ -383,14 +403,17 @@ def clip(a: PathMatrix) -> PathMatrix:
 def vertex_out(a: PathMatrix, p: int = 0) -> PathMatrix:
     """All-ones rows exactly where the (weighted) row sum exceeds p."""
     _check_threshold(p)
-    rows = np.flatnonzero(_row_sums(a) > p)
+    sums = _row_sums(a.mat)
+    rows = np.flatnonzero((a.n - sums if a.complement else sums) > p)
     return PathMatrix._result(_full_rows(rows, a.n))
 
 
 def vertex_in(a: PathMatrix, p: int = 0) -> PathMatrix:
-    """All-ones columns exactly where the (weighted) column sum exceeds p:
-    the transpose of `vertex_out` on the transpose."""
-    return transpose(vertex_out(transpose(a), p))
+    """All-ones columns exactly where the (weighted) column sum exceeds p."""
+    _check_threshold(p)
+    sums = _col_sums(a.mat)
+    cols = np.flatnonzero((a.n - sums if a.complement else sums) > p)
+    return PathMatrix._result(_full_rows(cols, a.n).T)
 
 
 def _check_threshold(p):
@@ -420,7 +443,7 @@ def add(a: PathMatrix, b: PathMatrix) -> PathMatrix:
     if x.dtype.kind != y.dtype.kind:
         x = _as_dtype(x, np.float64)
         y = _as_dtype(y, np.float64)
-    bound = lambda x, y: float(x.data.max()) + float(y.data.max())
+    bound = lambda x, y: float(x.data.max(initial=0)) + float(y.data.max(initial=0))
     return PathMatrix._result(_int_checked(operator.add, x, y, bound))
 
 

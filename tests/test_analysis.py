@@ -216,6 +216,15 @@ def test_pagerank_config_validation():
         PageRankConfig(epsilon=0.0)
 
 
+def test_nan_parameters_are_refused():
+    # NaN fails every comparison, so a `< 0` test would let it through
+    with pytest.raises(AnalysisError, match="epsilon"):
+        PageRankConfig(epsilon=float("nan"))
+    z = pm(np.array([[0, 1], [1, 0]], dtype=np.int64))
+    with pytest.raises(AnalysisError, match="threshold"):
+        spreading_activation(z, np.array([1.0, 0.0]), steps=1, threshold=float("nan"))
+
+
 # -- spreading activation ---------------------------------------------------------
 
 

@@ -153,6 +153,22 @@ def test_spread(cycle_file, capsys):
     assert code == 1 and "ghost" in err
 
 
+@pytest.mark.parametrize(
+    "argv,err_line",
+    [
+        (["pagerank", "--epsilon", "nan"], "epsilon must be positive, got nan"),
+        (
+            ["spread", "--steps", "1", "--seed", "x=1", "--threshold", "nan"],
+            "threshold must be nonnegative, got nan",
+        ),
+    ],
+    ids=["pagerank-epsilon", "spread-threshold"],
+)
+def test_nan_analysis_parameter_is_exit_1(cycle_file, argv, err_line, capsys):
+    code, out, err = run([argv[0], "--graph", cycle_file, *argv[1:]], capsys)
+    assert (code, out, err) == (1, "", f"pathweave: {err_line}\n")
+
+
 def test_assort_categorical(tmp_path, capsys):
     graph = tmp_path / "g.tsv"
     graph.write_text("a\tknows\tb\nb\tknows\ta\nc\tknows\td\nd\tknows\tc\n")

@@ -154,6 +154,20 @@ def test_vertex_out(fixture1):
     expected[ids["h2"], :] = 1
     assert np.array_equal(v, expected)
     assert vertex_out(PathMatrix.zeros(4), 0).value_nnz() == 0
+    for x in vertex_operands(np.random.default_rng(12)):
+        for p in (0, 1, 2):
+            rows = (dense(x).sum(axis=1) > p).astype(float)
+            want = np.broadcast_to(rows[:, None], (6, 6))
+            assert np.array_equal(dense(vertex_out(x, p)), want)
+
+
+def vertex_operands(rng):
+    """Float, int64 and complement operands of order 6, 50 of each."""
+    for _ in range(50):
+        mask = rng.random((6, 6)) < 0.4
+        yield PathMatrix.from_dense(rng.random((6, 6)) * 1.5 * mask)
+        yield PathMatrix.from_dense(rng.integers(1, 3, (6, 6)) * mask)
+        yield PathMatrix.from_dense(mask.astype(np.int64), complement=True)
 
 
 def test_vertex_in(fixture1):
@@ -167,15 +181,18 @@ def test_vertex_in(fixture1):
     expected = np.zeros((n, n))
     expected[:, ids["a2"]] = 1
     assert np.array_equal(v, expected)
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        mask = rng.random((6, 6)) < 0.4
-        weighted = PathMatrix.from_dense(rng.random((6, 6)) * 1.5 * mask)
-        complement = PathMatrix.from_dense(mask.astype(np.int64), complement=True)
-        for x in (weighted, complement):
-            for p in (0, 1, 2):
-                cols = (dense(x).sum(axis=0) > p).astype(float)
-                assert np.array_equal(dense(vertex_in(x, p)), np.broadcast_to(cols, (6, 6)))
+    for x in vertex_operands(np.random.default_rng(11)):
+        for p in (0, 1, 2):
+            cols = (dense(x).sum(axis=0) > p).astype(float)
+            assert np.array_equal(dense(vertex_in(x, p)), np.broadcast_to(cols, (6, 6)))
+
+
+def test_vertex_functions_keep_sums_past_the_int64_range():
+    # an int64 sum of row 0 (of column 0) wraps to -2**63 and would drop it
+    rows = PathMatrix.from_dense(np.array([[2**62, 2**62, 0], [0, 0, 1], [0, 0, 0]]))
+    assert np.array_equal(dense(vertex_out(rows)), [[1, 1, 1], [1, 1, 1], [0, 0, 0]])
+    cols = PathMatrix.from_dense(np.array([[2**62, 0], [2**62, 0]]))
+    assert np.array_equal(dense(vertex_in(cols)), [[1, 0], [1, 0]])
 
 
 def test_scale(fixture1):
@@ -221,6 +238,37 @@ def test_integer_overflow_detected():
     huge = PathMatrix.from_dense(np.full((4, 4), 2**61, dtype=np.int64))
     with pytest.raises(EvalError, match="64-bit"):
         matmul(huge, huge)
+
+
+def test_mixed_products_refuse_counts_past_the_int64_range():
+    # row 0 of A sums to 2**64, so every entry of row 0 of A . not(E(v4,v4))
+    # (of column 0 of not(E(v4,v4)) . A') is 2**64: an int64 sum wraps to 0
+    a = np.zeros((5, 5), dtype=np.int64)
+    a[0, :4] = 2**62
+    big = PathMatrix.from_dense(a)
+    mask = not_(materialize_filter(FilterSpec("entry", 4, 4), 5))
+    with pytest.raises(EvalError, match="64-bit"):
+        matmul(big, mask)
+    with pytest.raises(EvalError, match="64-bit"):
+        matmul(mask, transpose(big))
+    with pytest.raises(EvalError, match="64-bit"):
+        matmul(big, PathMatrix.ones(5))  # an empty pattern
+
+
+def test_mixed_products_are_exact_when_only_a_sum_passes_the_int64_range():
+    # row 0 of A sums to 9 * 2**60, past 2**63, and A . B to 6 * 2**60;
+    # every entry of row 0 of A . not(B) is 3 * 2**60, exactly
+    n = 10
+    a = np.zeros((n, n), dtype=np.int64)
+    a[0, :9] = 2**60
+    b = np.zeros((n, n), dtype=np.int64)
+    b[:6, :] = 1
+    left = matmul(PathMatrix.from_dense(a), not_(PathMatrix.from_dense(b))).to_dense()
+    assert left.dtype == np.int64
+    assert left[0].tolist() == [3 * 2**60] * n and not left[1:].any()
+    right = matmul(not_(PathMatrix.from_dense(b.T)), PathMatrix.from_dense(a.T)).to_dense()
+    assert right.dtype == np.int64
+    assert right[:, 0].tolist() == [3 * 2**60] * n and not right[:, 1:].any()
 
 
 def test_densify_guards():
