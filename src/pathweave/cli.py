@@ -4,9 +4,7 @@ Exit codes: 0 success, 1 domain error (evaluation or analysis) or input
 too deep or too large to process, 2 I/O, format, or expression syntax
 error; each failure prints one `pathweave: ...` line to stderr, never a
 traceback. Output is deterministic: fixed orderings, floats printed with
-12 significant digits. PATHWEAVE_THREADS
-caps internal parallelism (evaluation in this version is single-threaded,
-which trivially respects any cap >= 1).
+12 significant digits.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -33,19 +30,6 @@ def _fmt_float(x) -> str:
 
 def _json_num(x):
     return float(_fmt_float(x))
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("PATHWEAVE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise GraphFormatError(f"PATHWEAVE_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise GraphFormatError("PATHWEAVE_THREADS must be at least 1")
-    return cap
 
 
 def _load_tensor(args):
@@ -334,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        thread_cap()
         return args.func(args, sys.stdout)
     except (ExprSyntaxError, GraphFormatError) as err:
         print(f"pathweave: {err}", file=sys.stderr)

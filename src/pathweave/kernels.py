@@ -21,8 +21,9 @@ int64. At or above it the kernel is redone in float64, and raises
 ``EvalError`` only if a result entry reaches 2**62; otherwise the int64
 result, exact modulo 2**64, is the true one. Row and column sums come from
 ``_row_sums`` and ``_col_sums`` alone, in float64, which cannot wrap. Only a
-mixed product sums in int64, for the exact value it broadcasts, since a
-float64 sum is exact only below 2**53.
+mixed product (for the exact value it broadcasts) and a vertex function on
+int64 counts (for an exact comparison with its threshold) sum in int64,
+since a float64 sum is exact only below 2**53.
 
 The representation contract: a stored CSR holds no duplicate (row, col)
 entries and no stored zeros, and its column order within a row is
@@ -403,17 +404,35 @@ def clip(a: PathMatrix) -> PathMatrix:
 def vertex_out(a: PathMatrix, p: int = 0) -> PathMatrix:
     """All-ones rows exactly where the (weighted) row sum exceeds p."""
     _check_threshold(p)
-    sums = _row_sums(a.mat)
-    rows = np.flatnonzero((a.n - sums if a.complement else sums) > p)
+    x = a.mat
+    rows = _over(a, _row_sums, p, lambda r: x.data[x.indptr[r] : x.indptr[r + 1]])
     return PathMatrix._result(_full_rows(rows, a.n))
 
 
 def vertex_in(a: PathMatrix, p: int = 0) -> PathMatrix:
     """All-ones columns exactly where the (weighted) column sum exceeds p."""
     _check_threshold(p)
-    sums = _col_sums(a.mat)
-    cols = np.flatnonzero((a.n - sums if a.complement else sums) > p)
+    x = a.mat
+    cols = _over(a, _col_sums, p, lambda c: x.data[x.indices == c])
     return PathMatrix._result(_full_rows(cols, a.n).T)
+
+
+def _over(a: PathMatrix, sums_of, p, line) -> np.ndarray:
+    """The rows (columns) of `a` whose sum, by `sums_of`, exceeds p. An
+    int64 matrix's sums are compared exactly: in int64, and as a Python int
+    of `line(k)`'s entries where a float64 sum reaches 2**62, since only
+    there can the int64 one have wrapped."""
+    x = a.mat
+    if a.complement:
+        return np.flatnonzero(a.n - sums_of(x) > p)
+    if a.dtype.kind != "i":
+        return np.flatnonzero(sums_of(x) > p)
+    over = sums_of(x, dtype=np.int64) > min(p, np.iinfo(np.int64).max)
+    # below this bound on the whole matrix's sum no line's sum reaches 2**62
+    if float(x.data.max(initial=0)) * x.nnz >= _INT_SAFE_BOUND:
+        big = np.flatnonzero(sums_of(x) >= _INT_SAFE_BOUND)
+        over[big] = [sum(line(k).tolist()) > p for k in big]
+    return np.flatnonzero(over)
 
 
 def _check_threshold(p):

@@ -50,6 +50,11 @@ tie-breakers count a candidate's distinct nodes and measure its rendering
 from its nodes' lengths, which the tied candidates share, so none is
 rendered.
 
+Filter products come from one function, ``_meet``. A filter keeps the
+cells (i, j) with i = a, j = b or i = j, so two filters meet in a filter or
+ZERO, decided by which vertex names are equal: distinct names are distinct
+vertices. One generated rule per pair of filter kinds calls it.
+
 Boolean-valuedness guards are syntactic: slices, filters, and the
 clip/not/vout/vin results count as {0,1}-valued; products, sums, and
 scalings do not, even if their value happens to be boolean.
@@ -64,6 +69,7 @@ from dataclasses import dataclass
 from .expr import (
     Add,
     Clip,
+    FILTER_KINDS,
     Filter,
     Hadamard,
     MatMul,
@@ -232,6 +238,32 @@ _ONES, _ZERO, _I = Filter("ones"), Filter("zeros"), Filter("identity")
 _R = Filter("row", _i)
 _C = Filter("col", _i)
 _E = Filter("entry", _i, _j)
+_k, _n = SVar("k"), SVar("n")
+
+
+def _constraints(f) -> tuple:
+    """The (row, col, diagonal) constraints of the cells (i, j) a row,
+    column, entry or identity filter keeps: the name i must be, the name j
+    must be (None when free), and whether i = j."""
+    kinds = {"row": (f.a, None), "col": (None, f.a), "entry": (f.a, f.b), "identity": (None, None)}
+    return (*kinds[f.kind], f.kind == "identity")
+
+
+def _meet(f, g):
+    """The filter of the cells both `f` and `g` keep, or ZERO."""
+    (r, c, d), (r2, c2, d2) = _constraints(f), _constraints(g)
+    if None not in (r, r2) and r != r2 or None not in (c, c2) and c != c2:
+        return _ZERO
+    r, c = (r if r is not None else r2), (c if c is not None else c2)
+    if d or d2:
+        if None not in (r, c) and r != c:
+            return _ZERO
+        r = c = r if r is not None else c
+        if r is None:
+            return _I
+    if r is None:
+        return Filter("col", c)
+    return Filter("row", r) if c is None else Filter("entry", r, c)
 
 
 def _rules():
@@ -345,28 +377,21 @@ def _rules():
         Hadamard(Not(_a), _b),
     )
 
-    # vertex-specific filters
-    distinct = lambda bnd: bnd["i"] != bnd["j"]
-    rule(
-        "row-row-zero",
-        "R_i o R_j = 0 for i != j",
-        Hadamard(Filter("row", _i), Filter("row", _j)),
-        _ZERO,
-        guard=distinct,
-    )
-    rule(
-        "col-col-zero",
-        "C_i o C_j = 0 for i != j",
-        Hadamard(Filter("col", _i), Filter("col", _j)),
-        _ZERO,
-        guard=distinct,
-    )
-    rule(
-        "row-col-entry",
-        "R_i o C_j = E_ij",
-        Hadamard(Filter("row", _i), Filter("col", _j)),
-        Filter("entry", _i, _j),
-    )
+    # vertex-specific filters: one rule per pair of the kinds `_meet` takes,
+    # in a fixed order (ONES and ZERO meet through had-unit and had-zero)
+    kinds = ("row", "col", "entry", "identity")
+    for x, k1 in enumerate(kinds):
+        for k2 in kinds[x:]:
+            lhs = Hadamard(
+                Filter(k1, *(_i, _j)[: FILTER_KINDS[k1]]),
+                Filter(k2, *(_k, _n)[: FILTER_KINDS[k2]]),
+            )
+            rule(
+                f"meet-{k1}-{k2}",
+                "F o G keeps the cells both keep; distinct names are distinct vertices",
+                lhs,
+                lambda bnd, lhs=lhs: _meet(*children(instantiate(lhs, bnd))),
+            )
     rule("row-transpose", "R_i = C_i'", Transpose(_C), _R, back="row-intro-transpose")
     rule("col-transpose", "C_i = R_i'", Transpose(_R), _C, back="col-intro-transpose")
     rule("entry-transpose", "E_ij = E_ji'", Transpose(_E), Filter("entry", _j, _i))

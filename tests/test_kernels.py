@@ -195,6 +195,24 @@ def test_vertex_functions_keep_sums_past_the_int64_range():
     assert np.array_equal(dense(vertex_in(cols)), [[1, 0], [1, 0]])
 
 
+@pytest.mark.parametrize(
+    "row, p, kept",
+    [
+        ([2**60 + 1, 0], 2**60 - 1, True),
+        ([2**60 + 1, 0], 2**60, True),
+        ([2**60 + 1, 0], 2**60 + 1, False),
+        # the sum, 2**63, is past the int64 range
+        ([2**62, 2**62], 2**63 - 1, True),
+    ],
+)
+def test_vertex_functions_compare_int64_sums_exactly(row, p, kept):
+    # past 2**53 a float64 sum cannot tell these sums from p
+    big = np.array([row, [0, 0]], dtype=np.int64)
+    want = np.array([[kept] * 2, [0, 0]])
+    assert np.array_equal(dense(vertex_out(PathMatrix.from_dense(big), p)), want)
+    assert np.array_equal(dense(vertex_in(PathMatrix.from_dense(big.T), p)), want.T)
+
+
 def test_scale(fixture1):
     a = fixture1.matrix("authored")
     coauth = hadamard(matmul(a, transpose(a)), not_(PathMatrix.identity(a.n)))

@@ -1,3 +1,4 @@
+import itertools
 from functools import reduce
 
 import numpy as np
@@ -157,8 +158,29 @@ def test_prop1_exhaustive_and_prop3_random():
         ("A[x] & E(a,b) & A[y] & not(E(a,b))", "ZERO"),
         # the two transposes are the first and last operands of the merge
         ("A[x]' + A[z] + A[y]'", "(A[x] + A[y])' + A[z]"),
+        # filter products: distinct names are distinct vertices
+        ("E(a,b) & R(c)", "ZERO"),
+        ("E(a,b) & R(a)", "E(a,b)"),
+        ("E(a,b) & C(b)", "E(a,b)"),
+        ("E(a,b) & E(a,c)", "ZERO"),
+        ("I & R(a)", "E(a,a)"),
+        ("I & E(a,b)", "ZERO"),
+        ("I & E(a,a)", "E(a,a)"),
     ],
-    ids=["self-loop-filter", "journal-reuse", "weighted-merge", "and-chain", "merge-chain"],
+    ids=[
+        "self-loop-filter",
+        "journal-reuse",
+        "weighted-merge",
+        "and-chain",
+        "merge-chain",
+        "entry-row-zero",
+        "entry-row",
+        "entry-col",
+        "entry-entry-zero",
+        "identity-row",
+        "identity-entry-zero",
+        "identity-entry",
+    ],
 )
 def test_reaches_canonical_forms(src, target):
     start = parse(src)
@@ -168,6 +190,24 @@ def test_reaches_canonical_forms(src, target):
     assert len(trace) > 0
     for step in trace.steps:
         assert step.rule and step.cite
+
+
+def test_every_filter_product_is_one_filter():
+    # every pair of filter kinds, under every pattern of equal vertex names
+    # a 3-vertex model holds: a filter keeps the cells with i = a, j = b or
+    # i = j, so the product of two is one filter
+    t = random_tensor(np.random.default_rng(3), n=3)
+    filters = [
+        Filter(kind, *names)
+        for kind, count in expr.FILTER_KINDS.items()
+        for names in itertools.product(("v0", "v1", "v2"), repeat=count)
+    ]
+    for f, g in itertools.product(filters, repeat=2):
+        e = Hadamard(f, g)
+        out, trace = simplify(e)
+        assert isinstance(out, Filter), format_expr(e)
+        assert np.array_equal(evaluate(out, t).to_dense(), evaluate(e, t).to_dense())
+        assert trace.replay(e) == out
 
 
 def test_trace_replays(rng):
