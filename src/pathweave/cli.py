@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, tensor as tensor_io
 from .errors import AnalysisError, EvalError, ExprSyntaxError, GraphFormatError
 from .evaluate import evaluate
-from .expr import check_signatures, format_expr, parse, parse_program
+from .expr import SliceRef, check_signatures, format_expr, parse, parse_program
 from .kernels import export_tsv
 from .rewrite import derivation_table, simplify
 
@@ -57,7 +57,7 @@ def _load_expression(args, t):
         except OSError as err:
             raise GraphFormatError(f"cannot read expression file {args.expr_file}: {err}")
     if t is not None and t.m == 1:
-        return parse(f"A[{t.labels[0]}]")
+        return SliceRef(t.labels[0])
     raise GraphFormatError(
         "the graph has several labels; pick the path matrix with --expr or --expr-file"
     )

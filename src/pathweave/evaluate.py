@@ -149,7 +149,7 @@ def _repr_of(e, kids) -> str:
     """Fold visitor: the representation the kernels will choose for this
     node's value, given its children's."""
     if isinstance(e, Not):
-        return "complement"
+        return "sparse" if kids[0] == "complement" else "complement"
     if isinstance(e, Filter) and e.kind == "ones":
         return "complement"
     if isinstance(e, (Transpose, Clip)):

@@ -13,6 +13,11 @@ evaluation time, keeping expressions portable across ingests.
 Infix `.` and `&` replace the overloaded composition symbol of the printed
 notation so products and filters can never be confused.
 
+The parser reads an expression in one loop on explicit stacks, so input of
+any nesting depth parses, bounded by memory rather than the recursion
+limit. `parse_program` reads each `#` comment as spaces, so the offset of a
+syntax error in an expression file indexes the file's text as given.
+
 Every node is its type, its scalar fields and a tuple of its children,
 and is hash-consed: every constructor, and `build` under them, returns the
 one live node with its type, its scalar fields (by value, so
@@ -32,7 +37,7 @@ import re
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 from operator import attrgetter
 
 from .errors import EvalError, ExprSyntaxError
@@ -452,10 +457,11 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], env: dict | None):
+    def __init__(self, tokens: list[_Token]):
         self.toks = tokens
         self.i = 0
-        self.env = env or {}
+        # names bound by `let`, which `parse_program` fills
+        self.env = {}
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -476,52 +482,66 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "op" and tok.value == value
 
-    def parse_infix(self, level: int = 0):
-        """Operands joined by the operators at `level` and tighter, by
-        precedence climbing: each operator takes as its right operand what
-        binds tighter than itself, so chains associate left."""
-        node = self.parse_unary()
+    def parse_infix(self):
+        """One expression, read in one loop on explicit stacks, so nesting
+        depth is bounded by memory. `ops` holds the pending infix levels and
+        `NUMBER *` factors, and `operands` the left operands of those
+        levels; each open `(` or call keeps a frame of its function (None
+        for a bare group) and the enclosing stacks. An infix operator first
+        applies the pending ones of its own level or tighter, so chains
+        associate left."""
+        frames, operands, ops = [], [], []
         while True:
-            tok = self.peek()
-            own = _LEVEL.get(tok.value) if tok.kind == "op" else None
-            if own is None or own < level:
-                return node
-            self.take()
-            node = _INFIX[own][0](node, self.parse_infix(own + 1))
+            node = self.parse_atom()
+            if isinstance(node, float):
+                ops.append(node)
+                continue
+            if not isinstance(node, _Node):
+                frames.append((node, operands, ops))
+                operands, ops = [], []
+                continue
+            while True:  # `node` completes an operand
+                while self.at_op("'"):
+                    self.take()
+                    node = Transpose(node)
+                while ops and isinstance(ops[-1], float):
+                    node = Scale(ops.pop(), node)
+                tok = self.peek()
+                level = _LEVEL.get(tok.value) if tok.kind == "op" else None
+                while ops and (level is None or ops[-1] >= level):
+                    node = _INFIX[ops.pop()][0](operands.pop(), node)
+                if level is not None:
+                    self.take()
+                    operands.append(node)
+                    ops.append(level)
+                    break
+                if not frames:
+                    return node
+                func, operands, ops = frames.pop()
+                if func is not None:
+                    # a function with a scalar field, the threshold, takes `, p` too
+                    node = func(node, self._threshold()) if func._scalars else func(node)
+                self.expect(")")
 
-    def parse_unary(self):
-        tok = self.peek()
+    def parse_atom(self):
+        """What starts an operand: an atom, a `NUMBER *` scale factor, or
+        the opener of a group, which is None for `(` and the function's node
+        type for `not(`, `clip(`, `vout(` and `vin(`."""
+        tok = self.take()
         if tok.kind == "number":
-            self.take()
             coef = float(tok.value)
             # an overflowing factor reads as inf, which would print as a name
             if not math.isfinite(coef):
                 raise ExprSyntaxError(f"scale factor {tok.value} is out of range", tok.pos)
             self.expect("*")
-            return Scale(coef, self.parse_unary())
-        return self.parse_postfix()
-
-    def parse_postfix(self):
-        node = self.parse_atom()
-        while self.at_op("'"):
-            self.take()
-            node = Transpose(node)
-        return node
-
-    def parse_atom(self):
-        tok = self.peek()
+            return coef
         if tok.kind == "op" and tok.value == "(":
-            self.take()
-            node = self.parse_infix()
-            self.expect(")")
-            return node
+            return None
         if tok.kind != "ident":
             shown = tok.value or "end of input"
             raise ExprSyntaxError(f"expected an expression, found {shown!r}", tok.pos)
-        name = tok.value
-        follows = self.toks[self.i + 1].value
+        name, follows = tok.value, self.peek().value
         if name == _SLICE and follows == "[":
-            self.take()
             self.take()
             label = self.peek()
             if label.kind != "ident":
@@ -531,28 +551,20 @@ class _Parser:
             return SliceRef(label.value)
         meaning = _ATOMS.get(name)
         if isinstance(meaning, str) and FILTER_KINDS[meaning] == 0:
-            self.take()
             return Filter(meaning)
         if meaning is not None and follows == "(":
             self.take()
-            self.take()
-            if isinstance(meaning, str):
-                names = [self._vertex_name()]
-                while len(names) < FILTER_KINDS[meaning]:
-                    self.expect(",")
-                    names.append(self._vertex_name())
-                node = Filter(meaning, *names)
-            else:
-                inner = self.parse_infix()
-                # a function with a scalar field, the threshold, takes `, p` too
-                args = (inner, self._threshold()) if meaning._scalars else (inner,)
-                node = meaning(*args)
+            if not isinstance(meaning, str):
+                return meaning
+            names = [self._vertex_name()]
+            while len(names) < FILTER_KINDS[meaning]:
+                self.expect(",")
+                names.append(self._vertex_name())
             self.expect(")")
-            return node
+            return Filter(meaning, *names)
         if follows == "(":
             raise ExprSyntaxError(f"unknown function {name!r}", tok.pos)
         if name in self.env:
-            self.take()
             return self.env[name]
         raise ExprSyntaxError(f"unknown name {name!r}", tok.pos)
 
@@ -575,27 +587,11 @@ class _Parser:
         return int(tok.value)
 
 
-def _depth_guarded(parser):
-    """The parser descends once per parenthesis or call level, so input
-    nested deeper than the recursion limit allows raises EvalError, the
-    error the CLI reports as exit 1, not a bare RecursionError."""
-
-    @wraps(parser)
-    def guarded(*args, **kwargs):
-        try:
-            return parser(*args, **kwargs)
-        except RecursionError:
-            raise EvalError("input is nested too deeply to process") from None
-
-    return guarded
-
-
-@_depth_guarded
-def parse(text: str, env: dict | None = None):
+def parse(text: str):
     """Parse one expression; raises ExprSyntaxError with the failing offset."""
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    parser = _Parser(_tokenize(text), env)
+    parser = _Parser(_tokenize(text))
     node = parser.parse_infix()
     tok = parser.peek()
     if tok.kind != "eof":
@@ -603,13 +599,16 @@ def parse(text: str, env: dict | None = None):
     return node
 
 
-@_depth_guarded
+# a `#` comment runs to the end of its line, which ends at any break that
+# `str.splitlines` splits on
+_COMMENT_RE = re.compile(r"#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
+
+
 def parse_program(text: str):
     """Parse an expression file: `#` comments, optional `let name = expr`
-    bindings, last binding (or a trailing bare expression) is the result."""
-    stripped = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    tokens = _tokenize(stripped)
-    parser = _Parser(tokens, {})
+    bindings, last binding (or a trailing bare expression) is the result.
+    Error offsets index `text` as given: each comment reads as spaces."""
+    parser = _Parser(_tokenize(_COMMENT_RE.sub(lambda m: " " * len(m.group()), text)))
     result = None
     while parser.peek().kind != "eof":
         tok = parser.peek()
@@ -637,12 +636,6 @@ def parse_program(text: str):
 
 
 # -- printing ----------------------------------------------------------------
-
-
-def _fmt_number(x) -> str:
-    if isinstance(x, float) and x.is_integer() and abs(x) < 1e15:
-        return repr(x)
-    return repr(float(x))
 
 
 def format_expr(e) -> str:
@@ -704,7 +697,7 @@ def format_node(e, kids) -> tuple:
         text, own = infix
         return f"{_at(kids[0], own)}{text}{_at(kids[1], own + 1)}", own
     if isinstance(e, Scale):
-        return f"{_fmt_number(e.coef)} * {_at(kids[0], _LEVEL_SCALE)}", _LEVEL_SCALE
+        return f"{float(e.coef)!r} * {_at(kids[0], _LEVEL_SCALE)}", _LEVEL_SCALE
     if isinstance(e, Transpose):
         return f"{_at(kids[0], _LEVEL_POSTFIX)}'", _LEVEL_POSTFIX
     word = _SPELLING.get(type(e))

@@ -285,13 +285,23 @@ def test_thread_cap_env(monkeypatch, graph_file, capsys):
     assert code == 0
 
 
-def test_too_deep_input_is_exit_1(tmp_path, graph_file, capsys):
+def test_deep_input_evaluates(tmp_path, graph_file, capsys):
+    # this was exit 1, "input is nested too deeply to process"
     path = tmp_path / "deep.pw"
     path.write_text("clip(" * 2000 + "A[authored]" + ")" * 2000, encoding="utf-8")
     code, out, err = run(["eval", "--graph", graph_file, "--expr-file", str(path)], capsys)
-    assert code == 1
-    assert out == ""
-    assert err == "pathweave: input is nested too deeply to process\n"
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(["eval", "--graph", graph_file, "--expr", "A[authored]"], capsys)
+
+
+def test_single_label_default_is_the_label_as_written(tmp_path, capsys):
+    # the default was parsed from `A[label]`, which fails for a label that
+    # is not an identifier
+    path = tmp_path / "typed.tsv"
+    path.write_text("h1\trdf:type\tPerson\nh2\trdf:type\tPerson\n", encoding="utf-8")
+    code, out, err = run(["eval", "--graph", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert out == "h1\tPerson\t1\nh2\tPerson\t1\n"
 
 
 def test_simplify_prints_a_long_product_chain(capsys):

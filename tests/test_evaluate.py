@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pathweave.errors import EvalError
-from pathweave.evaluate import EvalPlan, evaluate, plan
+from pathweave.evaluate import EvalPlan, _tensor_leaf, evaluate, plan, run
 from pathweave.expr import (
     Hadamard,
     MatMul,
@@ -248,6 +248,24 @@ def test_plan_keeps_complement_unmaterialized(fixture1):
     reprs = {s.detail: s.repr for s in p.steps}
     assert reprs["not(I)"] == "complement"
     assert p.tree == parse("A[authored] . A[authored]' & not(I)")
+
+
+def _evaluated_repr(node, tensor):
+    return "complement" if run(node, _tensor_leaf(tensor)).complement else "sparse"
+
+
+def test_plan_reprs_are_the_evaluated_representations(fixture1):
+    # the complement of a complement is sparse: each of these was labelled
+    # complement
+    for text in ("not(ONES)", "not(not(A[authored]))", "not(not(I))"):
+        p = plan(parse(text), fixture1)
+        assert p.steps[-1].repr == "sparse" == _evaluated_repr(p.tree, fixture1)
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        t = random_tensor(rng)
+        e = random_expr(rng, t.labels, [f"v{i}" for i in range(t.n)], 5)
+        for step in plan(e, t).steps:
+            assert step.repr == _evaluated_repr(step.node, t), step.detail
 
 
 def test_filter_push_into_product(fixture1):
