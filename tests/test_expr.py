@@ -295,13 +295,6 @@ def test_is_boolean_expr_not_bounded_by_recursion():
 DEEP = 20_000
 
 
-def _nested(wrap):
-    e = SliceRef("x")
-    for _ in range(DEEP):
-        e = wrap(e)
-    return e
-
-
 @pytest.mark.parametrize(
     "opener, closer, wrap",
     [
@@ -316,7 +309,9 @@ def test_nesting_depth_is_not_bounded_by_recursion(opener, closer, wrap):
     # the parser runs on explicit stacks: this was "nested too deeply"
     # beyond about 247 levels
     text = opener * DEEP + "A[x]" + closer * DEEP
-    expected = _nested(wrap)
+    expected = SliceRef("x")
+    for _ in range(DEEP):
+        expected = wrap(expected)
     assert parse(text) is expected
     assert parse_program("# deep\nlet y = " + text + "\ny\n") is expected
     assert parse(format_expr(expected)) is expected
