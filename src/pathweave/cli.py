@@ -20,16 +20,12 @@ from . import analysis, tensor as tensor_io
 from .errors import AnalysisError, EvalError, ExprSyntaxError, GraphFormatError
 from .evaluate import evaluate
 from .expr import SliceRef, check_signatures, format_expr, parse, parse_program
-from .kernels import export_tsv
+from .kernels import export_tsv, fmt_float, joined_rows, name_cells
 from .rewrite import derivation_table, simplify
 
 
-def _fmt_float(x) -> str:
-    return format(float(x), ".12g")
-
-
 def _json_num(x):
-    return float(_fmt_float(x))
+    return float(fmt_float(x))
 
 
 def _load_tensor(args):
@@ -63,27 +59,49 @@ def _load_expression(args, t):
     )
 
 
-def _write_json(payload, out):
+def _write_json(payload, out, key=None, rows=()):
+    """Write `payload` as one line of JSON. With `key`, the payload ends
+    with a list under `key` whose items are the JSON texts `rows` yields,
+    each row one or more items joined by ", ", written a row at a time."""
     # json.dumps runs the C encoder; json.dump streams through the much
     # slower pure-Python one, for the same bytes.
-    out.write(json.dumps(payload, ensure_ascii=False) + "\n")
+    text = json.dumps(payload, ensure_ascii=False)
+    if key is None:
+        out.write(text + "\n")
+        return
+    rows = iter(rows)
+    out.write(f"{text[:-1]}, {json.dumps(key)}: [{next(rows, '')}")
+    out.writelines(", " + row for row in rows)
+    out.write("]}\n")
+
+
+def _json_cells(names):
+    """(leads, heads) for `joined_rows` items `[tail, head, ...]`: a row's
+    lead opens the item with its tail, a head cell adds the head."""
+    heads = name_cells([json.dumps(name, ensure_ascii=False) for name in names], ", ")
+    return ["[" + head for head in heads.tolist()], heads
+
+
+def _json_value(v) -> str:
+    """The JSON text of `_json_num(v)` closing an item, as json.dumps writes it."""
+    return json.dumps(_json_num(v)) + "]"
 
 
 def _emit_matrix(z, t, fmt, out):
     if fmt == "tsv":
         out.write(export_tsv(z, t.vertices.names))
         return
-    names = t.vertices.names
-    entries = [[names[i], names[j], _json_num(v)] for i, j, v in zip(*z.entries())]
-    _write_json({"n": t.n, "entries": entries}, out)
+    leads, heads = _json_cells(t.vertices.names)
+    rows = z.entry_rows(leads, heads, _json_value)
+    _write_json({"n": t.n}, out, "entries", joined_rows(rows, ", ", ""))
 
 
 def _emit_vector(metric, values_by_name, scalars, fmt, out):
     if fmt == "tsv":
         for name in values_by_name:
-            out.write(f"{name}\t{_fmt_float(values_by_name[name])}\n")
+            out.write(f"{name}\t{fmt_float(values_by_name[name])}\n")
         for key in scalars:
-            out.write(f"#{key}\t{_fmt_float(scalars[key])}\n")
+            out.write(f"#{key}\t{fmt_float(scalars[key])}\n")
         return
     payload = {
         "metric": metric,
@@ -155,14 +173,15 @@ def cmd_pagerank(args, out):
     return 0
 
 
-def _geodesic_pairs(distances):
-    """(tail, head, hops) of every reached ordered pair of distinct vertices,
-    in row-major order."""
-    reached = np.isfinite(distances)
-    np.fill_diagonal(reached, False)
-    tails, heads = np.nonzero(reached)
-    hops = distances[tails, heads].astype(np.int64)
-    return zip(tails.tolist(), heads.tolist(), hops.tolist())
+def _reached_rows(distances, leads, heads, hops):
+    """(lead, cells) for each row i of `distances` in order: `leads[i]`, and
+    the cell `heads[j] + hops[d]` for each j != i that i reaches in d hops,
+    in column order."""
+    for i, row in enumerate(distances):
+        reached = np.isfinite(row)
+        reached[i] = False
+        js = np.flatnonzero(reached)
+        yield leads[i], (heads[js] + hops[row[js].astype(np.intp)]).tolist()
 
 
 def cmd_geodesic(args, out):
@@ -172,16 +191,19 @@ def cmd_geodesic(args, out):
     rows = list(
         zip(names, res.eccentricity.tolist(), res.closeness.tolist(), res.reach_counts.tolist())
     )
-    pairs = _geodesic_pairs(res.distances)
+    # hop counts run from 1 to the diameter; the table holds each text once
+    longest = 0 if res.diameter is None else int(res.diameter)
     if args.format == "tsv":
         for name, ecc, clo, reached in rows:
-            ecc = "" if math.isnan(ecc) else _fmt_float(ecc)
-            clo = "" if math.isnan(clo) else _fmt_float(clo)
+            ecc = "" if math.isnan(ecc) else fmt_float(ecc)
+            clo = "" if math.isnan(clo) else fmt_float(clo)
             out.write(f"{name}\t{ecc}\t{clo}\t{reached}\n")
-        radius = "" if res.radius is None else _fmt_float(res.radius)
-        diameter = "" if res.diameter is None else _fmt_float(res.diameter)
+        radius = "" if res.radius is None else fmt_float(res.radius)
+        diameter = "" if res.diameter is None else fmt_float(res.diameter)
         out.write(f"#radius\t{radius}\n#diameter\t{diameter}\n")
-        out.writelines(f"d\t{names[i]}\t{names[j]}\t{h}\n" for i, j, h in pairs)
+        leads = [f"d\t{name}\t" for name in names]
+        hops = np.array([str(h) for h in range(longest + 1)], dtype=object)
+        out.writelines(joined_rows(_reached_rows(res.distances, leads, name_cells(names), hops)))
         return 0
     payload = {
         "metric": "geodesic",
@@ -197,9 +219,11 @@ def cmd_geodesic(args, out):
             }
             for name, ecc, clo, reached in rows
         },
-        "distances": [[names[i], names[j], h] for i, j, h in pairs],
     }
-    _write_json(payload, out)
+    leads, heads = _json_cells(names)
+    hops = np.array([f"{h}]" for h in range(longest + 1)], dtype=object)
+    rows = _reached_rows(res.distances, leads, heads, hops)
+    _write_json(payload, out, "distances", joined_rows(rows, ", ", ""))
     return 0
 
 

@@ -117,6 +117,36 @@ def build(op, scalars: tuple, kids: tuple):
     return node
 
 
+def _layout(e) -> tuple:
+    """The distinct nodes of `e`, children before parents and `e` last, as
+    (type, scalar values, positions of the children) each; a child that is
+    not a node (a pattern's metavariable) is an entry (None, itself, ())."""
+    pos, layout, stack = {}, [], [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        if node in pos:
+            continue
+        kids = children(node)
+        if not ready:
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in reversed(kids) if kid not in pos)
+            continue
+        pos[node] = len(layout)
+        if isinstance(node, _Node):
+            layout.append((type(node), _scalar_values(node), tuple(pos[kid] for kid in kids)))
+        else:
+            layout.append((None, node, ()))
+    return tuple(layout)
+
+
+def _rebuild(layout):
+    """The node `_layout` laid out, built bottom-up through `build`."""
+    nodes = []
+    for op, scalars, kids in layout:
+        nodes.append(scalars if op is None else build(op, scalars, tuple(nodes[k] for k in kids)))
+    return nodes[-1]
+
+
 def _scalar_values(e) -> tuple:
     """The values of `e`'s `_scalars`, in order, read from its key."""
     return e._key[2:]
@@ -204,8 +234,9 @@ class _Node:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # unpickling builds the node, so it returns the interned one
-        return build, (type(self), _scalar_values(self), self._kids)
+        # a flat layout, so a deep tree pickles without recursion;
+        # unpickling builds each node, so it returns the interned one
+        return _rebuild, (_layout(self),)
 
     def __copy__(self):
         return self
@@ -214,8 +245,26 @@ class _Node:
         return self
 
     def __repr__(self):
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({args})"
+        # `Type(field=value, ...)` with each child's repr in its field,
+        # written from a stack of pending pieces: a string is text as it
+        # stands, anything else is a node to expand or a leaf to `repr`
+        parts, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                parts.append(item)
+            elif not isinstance(item, _Node):
+                parts.append(repr(item))
+            else:
+                pieces = [f"{type(item).__name__}("]
+                for k, field in enumerate(item._fields):
+                    value = getattr(item, field)
+                    scalar = field in item._scalars
+                    pieces.append(f"{', ' if k else ''}{field}=")
+                    pieces.append(repr(value) if scalar else value)
+                pieces.append(")")
+                stack.extend(reversed(pieces))
+        return "".join(parts)
 
 
 class SliceRef(_Node):

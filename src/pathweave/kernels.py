@@ -34,9 +34,17 @@ under ``+``, ``-`` and ``multiply``) emit no duplicates and no zeros, in an
 unspecified order when an operand is unsorted (Gustavson's product emits a
 row's columns in the order it first meets them); the CSC-to-CSR conversion
 of a transpose sorts as it goes. Order is sorted only where a caller sees
-it, in ``PathMatrix.entries`` and so in ``export_tsv``. The kernels avoid
-the scipy methods that canonicalise their operand on the way (``astype``,
-through ``sum_duplicates``): casts go through ``_as_dtype``.
+it, in ``PathMatrix.entries`` and ``PathMatrix.entry_rows`` (a sorted copy
+of an unsorted CSR; the matrix is untouched). The kernels avoid the scipy
+methods that canonicalise their operand on the way (``astype``, through
+``sum_duplicates``): casts go through ``_as_dtype``.
+
+The writers build their text a row at a time from tables made once per
+call: one string per vertex name, one per distinct value (``entry_rows``
+formats each value found by ``np.unique`` once), and ``joined_rows`` joins
+a row's cells behind the row's lead in one step. ``export_tsv`` and the
+CLI's ``eval`` and ``geodesic`` writers, in TSV and JSON, all go through
+``joined_rows``.
 """
 
 from __future__ import annotations
@@ -224,14 +232,30 @@ class PathMatrix:
             return dense
         return self.mat.toarray()
 
+    def _sorted(self):
+        """The explicit CSR with each row's columns ascending: a sorted copy
+        of an unsorted one, so the stored matrix is untouched."""
+        mat = self.explicit()
+        return mat if mat.has_sorted_indices else mat.sorted_indices()
+
     def entries(self):
         """(tails, heads, values) of the nonzero denoted entries, as Python
-        lists in row-major order; a copy of an unsorted CSR is sorted here."""
-        mat = self.explicit()
-        if not mat.has_sorted_indices:
-            mat = mat.sorted_indices()
+        lists in row-major order."""
+        mat = self._sorted()
         tails = np.repeat(np.arange(self.n), np.diff(mat.indptr))
         return tails.tolist(), mat.indices.tolist(), mat.data.tolist()
+
+    def entry_rows(self, leads, heads, text):
+        """(lead, cells) for each row in order: `leads[i]`, and for each
+        nonzero entry (i, j, v) of the row in column order the cell
+        `heads[j] + text(v)`. `heads` is an object array of strings; `text`
+        is called once per distinct value, on the Python int or float."""
+        mat = self._sorted()
+        values, codes = np.unique(mat.data, return_inverse=True)
+        texts = np.array([text(v) for v in values.tolist()], dtype=object)
+        cells = (heads[mat.indices] + texts[codes]).tolist()
+        bounds = mat.indptr.tolist()
+        return zip(leads, (cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
 
     def value_nnz(self) -> int:
         """Number of nonzero denoted entries."""
@@ -484,9 +508,30 @@ def materialize_filter(spec: FilterSpec, n: int) -> PathMatrix:
     return PathMatrix.zeros(n)
 
 
+def joined_rows(rows, sep="\n", end="\n"):
+    """One string for each (lead, cells) of `rows` with cells: `lead + cell`
+    for every cell, joined by `sep`, then `end`. With the defaults a row is
+    its TSV lines."""
+    for lead, cells in rows:
+        if cells:
+            lead_sep = sep + lead
+            yield lead + lead_sep.join(cells) + end
+
+
+def name_cells(names, after="\t"):
+    """An object array of `name + after` for each name, for cell lookups."""
+    return np.array([name + after for name in names], dtype=object)
+
+
 def export_tsv(pm: PathMatrix, names) -> str:
-    """Render `tail<TAB>head<TAB>weight` rows in deterministic row-major order."""
-    tails, heads, values = pm.entries()
-    if pm.dtype.kind != "i":
-        values = [format(float(v), ".12g") for v in values]
-    return "".join(f"{names[i]}\t{names[j]}\t{w}\n" for i, j, w in zip(tails, heads, values))
+    """Render `tail<TAB>head<TAB>weight` rows in deterministic row-major
+    order; int64 weights print exactly, float64 ones with 12 significant
+    digits."""
+    heads = name_cells(names)
+    text = str if pm.dtype.kind == "i" else fmt_float
+    return "".join(joined_rows(pm.entry_rows(heads.tolist(), heads, text)))
+
+
+def fmt_float(x) -> str:
+    """A real number as every writer prints it: 12 significant digits."""
+    return format(float(x), ".12g")

@@ -40,6 +40,7 @@ from pathweave.expr import (
     with_children,
 )
 
+from pathweave.rewrite import EVar, SVar
 from util import random_expr
 
 
@@ -419,6 +420,35 @@ def test_pickle_and_copies_return_the_interned_node():
     assert copy.copy(e) is e
     assert copy.deepcopy(e) is e
     assert copy.deepcopy({"tree": e})["tree"] is e
+
+
+def test_deep_chains_pickle_and_print_without_recursion():
+    e = parse(" . ".join(["A[x]"] * 3000))
+    assert pickle.loads(pickle.dumps(e)) is e
+    # the text the recursive repr wrote, one level at a time
+    want = "SliceRef(label='x')"
+    for _ in range(2999):
+        want = f"MatMul(left={want}, right=SliceRef(label='x'))"
+    assert repr(e) == want
+
+
+def test_pickle_lays_out_each_shared_node_once():
+    e = SliceRef("x")
+    for _ in range(64):
+        e = MatMul(e, e)  # 2**64 leaves as a tree, 65 nodes as written
+    data = pickle.dumps(e)
+    assert len(data) < 4000
+    assert pickle.loads(data) is e
+
+
+def test_patterns_pickle_and_print_with_their_metavariables():
+    pat = Hadamard(MatMul(EVar("x"), EVar("y", boolean=True)), Scale(SVar("c"), EVar("x")))
+    assert pickle.loads(pickle.dumps(pat)) is pat
+    assert repr(pat) == (
+        "Hadamard(left=MatMul(left=EVar(name='x', boolean=False), "
+        "right=EVar(name='y', boolean=True)), "
+        "right=Scale(coef=SVar(name='c'), child=EVar(name='x', boolean=False)))"
+    )
 
 
 def test_nodes_cannot_be_changed():

@@ -13,7 +13,7 @@ from pathweave.expr import parse
 from pathweave.kernels import PathMatrix, export_tsv
 from pathweave.tensor import read_triples
 
-from oracles import min_power_distances
+from oracles import dense_reference_eval, min_power_distances
 
 # x -> y -> z -> x is a cycle that w enters and nothing leaves for w, so
 # (x, w) is unreachable; s is entered from y and reaches nothing. `also`
@@ -166,3 +166,113 @@ def test_geodesic_fixture_has_unreached_cases(graph, capsys):
         run(["geodesic", "--graph", path, "--expr", "A[next]", "--format", "json"], capsys)[1]
     )
     assert payload["values"]["s"] == {"eccentricity": None, "closeness": None, "reached": 0}
+
+
+# -- a larger random graph --------------------------------------------------
+
+# 300 vertices by position: 0-239 a random `link` core (0-39 also a dense
+# `dense` block), 240-249 sinks the core links to, 250-259 sources linking
+# into the core, 260-279 a `link` chain out of vertex 0, and 280-299 joined
+# only by `tag`, so isolated under `link`.
+_SHAPES = ("v{}", "é{}", "東京{}", 'q"{}', "b\\{}", "ü{}-ß")
+
+
+def big_triples(rng):
+    names = [_SHAPES[i % len(_SHAPES)].format(i) for i in range(300)]
+    edges = set()
+    for i in range(240):
+        edges.update((i, "link", int(j)) for j in rng.choice(240, size=2, replace=False))
+    for i in range(240, 250):
+        edges.add((int(rng.integers(240)), "link", i))
+    for i in range(250, 260):
+        edges.add((i, "link", int(rng.integers(240))))
+    edges.update((i, "link", i + 1) for i in range(260, 279))
+    edges.add((0, "link", 260))
+    dense = rng.random((40, 40)) < 0.9
+    edges.update((int(i), "dense", int(j)) for i, j in zip(*np.nonzero(dense)))
+    edges.update((i, "tag", i + 1) for i in range(280, 299))
+    return [(names[t], label, names[h]) for t, label, h in sorted(edges)]
+
+
+def bfs_distances(adj):
+    """Hop counts by a breadth-first search from each vertex; 0 on the
+    diagonal, inf where unreached."""
+    n = adj.shape[0]
+    succ = [np.flatnonzero(adj[i]).tolist() for i in range(n)]
+    dist = np.full((n, n), math.inf)
+    for s in range(n):
+        dist[s, s] = 0
+        frontier, hops = [s], 0
+        while frontier:
+            hops += 1
+            reached = []
+            for u in frontier:
+                for v in succ[u]:
+                    if dist[s, v] == math.inf:
+                        dist[s, v] = hops
+                        reached.append(v)
+            frontier = reached
+    return dist
+
+
+@pytest.fixture(scope="module")
+def big_graph(tmp_path_factory):
+    path = tmp_path_factory.mktemp("big") / "g.tsv"
+    triples = big_triples(np.random.default_rng(1931))
+    path.write_text("".join(f"{t}\t{l}\t{h}\n" for t, l, h in triples), encoding="utf-8")
+    t = read_triples(str(path))
+    assert t.n == 300
+    return str(path), t
+
+
+_DENSE_POWER = " . ".join(["A[dense]"] * 12)
+
+# kind -> expression; its value comes from the dense reference evaluator
+BIG_EXPRESSIONS = {
+    "int-beyond-2**53": _DENSE_POWER,
+    "float": "0.3 * (A[dense] . A[dense] . A[dense]) + 0.7 * (A[link] . A[dense] . A[dense])",
+    "unsorted": "(A[link] . A[link]' & not(I)) . A[dense]",
+    "complement": "not(A[link])",
+}
+
+
+@pytest.mark.parametrize("kind", list(BIG_EXPRESSIONS))
+def test_eval_writers_on_a_larger_graph(big_graph, kind, capsys):
+    path, t = big_graph
+    names = t.vertices.names
+    text = BIG_EXPRESSIONS[kind]
+    want = dense_reference_eval(parse(text), t)
+    z = evaluate(parse(text), t)
+    values = want[want != 0]
+    if kind == "int-beyond-2**53":
+        assert z.dtype == np.int64 and want.max() < 2**62
+        # counts a float64 cannot hold, which must print exactly
+        assert any(int(float(v)) != v for v in values.tolist() if v >= 2**53)
+    elif kind == "float":
+        assert len(set(values.tolist())) > 500
+    elif kind == "unsorted":
+        assert not z.mat.has_sorted_indices
+    else:
+        assert z.complement
+    assert export_tsv(z, names) == reference_tsv(want, names)
+    code, out, _ = run(["eval", "--graph", path, "--expr", text], capsys)
+    assert (code, out) == (0, reference_tsv(want, names))
+    code, out, _ = run(["eval", "--graph", path, "--expr", text, "--format", "json"], capsys)
+    assert (code, out) == (0, reference_json(want, names))
+
+
+@pytest.mark.parametrize("text", ["A[link]", "A[link]' + A[tag]", "A[link] . A[link] & not(I)"])
+def test_geodesic_writers_on_a_larger_graph(big_graph, text, capsys):
+    path, t = big_graph
+    names = t.vertices.names
+    dist = bfs_distances(dense_reference_eval(parse(text), t))
+    finite = dist[np.isfinite(dist)]
+    reach = np.isfinite(dist).sum(axis=1) - 1
+    assert (reach == 0).any() and (reach < t.n - 1).all()  # reaches nothing; never everything
+    if text == "A[link]":
+        assert finite.max() >= 10
+    want_tsv, want_json = reference_geodesic(dist, names)
+    assert run(["geodesic", "--graph", path, "--expr", text], capsys) == (0, want_tsv, "")
+    assert run(
+        ["geodesic", "--graph", path, "--expr", text, "--format", "json"], capsys
+    ) == (0, want_json, "")
