@@ -120,7 +120,10 @@ def build(op, scalars: tuple, kids: tuple):
 def _layout(e) -> tuple:
     """The distinct nodes of `e`, children before parents and `e` last, as
     (type, scalar values, positions of the children) each; a child that is
-    not a node (a pattern's metavariable) is an entry (None, itself, ())."""
+    not a node (a pattern's metavariable) is an entry (None, itself, ()).
+    Each pickled node carries its own layout, so nodes that share subtrees,
+    pickled together in one container, lay those subtrees out once each:
+    every prefix of a k-factor chain in one list takes O(k^2) entries."""
     pos, layout, stack = {}, [], [(e, False)]
     while stack:
         node, ready = stack.pop()

@@ -34,8 +34,8 @@ under ``+``, ``-`` and ``multiply``) emit no duplicates and no zeros, in an
 unspecified order when an operand is unsorted (Gustavson's product emits a
 row's columns in the order it first meets them); the CSC-to-CSR conversion
 of a transpose sorts as it goes. Order is sorted only where a caller sees
-it, in ``PathMatrix.entries`` and ``PathMatrix.entry_rows`` (a sorted copy
-of an unsorted CSR; the matrix is untouched). The kernels avoid the scipy
+it, in ``PathMatrix.entry_rows`` (a sorted copy of an unsorted CSR; the
+matrix is untouched). The kernels avoid the scipy
 methods that canonicalise their operand on the way (``astype``, through
 ``sum_duplicates``): casts go through ``_as_dtype``.
 
@@ -108,7 +108,7 @@ class PathMatrix:
     copies it (so it neither changes nor shares a caller's arrays) and sums
     its duplicates; kernels build their results with ``_result``,
     which trusts the no-duplicates guarantee of the scipy routine that made
-    them and sorts nothing. ``entries`` (and so ``export_tsv``) sort.
+    them and sorts nothing. ``entry_rows`` (and so ``export_tsv``) sorts.
     """
 
     __slots__ = ("n", "mat", "complement")
@@ -232,25 +232,15 @@ class PathMatrix:
             return dense
         return self.mat.toarray()
 
-    def _sorted(self):
-        """The explicit CSR with each row's columns ascending: a sorted copy
-        of an unsorted one, so the stored matrix is untouched."""
-        mat = self.explicit()
-        return mat if mat.has_sorted_indices else mat.sorted_indices()
-
-    def entries(self):
-        """(tails, heads, values) of the nonzero denoted entries, as Python
-        lists in row-major order."""
-        mat = self._sorted()
-        tails = np.repeat(np.arange(self.n), np.diff(mat.indptr))
-        return tails.tolist(), mat.indices.tolist(), mat.data.tolist()
-
     def entry_rows(self, leads, heads, text):
         """(lead, cells) for each row in order: `leads[i]`, and for each
         nonzero entry (i, j, v) of the row in column order the cell
         `heads[j] + text(v)`. `heads` is an object array of strings; `text`
-        is called once per distinct value, on the Python int or float."""
-        mat = self._sorted()
+        is called once per distinct value, on the Python int or float. An
+        unsorted CSR is read through a sorted copy; the matrix is untouched."""
+        mat = self.explicit()
+        if not mat.has_sorted_indices:
+            mat = mat.sorted_indices()
         values, codes = np.unique(mat.data, return_inverse=True)
         texts = np.array([text(v) for v in values.tolist()], dtype=object)
         cells = (heads[mat.indices] + texts[codes]).tolist()

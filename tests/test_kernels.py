@@ -442,7 +442,6 @@ def test_unsorted_product_renders_in_row_major_order(x_src):
     want = dense_reference_eval(e, t)
     tails, heads = np.nonzero(want)
     values = want[tails, heads].tolist()
-    assert z.entries() == (tails.tolist(), heads.tolist(), values)
     names = t.vertices.names
     if want.dtype.kind == "f":
         values = [format(v, ".12g") for v in values]
