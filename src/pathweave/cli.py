@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis, tensor as tensor_io
 from .errors import AnalysisError, EvalError, ExprSyntaxError, GraphFormatError
-from .evaluate import evaluate
+from .evaluate import evaluate, plan
 from .expr import SliceRef, check_signatures, format_expr, parse, parse_program
 from .kernels import export_tsv, fmt_float, joined_rows, name_cells
 from .rewrite import derivation_table, simplify
@@ -30,23 +30,18 @@ def _json_num(x):
 
 def _load_tensor(args):
     try:
-        t = tensor_io.read_triples(args.graph)
+        return tensor_io.read_triples(args.graph)
     except OSError as err:
         raise GraphFormatError(f"cannot read graph file {args.graph}: {err}")
-    if getattr(args, "signatures", None):
-        try:
-            t = t.with_signatures(tensor_io.read_signatures(args.signatures))
-        except OSError as err:
-            raise GraphFormatError(f"cannot read signature file {args.signatures}: {err}")
-    return t
 
 
 def _load_expression(args, t):
-    if getattr(args, "expr", None) and getattr(args, "expr_file", None):
+    # an empty `--expr ""` is given, and the parser refuses it
+    if args.expr is not None and args.expr_file is not None:
         raise GraphFormatError("give either --expr or --expr-file, not both")
-    if getattr(args, "expr", None):
+    if args.expr is not None:
         return parse(args.expr)
-    if getattr(args, "expr_file", None):
+    if args.expr_file is not None:
         try:
             with open(args.expr_file, "r", encoding="utf-8") as fh:
                 return parse_program(fh.read())
@@ -113,14 +108,21 @@ def _emit_vector(metric, values_by_name, scalars, fmt, out):
 
 def cmd_load_check(args, out):
     t = _load_tensor(args)
+    if args.signatures is not None:
+        try:
+            t = t.with_signatures(tensor_io.read_signatures(args.signatures))
+        except OSError as err:
+            raise GraphFormatError(f"cannot read signature file {args.signatures}: {err}")
     out.write(f"vertices\t{t.n}\n")
     out.write(f"labels\t{t.m}\n")
     for label in sorted(t.labels):
         s = t.slice(label)
         sig = f"\t{s.signature[0]}\t{s.signature[1]}" if s.signature else ""
         out.write(f"slice\t{label}\t{s.nnz}{sig}\n")
-    if args.expr or args.expr_file:
+    if args.expr is not None or args.expr_file is not None:
         e = _load_expression(args, t)
+        # refuses an unknown label or vertex name, as `eval` would
+        plan(e, t)
         report = check_signatures(e, t)
         out.write(f"expression\t{format_expr(e)}\n")
         dom = report.derived[0] or "?"
@@ -140,9 +142,9 @@ def _print_derivation(start, trace, stream):
 
 
 def cmd_simplify(args, out):
-    e = _load_expression(args, None) if (args.expr or args.expr_file) else None
-    if e is None:
+    if args.expr is None and args.expr_file is None:
         raise GraphFormatError("simplify needs --expr or --expr-file")
+    e = _load_expression(args, None)
     simplified, trace = simplify(e)
     _print_derivation(e, trace, out)
     out.write(f"{format_expr(simplified)}\n")
@@ -281,14 +283,13 @@ def cmd_assort(args, out):
     return 0
 
 
-def _add_common(p, with_graph=True, with_expr=True):
+def _add_common(p, with_graph=True, with_format=True):
     if with_graph:
         p.add_argument("--graph", required=True, help="triple file: tail<TAB>label<TAB>head")
-        p.add_argument("--signatures", help="optional label<TAB>domain<TAB>range file")
-    if with_expr:
-        p.add_argument("--expr", help="inline path expression")
-        p.add_argument("--expr-file", help="expression file with optional let bindings")
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    p.add_argument("--expr", help="inline path expression")
+    p.add_argument("--expr-file", help="expression file with optional let bindings")
+    if with_format:
+        p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("load-check", help="validate a graph and optional expression")
-    _add_common(p)
+    _add_common(p, with_format=False)
+    p.add_argument("--signatures", help="optional label<TAB>domain<TAB>range file")
     p.set_defaults(func=cmd_load_check)
 
     p = sub.add_parser("eval", help="evaluate a path expression to a matrix")
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("simplify", help="algebraically simplify an expression")
-    _add_common(p, with_graph=False)
+    _add_common(p, with_graph=False, with_format=False)
     p.set_defaults(func=cmd_simplify)
 
     p = sub.add_parser("pagerank", help="stationary vector of the merged walk matrix")

@@ -5,6 +5,10 @@ depth is bounded by memory rather than the recursion limit. ``run`` is the
 one mapping from operators to kernels: ``evaluate`` gives it a leaf resolver
 for slices and name-addressed filters of a tensor, and ``verify_rule`` one
 for pattern operands bound to concrete matrices and integer indices.
+``fold`` visits each distinct subtree once, so ``run`` computes a shared
+subtree once and hands its matrix to every parent, which is safe because
+no kernel writes into an operand. The plan's steps and flop estimates
+count every occurrence.
 
 Planning moves masks and cannot change the result: a row (column) filter
 applied to a product is pushed onto the left (right) factor, using the

@@ -26,7 +26,8 @@ object. `==` and hashing are identity, O(1) however deep the tree, and
 each node records its weighted cost and whether it is syntactically
 {0,1}-valued when it is built. Nodes cannot be changed; pickling and
 copying return the interned node. The table holds its nodes weakly, so it
-keeps no tree alive.
+keeps no tree alive. Every walk over a tree's distinct nodes reads
+`postorder`, `fold` included, so a subtree that occurs twice is folded once.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numbers
 import re
 import weakref
 from _weakref import _remove_dead_weakref
+from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -118,28 +120,20 @@ def build(op, scalars: tuple, kids: tuple):
 
 
 def _layout(e) -> tuple:
-    """The distinct nodes of `e`, children before parents and `e` last, as
-    (type, scalar values, positions of the children) each; a child that is
-    not a node (a pattern's metavariable) is an entry (None, itself, ()).
-    Each pickled node carries its own layout, so nodes that share subtrees,
-    pickled together in one container, lay those subtrees out once each:
-    every prefix of a k-factor chain in one list takes O(k^2) entries."""
-    pos, layout, stack = {}, [], [(e, False)]
-    while stack:
-        node, ready = stack.pop()
-        if node in pos:
-            continue
-        kids = children(node)
-        if not ready:
-            stack.append((node, True))
-            stack.extend((kid, False) for kid in reversed(kids) if kid not in pos)
-            continue
-        pos[node] = len(layout)
-        if isinstance(node, _Node):
-            layout.append((type(node), _scalar_values(node), tuple(pos[kid] for kid in kids)))
-        else:
-            layout.append((None, node, ()))
-    return tuple(layout)
+    """The distinct nodes of `e` in `postorder`, as (type, scalar values,
+    positions of the children) each; a child that is not a node (a
+    pattern's metavariable) is an entry (None, itself, ()). Each pickled
+    node carries its own layout, so nodes that share subtrees, pickled
+    together in one container, lay those subtrees out once each: every
+    prefix of a k-factor chain in one list takes O(k^2) entries."""
+    order = postorder(e)
+    pos = {node: k for k, node in enumerate(order)}
+    return tuple(
+        (type(node), _scalar_values(node), tuple([pos[kid] for kid in children(node)]))
+        if isinstance(node, _Node)
+        else (None, node, ())
+        for node in order
+    )
 
 
 def _rebuild(layout):
@@ -367,25 +361,39 @@ def walk(e):
             stack.append((path + (idx,), kids[idx]))
 
 
+def postorder(e, done=()) -> list:
+    """The distinct nodes of `e` that are not in `done`, each after its
+    children, left to right, and `e` last; a subtree in `done` is not
+    entered. Runs on an explicit stack, so depth is bounded by memory."""
+    order, entered, stack = [], set(), [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            order.append(node)
+        elif node not in entered and node not in done:
+            entered.add(node)
+            stack.append((node, True))
+            stack.extend([(kid, False) for kid in reversed(children(node))])
+    return order
+
+
 def fold(e, visit):
     """Post-order fold: `visit(node, kid_values)` gives each node's value from
     its children's (an empty tuple at a leaf); returns the root's value.
 
-    Runs on an explicit stack, so depth is bounded by memory rather than the
-    recursion limit. Children are visited left to right."""
-    values, stack = [], [(e, None)]
-    while stack:
-        node, kids = stack.pop()
-        if kids is None:
-            kids = children(node)
-            stack.append((node, kids))
-            stack.extend((kid, None) for kid in reversed(kids))
-        else:
-            start = len(values) - len(kids)
-            value = visit(node, tuple(values[start:]))
-            del values[start:]  # children's values die here, not at the next visit
-            values.append(value)
-    return values[0]
+    Each distinct subtree is visited once, in `postorder`, and its value is
+    read by every parent that shares it, then dropped after the last."""
+    order = postorder(e)
+    uses = Counter(kid for node in order for kid in children(node))
+    values = {}
+    for node in order:
+        kids = children(node)
+        values[node] = visit(node, tuple([values[kid] for kid in kids]))
+        for kid in kids:
+            uses[kid] -= 1
+            if not uses[kid]:
+                del values[kid]
+    return values[e]
 
 
 def subexpr_at(e, path: tuple):
@@ -703,18 +711,8 @@ def format_length(e, memo: dict) -> int:
     A node with no scalar fields renders the same around children of the
     same levels, so `memo` also keeps that text's (length, level) under
     (type, children's levels)."""
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        kids = children(node)
-        pending = [kid for kid in kids if kid not in memo]
-        if pending:
-            stack += pending
-            continue
-        stack.pop()
-        if node in memo:  # pushed twice, as both children of one node
-            continue
-        shapes = [memo[kid] for kid in kids]
+    for node in postorder(e, memo):
+        shapes = [memo[kid] for kid in children(node)]
         frame = (type(node), *[level for _, level in shapes])
         own = memo.get(frame)
         if own is None:

@@ -85,6 +85,7 @@ from .expr import (
     format_length,
     is_boolean_expr,
     node_count,
+    postorder,
     replace_at,
     subexpr_at,
     walk,
@@ -693,23 +694,12 @@ def derivation_table(start, trace: RuleTrace):
 # -- simplification ---------------------------------------------------------------
 
 
-def _dag_size(e) -> int:
-    """The number of distinct subtrees of `e`: equal subtrees are one node."""
-    seen, stack = {e}, [e]
-    while stack:
-        for kid in children(stack.pop()):
-            if kid not in seen:
-                seen.add(kid)
-                stack.append(kid)
-    return len(seen)
-
-
 def _tie_key(e, cost, lengths):
     # ties prefer shared subtrees, then shorter renderings (left-assoc
     # chains need no parentheses); remaining ties keep the first-discovered
     # expression, i.e. the one fewest steps from the input. `lengths`
     # memoises rendered lengths across the tied candidates
-    return (cost, _dag_size(e), format_length(e, lengths))
+    return (cost, len(postorder(e)), format_length(e, lengths))
 
 
 def _root_rewrites(node) -> list:

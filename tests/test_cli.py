@@ -337,3 +337,63 @@ def test_geodesic_refuses_dense_matrix_past_limit(tmp_path, capsys):
     assert out == ""
     assert err.startswith("pathweave: ") and err.count("\n") == 1
     assert "order-8000" in err and "bytes" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--graph", "{graph}", "--expr="],
+        ["load-check", "--graph", "{graph}", "--expr="],
+        ["simplify", "--expr="],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_empty_expression_is_a_syntax_error(cycle_file, argv, capsys):
+    # an empty --expr is given, not absent: the one-label graph's slice is
+    # not the default, and load-check does not skip it
+    code, _, err = run([arg.format(graph=cycle_file) for arg in argv], capsys)
+    assert code == 2
+    assert err.startswith("pathweave: ") and err.count("\n") == 1
+    assert "empty expression" in err
+
+
+def test_empty_expression_and_a_file_are_both_given(tmp_path, cycle_file, capsys):
+    path = tmp_path / "e.pw"
+    path.write_text("A[next]", encoding="utf-8")
+    for command in (["eval", "--graph", cycle_file], ["simplify"]):
+        code, _, err = run([*command, "--expr=", "--expr-file", str(path)], capsys)
+        assert code == 2 and "not both" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["load-check", "--graph", "g.tsv", "--format", "json"],
+        ["simplify", "--expr", "A[x]", "--format", "json"],
+        ["eval", "--graph", "g.tsv", "--signatures", "s.tsv"],
+        ["pagerank", "--graph", "g.tsv", "--signatures", "s.tsv"],
+        ["geodesic", "--graph", "g.tsv", "--signatures", "s.tsv"],
+        ["spread", "--graph", "g.tsv", "--steps", "1", "--signatures", "s.tsv"],
+        ["assort", "--graph", "g.tsv", "--property", "p.tsv", "--kind", "scalar",
+         "--signatures", "s.tsv"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_options_that_no_command_reads_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "expr,named",
+    [("A[nosuch] . R(nobody)", "nosuch"), ("A[cites] & R(nobody)", "nobody")],
+    ids=["label", "vertex"],
+)
+def test_load_check_refuses_what_eval_cannot_evaluate(graph_file, expr, named, capsys):
+    for command in ("load-check", "eval"):
+        code, _, err = run([command, "--graph", graph_file, "--expr", expr], capsys)
+        assert code == 1, command
+        assert err.startswith("pathweave: ") and err.count("\n") == 1
+        assert named in err

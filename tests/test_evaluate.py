@@ -1,10 +1,12 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from pathweave import kernels
 from pathweave.errors import EvalError
-from pathweave.evaluate import EvalPlan, _tensor_leaf, evaluate, plan, run
+from pathweave.evaluate import _KERNELS, EvalPlan, _tensor_leaf, evaluate, plan, run
 from pathweave.expr import (
     Hadamard,
     MatMul,
@@ -18,7 +20,7 @@ from pathweave.expr import (
 from pathweave.tensor import MultiRelTensor, ingest_triples
 
 from conftest import FIXTURE1_TRIPLES
-from oracles import count_typed_paths, marko_query_answers
+from oracles import count_typed_paths, dense_reference_eval, marko_query_answers
 from util import random_expr, random_tensor
 
 MARKO_QUERY = (
@@ -64,6 +66,53 @@ def test_unknown_label_and_vertex(fixture1):
         evaluate(parse("A[knows]"), fixture1)
     with pytest.raises(EvalError, match="nobody"):
         evaluate(parse("R(nobody) & A[cites]"), fixture1)
+
+
+def count_calls(monkeypatch):
+    """A Counter of the calls, by name, that evaluation makes to each kernel
+    and to `MultiRelTensor.matrix`, which loads a slice."""
+    calls = Counter()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    for name in (*_KERNELS.values(), "materialize_filter"):
+        counted(kernels, name)
+    counted(MultiRelTensor, "matrix")
+    return calls
+
+
+@pytest.mark.parametrize(
+    "src,want",
+    [
+        # criterion 03's target: the journal mask is one subtree, used twice
+        (
+            "(vout(C(socsci) & A[category]) & A[contains]) . A[cites] "
+            ". (vout(C(socsci) & A[category]) & A[contains])'",
+            dict(matrix=3, materialize_filter=1, hadamard=2, vertex_out=1, matmul=2, transpose=1),
+        ),
+        ("A[authored] . A[authored]'", dict(matrix=1, transpose=1, matmul=1)),
+    ],
+    ids=["journal-reuse", "coauthor"],
+)
+def test_each_distinct_subtree_is_computed_once(monkeypatch, src, want):
+    rng = np.random.default_rng(31)
+    labels = ("authored", "cites", "contains", "category")
+    names = [f"v{i}" for i in range(11)] + ["socsci"]
+    tensor = random_tensor(rng, 12, labels=labels, density=0.3, names=names)
+    e = parse(src)
+    calls = count_calls(monkeypatch)
+    for use_plan in (True, False):
+        calls.clear()
+        z = evaluate(e, tensor, use_plan=use_plan)
+        assert dict(calls) == want
+        assert np.array_equal(z.to_dense(), dense_reference_eval(e, tensor))
 
 
 def random_scholarly_tensor(rng, n_extra=12):

@@ -35,6 +35,7 @@ from pathweave.expr import (
     node_count,
     parse,
     parse_program,
+    postorder,
     replace_at,
     weighted_cost,
     with_children,
@@ -283,6 +284,58 @@ def test_fold_is_post_order_and_not_bounded_by_recursion():
     for _ in range(10_000):
         deep = Transpose(deep)
     assert fold(deep, lambda node, kids: 1 + sum(kids)) == 10_001
+
+
+def test_postorder_lists_each_distinct_node_once():
+    e = parse("A[a] . A[a]' + A[b] & A[a] . A[a]'")
+    order = [format_expr(node) for node in postorder(e)]
+    assert order == [
+        "A[a]",
+        "A[a]'",
+        "A[a] . A[a]'",
+        "A[b]",
+        "A[b] & A[a] . A[a]'",
+        "A[a] . A[a]' + A[b] & A[a] . A[a]'",
+    ]
+    # a subtree in `done` is neither listed nor entered
+    done = {parse("A[a] . A[a]'")}
+    assert [format_expr(node) for node in postorder(e, done)] == order[3:]
+    assert postorder(e, {e}) == []
+
+
+def test_fold_visits_a_shared_subtree_once_and_drops_its_value_after_its_last_parent():
+    class Value:  # a fold value that a weak reference can watch
+        pass
+
+    e = parse("A[a] . A[a]' + A[b]")
+    refs, visits = {}, []
+
+    def visit(node, kids):
+        live = {format_expr(n) for n, ref in refs.items() if ref() is not None}
+        visits.append((format_expr(node), live))
+        value = Value()
+        refs[node] = weakref.ref(value)
+        return value
+
+    root = fold(e, visit)
+    assert visits == [
+        ("A[a]", set()),
+        ("A[a]'", {"A[a]"}),
+        # A[a] is read by the transpose and the product: held until the product
+        ("A[a] . A[a]'", {"A[a]", "A[a]'"}),
+        ("A[b]", {"A[a] . A[a]'"}),
+        ("A[a] . A[a]' + A[b]", {"A[a] . A[a]'", "A[b]"}),
+    ]
+    assert refs[e]() is root
+
+
+def test_signatures_report_a_shared_mistyped_product_once(fixture1_signed):
+    report = check_signatures(
+        parse("A[cites] . A[authored] + A[cites] . A[authored]"), fixture1_signed
+    )
+    assert [(v.subexpr, v.expected, v.found) for v in report.violations] == [
+        ("A[cites] . A[authored]", "A", "H")
+    ]
 
 
 def test_is_boolean_expr_not_bounded_by_recursion():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -397,6 +399,43 @@ def test_representation_transparency(rng):
             sc = scale(a, 0.5)
             assert representation_ok(sc)
             assert np.allclose(dense(sc), 0.5 * arr, rtol=1e-12, atol=0)
+
+
+# each kernel, its number of matrix operands and its other arguments
+_KERNEL_CALLS = [
+    (matmul, 2, ()),
+    (hadamard, 2, ()),
+    (add, 2, ()),
+    (transpose, 1, ()),
+    (not_, 1, ()),
+    (clip, 1, ()),
+    (vertex_out, 1, (1,)),
+    (vertex_in, 1, (1,)),
+    (scale, 1, (0.5,)),
+]
+
+
+@pytest.mark.parametrize(
+    "kernel,arity,params", _KERNEL_CALLS, ids=[call[0].__name__ for call in _KERNEL_CALLS]
+)
+def test_kernels_never_write_into_an_operand(kernel, arity, params, rng):
+    """Evaluation hands one value to every parent of a shared subtree, so a
+    kernel may not change its operands' arrays."""
+    arr = (rng.random((6, 6)) < 0.4).astype(np.int64)
+    operands = [
+        unsorted(arr),
+        scale(unsorted(arr), 0.5),  # float64, sharing no arrays with the one above
+        not_(unsorted(1 - arr)),  # a complement over an unsorted pattern
+    ]
+    for args in itertools.product(operands, repeat=arity):
+        before = [[getattr(a.mat, f).copy() for f in ("data", "indices", "indptr")] for a in args]
+        try:
+            kernel(*args, *params)
+        except EvalError:  # not_ refuses the weighted operand
+            assert kernel is not_
+        for a, old in zip(args, before):
+            for field, was in zip(("data", "indices", "indptr"), old):
+                assert np.array_equal(getattr(a.mat, field), was), field
 
 
 # X, as written over a tensor with slices x and y; the products are raw
