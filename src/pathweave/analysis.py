@@ -6,13 +6,22 @@ a positive (i, j) entry gives the shortest path length, which breadth-first
 traversal computes directly). Rank and diffusion algorithms row-normalize
 by weighted out-sums. Mixing coefficients treat each nonzero entry as one
 path carrying its aggregated weight, so all weights enter as fractions and
-the results are invariant under uniform rescaling of the matrix. They are
-summed per vertex, from its out- and in-weight (the row and column sums),
-plus one sparse matrix-vector product for the scalar coefficient and one
-same-category test per entry for the categorical one, so each entry is
-read once. Row and column sums come from ``kernels._row_sums`` and
-``kernels._col_sums``, in float64 (integer counts are cast once), since an
-int64 sum of path counts could wrap.
+the results are invariant under uniform rescaling of the matrix.
+
+PageRank, spreading activation and both mixing coefficients read a matrix
+only through its prepared operand (``PathMatrix.operand()``, see
+``kernels``), built once per matrix and shared by every analysis of it: its
+float64 row and column sums and total, ``vecmat`` (y'W) and ``matvec`` (Wx),
+its same-category weight, and the exact masks of empty rows and of vertices
+on a path. A walk step scales the vector, (pi o inv) W with inv the inverse
+out-weights, rather than a row-normalized copy of the weights. The mixing
+coefficients are summed per vertex, from its out- and in-weight, plus one
+``matvec`` for the scalar coefficient and the same-category weight for the
+categorical one. On a factored product root Z = X . Y (less a masked
+diagonal d) every one of these comes from the factors: y'Z = (y'X)Y - y o d,
+Zx = X(Yx) - d o x, the sums in exact integers, and the same-category
+weight tr(C'XYC) - sum(d) over the category indicator matrix C; the product
+itself is never built.
 """
 
 from __future__ import annotations
@@ -20,11 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import AnalysisError
-from .kernels import DENSIFY_LIMIT, PathMatrix, _as_dtype, _col_sums, _row_sums, clip
+from .kernels import DENSIFY_LIMIT, PathMatrix, _ones_like, clip
 
 _TINY = 1e-300
 
@@ -75,11 +83,8 @@ def shortest_paths(z: PathMatrix) -> GeodesicResult:
     diameter, and closeness."""
     n = z.n
     _refuse_dense(n, "all-pairs shortest paths")
-    pattern = clip(z).explicit()
     # unit weights over the pattern's arrays; `astype` would sort a copy
-    support = sp.csr_array(
-        (np.ones(pattern.nnz), pattern.indices, pattern.indptr), shape=pattern.shape
-    )
+    support = _ones_like(clip(z).explicit())
     dist = csgraph.shortest_path(support, method="D", unweighted=True, directed=True)
     np.fill_diagonal(dist, 0.0)
     # the reached vertices: finite and off the diagonal; the row reductions
@@ -104,19 +109,9 @@ def shortest_paths(z: PathMatrix) -> GeodesicResult:
     )
 
 
-def _row_normalized(z: PathMatrix):
-    """Row-stochastic rescaling of z; returns (matrix, dangling row mask).
-
-    The matrix is a float64 CSR over z's own index arrays, in z's order:
-    each row's data divided by the row's weighted out-sum. It is only ever
-    read, so sharing the arrays is safe."""
-    w = _as_dtype(z.explicit(), np.float64)
-    out = _row_sums(w)
-    dangling = out <= 0
-    inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, out))
-    data = w.data * np.repeat(inv, np.diff(w.indptr))
-    normalized = sp.csr_array((data, w.indices, w.indptr), shape=w.shape)
-    return normalized, dangling
+def _inverse_out(op) -> np.ndarray:
+    """Each row's inverse out-weight; 0 on a dangling row."""
+    return np.divide(1.0, op.row_sums, out=np.zeros(op.row_sums.size), where=~op.dangling)
 
 
 def pagerank_matrix(z: PathMatrix, delta: float) -> np.ndarray:
@@ -124,9 +119,9 @@ def pagerank_matrix(z: PathMatrix, delta: float) -> np.ndarray:
     normalized support, (1 - delta) teleportation, dangling rows uniform."""
     n = z.n
     _refuse_dense(n, "the merged PageRank matrix")
-    normalized, dangling = _row_normalized(z)
-    p1 = normalized.toarray()
-    p1[dangling] = 1.0 / n
+    op = z.operand()
+    p1 = z.to_dense() * _inverse_out(op)[:, None]
+    p1[op.dangling] = 1.0 / n
     return delta * p1 + (1.0 - delta) / n
 
 
@@ -139,12 +134,13 @@ def pagerank(z: PathMatrix, cfg: PageRankConfig = PageRankConfig()) -> np.ndarra
     n = z.n
     if n < 1:
         raise AnalysisError("empty matrix")
-    normalized, dangling = _row_normalized(z)
+    op = z.operand()
+    inv = _inverse_out(op)
     pi = np.full(n, 1.0 / n)
     residual = np.inf
     for _ in range(cfg.max_iters):
-        spread_mass = cfg.delta * float(pi[dangling].sum())
-        nxt = cfg.delta * (pi @ normalized) + (spread_mass + (1.0 - cfg.delta)) / n
+        spread_mass = cfg.delta * float(pi[op.dangling].sum())
+        nxt = cfg.delta * op.vecmat(pi * inv) + (spread_mass + (1.0 - cfg.delta)) / n
         nxt /= nxt.sum()
         residual = float(np.linalg.norm(nxt - pi))
         pi = nxt
@@ -180,31 +176,23 @@ def spreading_activation(
         raise AnalysisError(f"seed must have length {z.n}")
     if (seed < 0).any() or not np.isfinite(seed).all():
         raise AnalysisError("seed energies must be finite and nonnegative")
-    normalized, _ = _row_normalized(z)
+    op = z.operand()
+    inv = _inverse_out(op)
     pi = seed.copy()
     acc = seed.copy()
     for _ in range(steps):
-        pi = decay * (pi @ normalized)
+        pi = decay * op.vecmat(pi * inv)
         pi[pi < threshold] = 0.0
         acc += pi
     return acc
 
 
-def _weights(z: PathMatrix):
-    """(w, rows, cols): the explicit CSR of z with float64 data over z's
-    index arrays, and its row and column sums. Raises when z has no entries.
-    Casting the data once costs less than a cast in each reduction."""
-    mat = z.explicit()
-    if mat.nnz == 0:
+def _nonempty_operand(z: PathMatrix):
+    """z's prepared operand; raises when z has no entries."""
+    op = z.operand()
+    if op.dangling.all():
         raise AnalysisError("empty path matrix")
-    w = _as_dtype(mat, np.float64)
-    return w, _row_sums(w), _col_sums(w)
-
-
-def _on_paths(w, cols):
-    """The vertices that start or end an entry of CSR `w`, whose column sums
-    are `cols` (every entry is positive)."""
-    return (np.diff(w.indptr) > 0) | (cols != 0)
+    return op
 
 
 def assortativity_scalar(z: PathMatrix, values) -> float:
@@ -219,7 +207,7 @@ def assortativity_scalar(z: PathMatrix, values) -> float:
     r.(v - mj)^2/T and c.(v - mk)^2/T, and the covariance is the one
     product (v - mj).W(v - mk)/T, so each entry of W is read once.
     """
-    w, rows, cols = _weights(z)
+    op = _nonempty_operand(z)
     n = z.n
     try:
         vals = np.asarray(values, dtype=np.float64)
@@ -227,21 +215,20 @@ def assortativity_scalar(z: PathMatrix, values) -> float:
         raise AnalysisError(f"scalar property values must be numbers: {err}") from None
     if vals.shape != (n,):
         raise AnalysisError(f"property must supply one value per vertex ({n})")
-    on_path = _on_paths(w, cols)
-    if not np.isfinite(vals[on_path]).all():
+    if not np.isfinite(vals[op.on_path]).all():
         raise AnalysisError("scalar property missing (non-finite) on a path endpoint")
     # 0 * NaN is NaN: values off every path must not reach the products
-    vals = np.where(on_path, vals, 0.0)
+    vals = np.where(op.on_path, vals, 0.0)
     # numpy's pairwise sums, not BLAS dots: on a 5M-entry matrix a dot
     # left r 21 ulps from an 80-bit sum, these at most 5
-    total = rows.sum()
+    rows, cols, total = op.row_sums, op.col_sums, op.total
     mj = (rows * vals).sum() / total
     mk = (cols * vals).sum() / total
     dj = vals - mj
     dk = vals - mk
     cov_jj = (rows * dj * dj).sum() / total
     cov_kk = (cols * dk * dk).sum() / total
-    cov_jk = (dj * (w @ dk)).sum() / total
+    cov_jk = (dj * op.matvec(dk)).sum() / total
     if cov_jj <= _TINY or cov_kk <= _TINY:
         raise AnalysisError("degenerate property: zero variance on tails or heads")
     return float(cov_jk / np.sqrt(cov_jj * cov_kk))
@@ -256,8 +243,8 @@ def assortativity_categorical(z: PathMatrix, labels) -> float:
     2003), and r = 1 iff all weight stays within categories. Labels are
     categories under Python equality; None marks a vertex without one, which
     may not end a path. i and j are summed from each vertex's out- and
-    in-weight, and e_aa from one same-category test per entry."""
-    w, rows, cols = _weights(z)
+    in-weight, and sum_a e_aa is the operand's same-category weight."""
+    op = _nonempty_operand(z)
     labels = list(labels)
     n = z.n
     if len(labels) != n:
@@ -265,17 +252,16 @@ def assortativity_categorical(z: PathMatrix, labels) -> float:
     category: dict = {}
     codes = np.fromiter((category.setdefault(a, len(category)) for a in labels), np.int64, n)
     missing = np.fromiter((a is None for a in labels), bool, n)
-    if missing[_on_paths(w, cols)].any():
+    if missing[op.on_path].any():
         raise AnalysisError("categorical property missing on a path endpoint")
     # Per-category sums rather than the k x k matrix e, which would be
     # quadratic in the number of distinct labels.
-    tail_weight = np.bincount(codes, weights=rows, minlength=len(category))
-    head_weight = np.bincount(codes, weights=cols, minlength=len(category))
-    total = tail_weight.sum()
+    k = len(category)
+    tail_weight = np.bincount(codes, weights=op.row_sums, minlength=k)
+    head_weight = np.bincount(codes, weights=op.col_sums, minlength=k)
+    total = op.total
     s = float((tail_weight / total) @ (head_weight / total))
     if 1.0 - s <= 1e-12:
         raise AnalysisError("degenerate: one category")
-    c = codes.astype(np.min_scalar_type(len(category) - 1))
-    same = np.repeat(c, np.diff(w.indptr)) == c[w.indices]
-    inside = float(w.data[same].sum()) / total
+    inside = op.same_category_weight(codes, k) / total
     return float((inside - s) / (1.0 - s))

@@ -19,7 +19,17 @@ import numpy as np
 from . import analysis, tensor as tensor_io
 from .errors import AnalysisError, EvalError, ExprSyntaxError, GraphFormatError
 from .evaluate import evaluate, plan
-from .expr import SliceRef, check_signatures, format_expr, parse, parse_program
+from .expr import (
+    Not,
+    SliceRef,
+    check_signatures,
+    children,
+    format_expr,
+    is_boolean_expr,
+    parse,
+    parse_program,
+    postorder,
+)
 from .kernels import export_tsv, fmt_float, joined_rows, name_cells
 from .rewrite import derivation_table, simplify
 
@@ -130,6 +140,10 @@ def cmd_load_check(args, out):
         out.write(f"signature\t{dom}\t{rng}\t{'ok' if report.ok else 'violations'}\n")
         for v in report.violations:
             out.write(f"violation\t{v.subexpr}\texpected {v.expected}\tfound {v.found}\n")
+        # `not` needs a {0,1} operand; whether one is depends on the data
+        for node in postorder(e):
+            if isinstance(node, Not) and not is_boolean_expr(children(node)[0]):
+                out.write(f"note\t{format_expr(node)}\toperand may not be {{0,1}}\n")
     return 0
 
 

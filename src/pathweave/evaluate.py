@@ -10,6 +10,12 @@ subtree once and hands its matrix to every parent, which is safe because
 no kernel writes into an operand. The plan's steps and flop estimates
 count every occurrence.
 
+Every node but the root is computed as its kernel computes it. A root that
+is a product of two stored int64 matrices, alone or under a mask whose
+pattern lies on the diagonal (``& not(I)``, ``& not(E(v,v))``), is returned
+factored (see ``kernels``): the analyses read it from its factors, and the
+product is built only when something reads its stored matrix.
+
 Planning moves masks and cannot change the result: a row (column) filter
 applied to a product is pushed onto the left (right) factor, using the
 planner-only commutations from the rule set. Products are evaluated in the
@@ -72,14 +78,31 @@ _KERNELS = {
 }
 
 
+def _root_product(e):
+    """The product node that `e` may hold factored: `e` itself when it is a
+    product, else the first product operand of a `&` at the root."""
+    if isinstance(e, MatMul):
+        return e
+    if isinstance(e, Hadamard):
+        return next((kid for kid in children(e) if isinstance(kid, MatMul)), None)
+    return None
+
+
 def run(e, leaf) -> kernels.PathMatrix:
     """Apply each operator's kernel bottom-up; `leaf(node)` maps every node
-    that is not an operator to a path matrix."""
+    that is not an operator to a path matrix. A root `X . Y`, or `X . Y`
+    under a mask at the root, is kept factored where the kernels allow it
+    (`kernels.factored_matmul`, `kernels.factored_mask`)."""
+    product = _root_product(e)
 
     def visit(node, args):
         name = _KERNELS.get(type(node))
         if name is None:
             return leaf(node)
+        if node is product:
+            return kernels.factored_matmul(*args)
+        if node is e and product is not None:
+            return kernels.factored_mask(*args)
         params = (getattr(node, f) for f in type(node)._scalars)
         return getattr(kernels, name)(*args, *params)
 
@@ -111,7 +134,8 @@ def _tensor_leaf(tensor):
 
 def evaluate(e, tensor, use_plan: bool = True) -> kernels.PathMatrix:
     """Evaluate an expression to a path matrix; identical with or without
-    planning."""
+    planning. A product root may come back factored (see `run`); its stored
+    matrix is built when first read."""
     if use_plan:
         e = plan(e, tensor).tree
     return run(e, _tensor_leaf(tensor))

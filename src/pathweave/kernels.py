@@ -1,13 +1,32 @@
 """Path matrices, filter matrices, and the eight primitive operations.
 
 A path matrix is a nonnegative real n x n matrix whose (i, j) entry counts
-(or weights) composed paths from i to j. Two representations are used:
+(or weights) composed paths from i to j. Three representations are used:
 
 * ``Sparse``: entries stored directly in CSR form; zeros are absence.
 * ``BoolComplement``: the {0,1} matrix equal to all-ones minus a sparse
   boolean pattern. Produced by ``not_`` and the all-ones filter so that
   compositions which mask with complements (the common case) never touch
   n^2 memory.
+* ``Product``: ``X . Y``, optionally under a complement mask whose pattern
+  lies on the diagonal (``& not(I)``, ``& not(E(v,v))``), held as its two
+  stored int64 factors and the mask. Only an evaluation's root takes it
+  (``factored_matmul``, ``factored_mask``), and only while the product's
+  total weight is below 2**53. The first read of ``mat`` builds the stored
+  product once, through ``matmul`` and ``hadamard``, and keeps it, so every
+  kernel, writer and inspection sees the matrix an eager evaluation gives.
+
+The analyses read a matrix through its ``operand()``, built on first use
+and kept on the matrix, which is safe because no kernel writes into an
+operand or its arrays. A stored matrix's operand holds float64 weights over
+its index arrays; a product's operand holds float64 copies of the factors
+and the diagonal ``d = rowsum(X o Y')`` of the masked rows, and answers
+``y'Z`` as ``(y'X)Y - y o d`` and ``Zx`` as ``X(Yx) - d o x``, two sparse
+matrix-vector products over the factors instead of one over the product.
+Its row and column sums, total and same-category weight are computed in
+int64 from the factors; below 2**53 they are exact, so they equal the
+stored product's sums cast to float64. Whether a row is empty and whether a
+vertex starts or ends a path are integer tests, in both kinds of operand.
 
 Integer pipelines stay exact in int64 until a scale or merge introduces
 reals; float results drop entries below 1e-12 so that ``clip`` never flips
@@ -65,8 +84,16 @@ DENSIFY_LIMIT = 60_000_000
 
 _INT_SAFE_BOUND = float(2**62)
 
+# Below this total weight every sum of a product's nonnegative integer
+# entries is exact in float64.
+_EXACT_SUM_BOUND = float(2**53)
+
 # Cells per band of rows when a complement is materialized.
 _BAND_CELLS = 1 << 20
+
+# Structural bound on a block of product rows whose entries are counted at
+# once when a product's bound on its stored entries passes DENSIFY_LIMIT.
+_COUNT_BLOCK = 1 << 22
 
 
 def _dropped(mat, drop):
@@ -109,9 +136,12 @@ class PathMatrix:
     its duplicates; kernels build their results with ``_result``,
     which trusts the no-duplicates guarantee of the scipy routine that made
     them and sorts nothing. ``entry_rows`` (and so ``export_tsv``) sorts.
+
+    A factored product (``_product``) stores nothing until ``mat`` is first
+    read; it is never a complement. ``operand()`` is the analyses' view.
     """
 
-    __slots__ = ("n", "mat", "complement")
+    __slots__ = ("n", "_mat", "complement", "_factors", "_operand")
 
     def __init__(self, mat, complement: bool = False):
         # summing duplicates sorts in place: never in a caller's arrays
@@ -143,8 +173,44 @@ class PathMatrix:
         else:
             _check_entries(mat)
         self.n = mat.shape[0]
-        self.mat = mat
+        self._mat = mat
         self.complement = complement
+        self._factors = self._operand = None
+
+    @classmethod
+    def _product(cls, x: "PathMatrix", y: "PathMatrix", mask=None) -> "PathMatrix":
+        """``x . y``, under the complement `mask` if one is given, held
+        factored: stored int64 `x` and `y`, and a mask whose pattern lies
+        on the diagonal."""
+        self = object.__new__(cls)
+        self.n = x.n
+        self._mat = None
+        self.complement = False
+        self._factors = (x, y, mask)
+        self._operand = None
+        return self
+
+    @property
+    def mat(self):
+        """The stored CSR; a factored product builds it, through ``matmul``
+        and ``hadamard``, when it is first read."""
+        mat = self._mat
+        if mat is None:
+            x, y, mask = self._factors
+            z = matmul(x, y)
+            if mask is not None:
+                z = hadamard(z, mask)
+            mat = self._mat = z.mat
+        return mat
+
+    def operand(self) -> "StoredOperand | ProductOperand":
+        """The analyses' view of this matrix, built on the first call."""
+        if self._operand is None:
+            if self._factors is not None:
+                self._operand = ProductOperand(*self._factors)
+            else:
+                self._operand = StoredOperand(self.explicit())
+        return self._operand
 
     # -- constructors ------------------------------------------------------
 
@@ -254,6 +320,8 @@ class PathMatrix:
         return self.mat.nnz
 
     def __repr__(self):
+        if self._mat is None:  # showing a factored product must not build it
+            return f"<PathMatrix n={self.n} factored product>"
         kind = "complement" if self.complement else "sparse"
         return f"<PathMatrix n={self.n} {kind} nnz={self.value_nnz()} dtype={self.dtype}>"
 
@@ -326,12 +394,128 @@ def _int_checked(op, x, y, bound):
     return op(x, y)
 
 
+def _ones_like(mat):
+    """CSR of `mat`'s pattern with float64 ones, over its index arrays."""
+    return sp.csr_array((np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape)
+
+
+def _refuse_large_product(x, y):
+    """Raise EvalError before the product of CSR `x` and `y` stores more than
+    DENSIFY_LIMIT entries. The bound sum_k nnz(column k of x) * nnz(row k of
+    y) is O(nnz); only past the limit are the entries counted exactly, a
+    block of rows at a time, so no block stores more than about
+    _COUNT_BLOCK entries."""
+    per_inner = np.diff(y.indptr).astype(np.int64)
+    bound = int(np.bincount(x.indices, minlength=x.shape[1]) @ per_inner)
+    if bound <= DENSIFY_LIMIT:
+        return
+    # the bound of rows [lo, hi) is reach[hi] - reach[lo]
+    reach = np.zeros(x.nnz + 1, dtype=np.int64)
+    np.cumsum(per_inner[x.indices], out=reach[1:])
+    reach = reach[x.indptr]
+    pattern, count, lo, rows = _ones_like(y), 0, 0, x.shape[0]
+    while lo < rows:
+        hi = max(lo + 1, int(np.searchsorted(reach, reach[lo] + _COUNT_BLOCK, side="right")) - 1)
+        count += (_ones_like(x[lo:hi]) @ pattern).nnz
+        if count > DENSIFY_LIMIT:
+            raise EvalError(
+                f"a product of order {rows} would store more than {DENSIFY_LIMIT} entries "
+                f"(at least {count}, at most {bound}); refusing"
+            )
+        lo = hi
+
+
 def _checked_matmul(x, y):
-    """Sparse product: exact in int64 when both operands are, else float64."""
+    """Sparse product: exact in int64 when both operands are, else float64;
+    refused past DENSIFY_LIMIT stored entries."""
+    _refuse_large_product(x, y)
     if x.dtype.kind == "i" and y.dtype.kind == "i":
         rowsum_bound = lambda x, y: _row_sums(x).max(initial=0) * y.data.max(initial=0)
         return _int_checked(operator.matmul, x, y, rowsum_bound)
     return _as_dtype(x, np.float64) @ _as_dtype(y, np.float64)
+
+
+# -- analysis operands -----------------------------------------------------
+
+
+class StoredOperand:
+    """The analyses' view of a stored CSR: float64 weights `w` over its index
+    arrays (cast once), their row and column sums and total, and the integer
+    masks `dangling` (row empty) and `on_path` (starts or ends an entry)."""
+
+    __slots__ = ("w", "row_sums", "col_sums", "total", "dangling", "on_path")
+
+    def __init__(self, mat):
+        self.w = w = _as_dtype(mat, np.float64)
+        self.row_sums = _row_sums(w)
+        self.col_sums = _col_sums(w)
+        self.total = float(self.row_sums.sum())
+        starts = np.diff(w.indptr) > 0
+        self.dangling = ~starts
+        self.on_path = starts | (np.bincount(w.indices, minlength=w.shape[1]) > 0)
+
+    def vecmat(self, y):
+        """y'W."""
+        return y @ self.w
+
+    def matvec(self, x):
+        """Wx."""
+        return self.w @ x
+
+    def same_category_weight(self, codes, k):
+        """The weight of the entries whose row and column share one of `k`
+        category codes."""
+        w = self.w
+        c = codes.astype(np.min_scalar_type(k - 1))
+        same = np.repeat(c, np.diff(w.indptr)) == c[w.indices]
+        return float(w.data[same].sum())
+
+
+class ProductOperand:
+    """The analyses' view of Z = X . Y less the diagonal of the rows that
+    `mask` holds, read from the int64 factors. With d = rowsum(X o Y') on
+    the masked rows (0 elsewhere), Z's row and column sums are X(Y1) - d and
+    (1'X)Y - d, taken in int64, exact since Z's total weight is below 2**53,
+    then cast; so a row is empty, or a vertex off every path, exactly where
+    an integer sum is zero. Products with vectors run over float64 copies of
+    the factors."""
+
+    __slots__ = ("x", "y", "xf", "yf", "d", "row_sums", "col_sums", "total", "dangling", "on_path")
+
+    def __init__(self, x: PathMatrix, y: PathMatrix, mask):
+        x, y = x.mat, y.mat
+        self.x, self.y = x, y
+        d = np.zeros(x.shape[0], dtype=np.int64)
+        if mask is not None:
+            masked = _diagonal_rows(mask.mat)
+            d[masked] = _row_sums(x.multiply(y.T), dtype=np.int64)[masked]
+        rows = x @ _row_sums(y, dtype=np.int64) - d
+        cols = _col_sums(x, dtype=np.int64) @ y - d
+        self.d = d
+        self.xf = _as_dtype(x, np.float64)
+        self.yf = _as_dtype(y, np.float64)
+        self.row_sums = rows.astype(np.float64)
+        self.col_sums = cols.astype(np.float64)
+        self.total = float(self.row_sums.sum())
+        self.dangling = rows == 0
+        self.on_path = (rows != 0) | (cols != 0)
+
+    def vecmat(self, v):
+        """v'Z = (v'X)Y - v o d."""
+        return (v @ self.xf) @ self.yf - v * self.d
+
+    def matvec(self, v):
+        """Zv = X(Yv) - d o v."""
+        return self.xf @ (self.yf @ v) - self.d * v
+
+    def same_category_weight(self, codes, k):
+        """tr(C'XYC) - sum(d), in int64, over the n x k indicator matrix C
+        of the category codes: every dropped diagonal entry lies within one
+        category."""
+        n = codes.size
+        c = sp.csr_array((np.ones(n, dtype=np.int64), codes, np.arange(n + 1)), shape=(n, k))
+        inside = (self.x.T @ c).multiply(self.y @ c).sum()
+        return float(int(inside) - int(self.d.sum()))
 
 
 # -- the eight operations --------------------------------------------------
@@ -384,17 +568,52 @@ def hadamard(a: PathMatrix, b: PathMatrix) -> PathMatrix:
         return PathMatrix._result(_int_checked(lambda x, y: x.multiply(y), a.mat, b.mat, bound))
     # A o (1 - B): drop A's entries that fall on B's pattern.
     x, pat = a.mat, b.mat
-    pat_rows = np.repeat(np.arange(a.n, dtype=pat.indices.dtype), np.diff(pat.indptr))
-    if np.array_equal(pat_rows, pat.indices):
+    masked = _diagonal_rows(pat)
+    if masked is not None:
         # B's pattern lies on the diagonal (I, E(v,v) or part of them): one
         # mask over A's arrays drops A's diagonal entries in B's rows
-        masked = np.zeros(a.n, dtype=bool)
-        masked[pat_rows] = True
         rows = np.repeat(np.arange(a.n, dtype=x.indices.dtype), np.diff(x.indptr))
         diag = np.flatnonzero(x.indices == rows)
         diag = diag[masked[rows[diag]]]
         return PathMatrix._result(_dropped(x, diag)) if diag.size else a
     return PathMatrix._result(x - x.multiply(_as_dtype(pat, x.dtype)))
+
+
+def _diagonal_rows(pat):
+    """The rows of CSR `pat` as a boolean mask when every stored entry lies
+    on the diagonal, else None."""
+    rows = np.repeat(np.arange(pat.shape[0], dtype=pat.indices.dtype), np.diff(pat.indptr))
+    if not np.array_equal(rows, pat.indices):
+        return None
+    masked = np.zeros(pat.shape[0], dtype=bool)
+    masked[rows] = True
+    return masked
+
+
+def factored_matmul(a: PathMatrix, b: PathMatrix) -> PathMatrix:
+    """``matmul(a, b)``, held factored when both operands are stored int64
+    matrices and the product's total weight, colsum(a) . rowsum(b), is below
+    2**53. No entry then reaches 2**62, where ``matmul`` raises, so holding
+    the product skips no overflow error; only the DENSIFY_LIMIT guard waits
+    until the product is built."""
+    _same_order(a, b)
+    if not a.complement and not b.complement and a.dtype.kind == b.dtype.kind == "i":
+        if float(_col_sums(a.mat) @ _row_sums(b.mat)) < _EXACT_SUM_BOUND:
+            return PathMatrix._product(a, b)
+    return matmul(a, b)
+
+
+def factored_mask(a: PathMatrix, b: PathMatrix) -> PathMatrix:
+    """``hadamard(a, b)``, held factored when one side is an unmasked
+    factored product and the other a complement whose pattern lies on the
+    diagonal; otherwise the product is built and masked as usual."""
+    _same_order(a, b)
+    for z, mask in ((a, b), (b, a)):
+        factors = z._factors
+        if factors and factors[2] is None and mask.complement:
+            if _diagonal_rows(mask.mat) is not None:
+                return PathMatrix._product(factors[0], factors[1], mask)
+    return hadamard(a, b)
 
 
 def not_(a: PathMatrix) -> PathMatrix:

@@ -397,3 +397,33 @@ def test_load_check_refuses_what_eval_cannot_evaluate(graph_file, expr, named, c
         assert code == 1, command
         assert err.startswith("pathweave: ") and err.count("\n") == 1
         assert named in err
+
+
+def test_a_product_past_the_entry_limit_fails_eval_but_not_pagerank(tmp_path, monkeypatch, capsys):
+    import pathweave.kernels as K
+
+    # one article with 200 authors: 40000 coauthor entries
+    path = tmp_path / "big.tsv"
+    path.write_text("".join(f"h{i}\tauthored\ta1\n" for i in range(200)), encoding="utf-8")
+    monkeypatch.setattr(K, "DENSIFY_LIMIT", 1000)
+    argv = ["--graph", str(path), "--expr", "A[authored] . A[authored]' & not(I)"]
+    code, out, err = run(["eval", *argv], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("pathweave: ") and err.count("\n") == 1
+    assert "more than 1000 entries" in err
+    # PageRank reads the product from its factors and never builds it
+    code, out, err = run(["pagerank", *argv], capsys)
+    assert code == 0 and err == ""
+    ranks = [float(line.split("\t")[1]) for line in out.splitlines()]
+    assert len(ranks) == 201 and sum(ranks) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_load_check_notes_not_over_an_operand_that_may_not_be_boolean(graph_file, capsys):
+    expr = "not(A[authored] . A[authored]') & not(clip(A[authored] . A[authored]')) & not(I)"
+    code, out, _ = run(["load-check", "--graph", graph_file, "--expr", expr], capsys)
+    assert code == 0
+    notes = [line for line in out.splitlines() if line.startswith("note\t")]
+    assert notes == ["note\tnot(A[authored] . A[authored]')\toperand may not be {0,1}"]
+    # eval refuses it on this data: h1 coauthors with itself twice
+    code, _, err = run(["eval", "--graph", graph_file, "--expr", expr], capsys)
+    assert code == 1 and "not requires a {0,1} matrix" in err

@@ -1,0 +1,157 @@
+"""Product roots held factored: the analyses read them from their factors,
+and the stored matrix, built on first read, is the one eager evaluation
+gives."""
+
+import numpy as np
+import pytest
+
+from pathweave.analysis import (
+    PageRankConfig,
+    assortativity_categorical,
+    assortativity_scalar,
+    pagerank,
+    spreading_activation,
+)
+from pathweave.errors import AnalysisError
+from pathweave.evaluate import evaluate
+from pathweave.expr import parse
+from pathweave.kernels import StoredOperand
+from pathweave.tensor import MultiRelTensor
+
+from oracles import (
+    categorical_r,
+    dense_pagerank_matrix,
+    dense_power_iteration,
+    dense_spread,
+    weighted_scalar_r,
+)
+from util import random_tensor
+
+# (expression over slices x and y, whether its root is held factored)
+_ROOTS = [
+    ("A[x] . A[x]' & not(I)", True),
+    ("not(I) & A[x] . A[x]'", True),
+    ("A[x] . A[y]' & not(E(v1,v1))", True),
+    ("not(E(v0,v0)) & A[x] . A[y]", True),
+    ("A[x] . A[y]", True),
+    ("(A[x] . A[y]) . A[x]' & not(I)", True),
+    # a mask off the diagonal, a float factor, and a product below the root
+    ("A[x] . A[x]' & not(E(v0,v1))", False),
+    ("(0.5 * A[x]) . A[y]", False),
+    ("1 * (A[x] . A[x]' & not(I))", False),
+]
+
+
+def _outcome(fn, *args):
+    """fn's value, or the message of the AnalysisError it raised."""
+    try:
+        return fn(*args)
+    except AnalysisError as err:
+        return str(err)
+
+
+def _assert_close(got, want, tol):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.allclose(got, want, rtol=0, atol=tol)
+
+
+def _check_analyses(z, stored, rng, with_nan=True):
+    """Each analysis of `z` against the same analysis of `stored`, the same
+    matrix evaluated eagerly, and against the dense oracles; values and
+    labels off every path are NaN and None, which neither form may read."""
+    n = z.n
+    assert isinstance(stored.operand(), StoredOperand)
+    dense = stored.to_dense().astype(float)
+    entries = [(i, j, dense[i, j]) for i, j in zip(*np.nonzero(dense))]
+    on_path = dense.any(axis=1) | dense.any(axis=0)
+    values = rng.random(n)
+    labels = [("a", "b", "c")[c] for c in rng.integers(0, 3, size=n)]
+    if with_nan:
+        values[~on_path] = np.nan
+        labels = [lab if on else None for lab, on in zip(labels, on_path)]
+    seed = rng.random(n)
+    cfg = PageRankConfig(epsilon=1e-13, max_iters=20000)
+    want_pi = dense_power_iteration(dense_pagerank_matrix(dense, cfg.delta), 1e-13)
+    want_flow = dense_spread(dense, seed, 4, 0.8, 0.05)
+    pis, flows = [], []
+    for m in (z, stored):
+        pis.append(pagerank(m, cfg))
+        flows.append(spreading_activation(m, seed, 4, 0.8, 0.05))
+        assert np.allclose(pis[-1], want_pi, atol=1e-9)
+        assert np.allclose(flows[-1], want_flow, atol=1e-9)
+    _assert_close(*pis, 1e-15)
+    _assert_close(*flows, 1e-12)
+    for fn, prop, oracle in (
+        (assortativity_scalar, values, weighted_scalar_r),
+        (assortativity_categorical, labels, categorical_r),
+    ):
+        got = _outcome(fn, z, prop)
+        _assert_close(got, _outcome(fn, stored, prop), 1e-12)
+        if not isinstance(got, str):
+            assert got == pytest.approx(oracle(entries, prop, prop), abs=1e-12)
+    op, ref = z.operand(), stored.operand()
+    for field in ("row_sums", "col_sums", "dangling", "on_path"):
+        assert np.array_equal(getattr(op, field), getattr(ref, field)), field
+    assert op.total == ref.total
+
+
+@pytest.mark.parametrize("src,factored", _ROOTS, ids=[src for src, _ in _ROOTS])
+def test_factored_root_analyses_match_the_stored_matrix(src, factored):
+    rng = np.random.default_rng(2121)
+    e = parse(src)
+    checked = 0
+    for trial in range(40):
+        n = int(rng.integers(3, 10))
+        t = random_tensor(rng, n, labels=("x", "y"), density=float(rng.uniform(0.1, 0.5)))
+        z = evaluate(e, t)
+        assert (z._factors is not None) == factored
+        factor_arrays = [
+            [getattr(f.mat, a).copy() for a in ("data", "indices", "indptr")]
+            for f in (z._factors or ())[:2]
+        ]
+        if z.operand().dangling.all():
+            continue
+        # the root is not a product here, so the matrix is built eagerly
+        eager = evaluate(parse(f"1 * ({src})"), t)
+        assert eager._factors is None
+        _check_analyses(z, eager, rng, with_nan=trial % 2 == 0)
+        if factored:
+            assert z._mat is None  # the analyses never built the product
+        # the stored matrix is the eager evaluation's, array for array
+        assert z.mat.dtype == eager.mat.dtype
+        for a in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(z.mat, a), getattr(eager.mat, a)), a
+        for f, arrays in zip((z._factors or ())[:2], factor_arrays):
+            for a, was in zip(("data", "indices", "indptr"), arrays):
+                assert np.array_equal(getattr(f.mat, a), was), a
+        checked += 1
+    assert checked >= 20
+
+
+def test_dangling_author_and_values_off_every_path():
+    # h0 wrote a1 alone and a0 with h1, so h0's row keeps h1; h2 wrote only
+    # a2 alone: a dangling row whose dropped diagonal entry is 1. h3 wrote
+    # nothing, and the articles start and end no path.
+    names = ["h0", "h1", "h2", "h3", "a0", "a1", "a2"]
+    edges = {"authored": (np.array([0, 0, 1, 2]), np.array([4, 5, 4, 6]))}
+    t = MultiRelTensor.from_edges(names, edges)
+    values = np.array([1.0, 2.0, np.nan, np.nan, np.nan, np.nan, np.nan])
+    labels = ["u", "v", None, None, None, None, None]
+    for src in ("A[authored] . A[authored]' & not(I)", "not(E(h2,h2)) & A[authored] . A[authored]'"):
+        z = evaluate(parse(src), t)
+        assert z._factors is not None
+        op = z.operand()
+        assert op.dangling.tolist() == [False, False, True, True, True, True, True]
+        assert op.on_path.tolist() == [True, True, False, False, False, False, False]
+        # h0 and h1 keep their diagonals (2 and 1) under the one-row mask
+        want = -1.0 if src.endswith("not(I)") else weighted_scalar_r(
+            [(0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)], values, values
+        )
+        assert assortativity_scalar(z, values) == pytest.approx(want, abs=1e-12)
+        if src.endswith("not(I)"):
+            assert assortativity_categorical(z, labels) == pytest.approx(-1.0, abs=1e-12)
+        _check_analyses(z, evaluate(parse(f"1 * ({src})"), t), np.random.default_rng(3))
+        assert repr(z) == "<PathMatrix n=7 factored product>"
+        assert z._mat is None

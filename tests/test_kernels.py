@@ -22,6 +22,7 @@ from pathweave.kernels import (
     vertex_in,
     vertex_out,
 )
+from pathweave.tensor import MultiRelTensor
 
 from conftest import FIXTURE1_TRIPLES
 from oracles import count_typed_paths, dense_reference_eval
@@ -302,6 +303,51 @@ def test_densify_guards():
     # small complements materialize fine
     assert PathMatrix.ones(50).explicit().nnz == 2500
     assert K.DENSIFY_LIMIT >= 10_000_000
+
+
+def _authorship(groups, n_articles):
+    """The {0,1} author -> article matrix of order authors + articles, where
+    `groups[k]` lists the authors of article k."""
+    n_authors = 1 + max(h for group in groups for h in group)
+    n = n_authors + n_articles
+    a = np.zeros((n, n), dtype=np.int64)
+    for k, group in enumerate(groups):
+        a[group, n_authors + k] = 1
+    return PathMatrix.from_dense(a)
+
+
+def test_products_are_refused_past_the_entry_limit(monkeypatch):
+    import pathweave.kernels as K
+
+    monkeypatch.setattr(K, "DENSIFY_LIMIT", 1000)
+    # one article with 200 authors: 40000 coauthor entries
+    a = _authorship([list(range(200))], 1)
+    with pytest.raises(EvalError, match=r"more than 1000 entries \(at least 40000, at most 40000\)"):
+        matmul(a, transpose(a))
+    # evaluation holds the product factored and builds it, refused, on first read
+    t = MultiRelTensor.from_edges(a.n, {"authored": a.mat.nonzero()})
+    z = evaluate(parse("A[authored] . A[authored]' & not(I)"), t)
+    with pytest.raises(EvalError, match="more than 1000 entries"):
+        z.mat
+
+
+@pytest.mark.parametrize("block", [1 << 22, 7])
+def test_a_loose_product_bound_is_checked_by_counting(monkeypatch, block):
+    import pathweave.kernels as K
+
+    monkeypatch.setattr(K, "DENSIFY_LIMIT", 30)
+    monkeypatch.setattr(K, "_COUNT_BLOCK", block)
+    # pairs of authors that share 10 articles: 2-paths bound the entries at
+    # 6 * 10 * 2 = 120, past the limit, but the product stores only 6 * 4
+    groups = [[2 * p, 2 * p + 1] for p in range(6) for _ in range(10)]
+    a = _authorship(groups, len(groups))
+    z = matmul(a, transpose(a))
+    assert z.mat.nnz == 24
+    assert np.array_equal(z.mat.toarray(), a.mat.toarray() @ a.mat.toarray().T)
+    groups[0] = [0, 1, 2, 3, 4, 5, 6, 7]  # 64 coauthor entries, past the limit
+    a = _authorship(groups, len(groups))
+    with pytest.raises(EvalError, match="more than 30 entries"):
+        matmul(a, transpose(a))
 
 
 def test_complement_explicit_equals_dense(rng):
