@@ -3,7 +3,13 @@
 A path matrix is treated as a weighted directed network. Geodesic metrics
 use hop counts over the {0,1} support (the first power of the support with
 a positive (i, j) entry gives the shortest path length, which breadth-first
-traversal computes directly). Rank and diffusion algorithms row-normalize
+traversal computes directly). Only a vertex that starts or ends an entry
+lies on a path, so the traversal runs over the support induced on those
+vertices, from a block of sources at a time; each block's metrics are
+reduced, and its reached pairs kept as sparse hop counts, before the next
+block is searched. Memory is one block plus the reached pairs, which are
+refused past DENSIFY_LIMIT; the dense distance matrix is built only when
+asked for. Rank and diffusion algorithms row-normalize
 by weighted out-sums. Mixing coefficients treat each nonzero entry as one
 path carrying its aggregated weight, so all weights enter as fractions and
 the results are invariant under uniform rescaling of the matrix.
@@ -29,29 +35,47 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import AnalysisError
-from .kernels import DENSIFY_LIMIT, PathMatrix, _ones_like, clip
+from .kernels import _BAND_CELLS, DENSIFY_LIMIT, PathMatrix, clip
 
 _TINY = 1e-300
 
 
 @dataclass(frozen=True)
 class GeodesicResult:
-    """All-pairs hop counts plus the derived geodesic metrics.
+    """The hop counts of the reached pairs plus the derived geodesic metrics.
 
-    distances[i, j] is inf when j is unreachable from i; eccentricity and
-    closeness are NaN for vertices that reach nothing else. Closeness is the
-    mean shortest path over reached vertices, with the reach count alongside.
+    hops is an n x n CSR holding, for each vertex i and each vertex j != i
+    that i reaches, the hop count of a shortest path from i to j, with each
+    row's columns sorted; unreached pairs and the diagonal are absent.
+    ``distances`` builds the dense matrix from it on demand: inf where j is
+    unreachable from i, 0 on the diagonal, refused past DENSIFY_LIMIT cells.
+    eccentricity and closeness are NaN for vertices that reach nothing else.
+    Closeness is the mean shortest path over reached vertices, with the
+    reach count alongside.
     """
 
-    distances: np.ndarray
+    hops: sp.csr_array
     eccentricity: np.ndarray
     radius: float | None
     diameter: float | None
     closeness: np.ndarray
     reach_counts: np.ndarray
+
+    @property
+    def distances(self) -> np.ndarray:
+        """The dense n x n hop counts, built on each read."""
+        hops = self.hops
+        n = hops.shape[0]
+        _refuse_dense(n, "all-pairs shortest paths")
+        dist = np.full((n, n), np.inf)
+        np.fill_diagonal(dist, 0.0)
+        rows = np.repeat(np.arange(n), np.diff(hops.indptr))
+        dist[rows, hops.indices] = hops.data
+        return dist
 
 
 @dataclass(frozen=True)
@@ -78,34 +102,99 @@ def _refuse_dense(n: int, what: str):
         )
 
 
-def shortest_paths(z: PathMatrix) -> GeodesicResult:
-    """BFS hop distances over the support of z, plus eccentricity, radius,
-    diameter, and closeness."""
-    n = z.n
-    _refuse_dense(n, "all-pairs shortest paths")
-    # unit weights over the pattern's arrays; `astype` would sort a copy
-    support = _ones_like(clip(z).explicit())
-    dist = csgraph.shortest_path(support, method="D", unweighted=True, directed=True)
-    np.fill_diagonal(dist, 0.0)
-    # the reached vertices: finite and off the diagonal; the row reductions
-    # read dist through this mask rather than a masked copy of it
+def _refuse_pairs(n: int, count: int):
+    """Raise when the reached pairs to store pass DENSIFY_LIMIT."""
+    if count > DENSIFY_LIMIT:
+        raise AnalysisError(
+            f"all-pairs shortest paths of an order-{n} matrix reach at least {count} "
+            f"pairs; refusing to store more than {DENSIFY_LIMIT}"
+        )
+
+
+def _search_block(support, block, heads, hop_dtype):
+    """BFS over `support` from its vertices `block`: each source's reach
+    count, eccentricity and hop total over the vertices it reaches, and the
+    hop counts (in `hop_dtype`) and columns (`heads[j]`) of those cells in
+    row-major order. The float64 distances are dropped on return."""
+    dist = csgraph.shortest_path(
+        support, method="D", unweighted=True, directed=True, indices=block
+    )
+    dist[np.arange(block.size), block] = np.inf  # a source does not reach itself
+    # the reductions read dist through the mask of reached vertices
     finite = np.isfinite(dist)
-    np.fill_diagonal(finite, False)
-    reach = finite.sum(axis=1)
-    reached = reach > 0
-    ecc = np.where(reached, np.max(dist, axis=1, where=finite, initial=0.0), np.nan)
+    got = finite.sum(axis=1)
+    far = np.max(dist, axis=1, where=finite, initial=0.0)
     total = np.sum(dist, axis=1, where=finite)
-    close = np.divide(total, reach, out=np.full(n, np.nan), where=reached)
-    finite_ecc = ecc[reached]
-    radius = float(finite_ecc.min()) if finite_ecc.size else None
-    diameter = float(finite_ecc.max()) if finite_ecc.size else None
+    hops = np.zeros(dist.shape, dtype=hop_dtype)
+    np.copyto(hops, dist, casting="unsafe", where=finite)
+    del dist
+    return got, far, total, hops[finite], np.broadcast_to(heads, finite.shape)[finite]
+
+
+def shortest_paths(z: PathMatrix) -> GeodesicResult:
+    """BFS hop counts over the support of z, plus eccentricity, radius,
+    diameter, and closeness.
+
+    Only a vertex that starts or ends an entry lies on a path, so the search
+    runs over the support induced on those, from a block of sources that
+    start an entry at a time (about _BAND_CELLS distances per block). Each
+    block's metrics and reached pairs are taken before the next. The stored
+    pairs are refused past DENSIFY_LIMIT: first by the O(m) lower bound that
+    a source reaches the rest of its strongly connected component, then by
+    the exact count, block by block."""
+    n = z.n
+    pattern = clip(z).explicit()
+    starts = np.diff(pattern.indptr) > 0
+    keep = np.flatnonzero(starts | (np.bincount(pattern.indices, minlength=n) > 0))
+    k = keep.size
+    idx_dtype = np.int32 if max(n, DENSIFY_LIMIT) < 2**31 else np.int64
+    local = np.zeros(n, dtype=idx_dtype)
+    local[keep] = np.arange(k)
+    # every row off the kept vertices is empty, so row r of the induced
+    # support spans indptr[keep[r]] to indptr[keep[r + 1]]
+    bounds = pattern.indptr[np.append(keep, n)]
+    support = sp.csr_array(
+        (np.ones(pattern.nnz), local[pattern.indices], bounds), shape=(k, k)
+    )
+    sources = np.flatnonzero(starts[keep])
+    _, component = csgraph.connected_components(support, directed=True, connection="strong")
+    size = np.bincount(component)
+    _refuse_pairs(n, int((size[component[sources]] - 1).sum()))
+
+    ecc = np.full(n, np.nan)
+    close = np.full(n, np.nan)
+    reach = np.zeros(n, dtype=np.int64)
+    heads = keep.astype(idx_dtype)
+    hop_dtype = np.min_scalar_type(k)  # a hop count is below k
+    hop_parts, col_parts = [np.empty(0, dtype=hop_dtype)], [np.empty(0, dtype=idx_dtype)]
+    count = 0
+    band = max(1, _BAND_CELLS // max(k, 1))
+    for lo in range(0, sources.size, band):
+        block = sources[lo : lo + band]
+        got, far, total, hops, cols = _search_block(support, block, heads, hop_dtype)
+        count += int(got.sum())
+        _refuse_pairs(n, count)
+        rows = keep[block]
+        reach[rows] = got
+        reached = got > 0
+        ecc[rows] = np.where(reached, far, np.nan)
+        close[rows] = np.divide(total, got, out=np.full(block.size, np.nan), where=reached)
+        hop_parts.append(hops)
+        col_parts.append(cols)
+    indptr = np.zeros(n + 1, dtype=idx_dtype)
+    np.cumsum(reach, out=indptr[1:])
+    # the parts of one array are dropped before the next array is joined
+    data = np.concatenate(hop_parts)
+    del hop_parts
+    hops = sp.csr_array((data, np.concatenate(col_parts), indptr), shape=(n, n))
+    finite_ecc = ecc[reach > 0]
     return GeodesicResult(
-        distances=dist,
+        hops=hops,
         eccentricity=ecc,
-        radius=radius,
-        diameter=diameter,
+        radius=float(finite_ecc.min()) if finite_ecc.size else None,
+        diameter=float(finite_ecc.max()) if finite_ecc.size else None,
         closeness=close,
-        reach_counts=reach.astype(np.int64),
+        reach_counts=reach,
     )
 
 

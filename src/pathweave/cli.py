@@ -30,7 +30,7 @@ from .expr import (
     parse_program,
     postorder,
 )
-from .kernels import export_tsv, fmt_float, joined_rows, name_cells
+from .kernels import cell_rows, export_tsv, fmt_float, joined_rows, name_cells
 from .rewrite import derivation_table, simplify
 
 
@@ -189,17 +189,6 @@ def cmd_pagerank(args, out):
     return 0
 
 
-def _reached_rows(distances, leads, heads, hops):
-    """(lead, cells) for each row i of `distances` in order: `leads[i]`, and
-    the cell `heads[j] + hops[d]` for each j != i that i reaches in d hops,
-    in column order."""
-    for i, row in enumerate(distances):
-        reached = np.isfinite(row)
-        reached[i] = False
-        js = np.flatnonzero(reached)
-        yield leads[i], (heads[js] + hops[row[js].astype(np.intp)]).tolist()
-
-
 def cmd_geodesic(args, out):
     t = _load_tensor(args)
     res = analysis.shortest_paths(evaluate(_load_expression(args, t), t))
@@ -209,6 +198,7 @@ def cmd_geodesic(args, out):
     )
     # hop counts run from 1 to the diameter; the table holds each text once
     longest = 0 if res.diameter is None else int(res.diameter)
+    hops = res.hops
     if args.format == "tsv":
         for name, ecc, clo, reached in rows:
             ecc = "" if math.isnan(ecc) else fmt_float(ecc)
@@ -218,8 +208,9 @@ def cmd_geodesic(args, out):
         diameter = "" if res.diameter is None else fmt_float(res.diameter)
         out.write(f"#radius\t{radius}\n#diameter\t{diameter}\n")
         leads = [f"d\t{name}\t" for name in names]
-        hops = np.array([str(h) for h in range(longest + 1)], dtype=object)
-        out.writelines(joined_rows(_reached_rows(res.distances, leads, name_cells(names), hops)))
+        texts = np.array([str(h) for h in range(longest + 1)], dtype=object)
+        cells = cell_rows(leads, name_cells(names), hops.indptr, hops.indices, hops.data, texts)
+        out.writelines(joined_rows(cells))
         return 0
     payload = {
         "metric": "geodesic",
@@ -237,9 +228,9 @@ def cmd_geodesic(args, out):
         },
     }
     leads, heads = _json_cells(names)
-    hops = np.array([f"{h}]" for h in range(longest + 1)], dtype=object)
-    rows = _reached_rows(res.distances, leads, heads, hops)
-    _write_json(payload, out, "distances", joined_rows(rows, ", ", ""))
+    texts = np.array([f"{h}]" for h in range(longest + 1)], dtype=object)
+    cells = cell_rows(leads, heads, hops.indptr, hops.indices, hops.data, texts)
+    _write_json(payload, out, "distances", joined_rows(cells, ", ", ""))
     return 0
 
 

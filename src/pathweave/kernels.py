@@ -59,11 +59,13 @@ methods that canonicalise their operand on the way (``astype``, through
 ``sum_duplicates``): casts go through ``_as_dtype``.
 
 The writers build their text a row at a time from tables made once per
-call: one string per vertex name, one per distinct value (``entry_rows``
-formats each value found by ``np.unique`` once), and ``joined_rows`` joins
-a row's cells behind the row's lead in one step. ``export_tsv`` and the
-CLI's ``eval`` and ``geodesic`` writers, in TSV and JSON, all go through
-``joined_rows``.
+call: one string per vertex name and one per distinct value (``entry_rows``
+formats each value found by ``np.unique`` once; the geodesic writer one
+per hop count). ``cell_rows`` makes a CSR's cells, the name of each
+entry's head followed by its value's text, a chunk of whole rows at a time
+(about ``_WRITE_CELLS`` cells), and ``joined_rows`` joins a row's cells
+behind the row's lead in one step. ``export_tsv`` and the CLI's ``eval``
+and ``geodesic`` writers, in TSV and JSON, all go through both.
 """
 
 from __future__ import annotations
@@ -90,6 +92,9 @@ _EXACT_SUM_BOUND = float(2**53)
 
 # Cells per band of rows when a complement is materialized.
 _BAND_CELLS = 1 << 20
+
+# Cells per chunk of rows that a writer builds at once.
+_WRITE_CELLS = 1 << 15
 
 # Structural bound on a block of product rows whose entries are counted at
 # once when a product's bound on its stored entries passes DENSIFY_LIMIT.
@@ -309,9 +314,7 @@ class PathMatrix:
             mat = mat.sorted_indices()
         values, codes = np.unique(mat.data, return_inverse=True)
         texts = np.array([text(v) for v in values.tolist()], dtype=object)
-        cells = (heads[mat.indices] + texts[codes]).tolist()
-        bounds = mat.indptr.tolist()
-        return zip(leads, (cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
+        return cell_rows(leads, heads, mat.indptr, mat.indices, codes, texts)
 
     def value_nnz(self) -> int:
         """Number of nonzero denoted entries."""
@@ -715,6 +718,24 @@ def materialize_filter(spec: FilterSpec, n: int) -> PathMatrix:
     if spec.kind == "ones":
         return PathMatrix.ones(n)
     return PathMatrix.zeros(n)
+
+
+def cell_rows(leads, heads, indptr, indices, codes, texts):
+    """(lead, cells) for each row i of the CSR pattern `indptr`, `indices`,
+    in order: `leads[i]`, and the cell `heads[j] + texts[codes[e]]` for each
+    stored entry e = (i, j) of the row, in stored order. The cells are built
+    a chunk of whole rows at a time, about _WRITE_CELLS per chunk (more only
+    when one row holds more)."""
+    rows = len(indptr) - 1
+    lo = 0
+    while lo < rows:
+        first = int(indptr[lo])
+        hi = max(lo + 1, int(np.searchsorted(indptr, first + _WRITE_CELLS, side="right")) - 1)
+        bounds = (indptr[lo : hi + 1] - first).tolist()
+        span = slice(first, first + bounds[-1])
+        cells = (heads[indices[span]] + texts[codes[span]]).tolist()
+        yield from zip(leads[lo:hi], (cells[a:b] for a, b in zip(bounds, bounds[1:])))
+        lo = hi
 
 
 def joined_rows(rows, sep="\n", end="\n"):

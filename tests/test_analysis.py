@@ -135,16 +135,127 @@ def test_geodesic_metrics_equal_masked_copy_reference(fixture1, rng):
 def test_geodesic_metrics_take_no_second_dense_array(rng):
     import tracemalloc
 
+    import scipy.sparse as sp
+
+    def traced_peak(z):
+        tracemalloc.start()
+        try:
+            res = shortest_paths(z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return res, peak
+
+    # a random digraph whose 1500 vertices reach 89% of all pairs: the
+    # stored hop counts then take most of the cells of a dense matrix
     n = 1500
-    z = pm((rng.random((n, n)) < 0.002).astype(np.int64))
-    tracemalloc.start()
-    try:
-        res = shortest_paths(z)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the distances plus their boolean reach mask, and no float64 copy
-    assert peak < 1.3 * res.distances.nbytes
+    core = sp.csr_array((rng.random((n, n)) < 0.002).astype(np.int64))
+    res, peak = traced_peak(PathMatrix(core))
+    assert res.hops.nnz > 0.85 * n * n
+    assert peak < 1.3 * n * n * 8
+    # the same digraph inside an order-6000 matrix, as coauthorship leaves
+    # most vertices off every path: the search never spans the other 4500
+    wide = 6000
+    indptr = np.append(core.indptr, np.full(wide - n, core.nnz))
+    z = PathMatrix(sp.csr_array((core.data, core.indices, indptr), shape=(wide, wide)))
+    wide_res, wide_peak = traced_peak(z)
+    assert wide_res.hops.nnz == res.hops.nnz
+    assert (wide_res.hops[:n, :n] != res.hops).nnz == 0
+    assert wide_peak < 0.1 * wide * wide * 8
+
+
+def shaped_digraph(rng, n):
+    """A random digraph with self-loops, whose vertices are each at random
+    part of the core, isolated, a sink (ends entries, starts none) or a
+    source (starts entries, ends none)."""
+    adj = random_digraph(rng, n, density=float(rng.uniform(0.05, 0.4)))
+    role = rng.integers(0, 4, size=n)
+    adj[role == 1] = 0
+    adj[:, role == 1] = 0
+    adj[role == 2] = 0
+    adj[:, role == 3] = 0
+    return adj
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 3])
+def test_blocked_search_equals_min_power_reference(rng, monkeypatch, per_block):
+    import pathweave.analysis as analysis_mod
+
+    search = analysis_mod._search_block
+    sizes = []
+
+    def recorded(support, block, *rest):
+        sizes.append(block.size)
+        return search(support, block, *rest)
+
+    monkeypatch.setattr(analysis_mod, "_search_block", recorded)
+    kinds = set()
+    for _ in range(40):
+        n = int(rng.integers(2, 15))
+        adj = shaped_digraph(rng, n)
+        starts, ends = adj.sum(axis=1) > 0, adj.sum(axis=0) > 0
+        kinds.update(("isolated",) * bool((~starts & ~ends).any()))
+        kinds.update(("sink",) * bool((~starts & ends).any()))
+        kinds.update(("source",) * bool((starts & ~ends).any()))
+        kinds.update(("loop",) * bool(np.diag(adj).any()))
+        on_path = max(int((starts | ends).sum()), 1)
+        monkeypatch.setattr(analysis_mod, "_BAND_CELLS", per_block * on_path)
+        sizes.clear()
+        res = shortest_paths(pm(adj))
+        assert sum(sizes) == int(starts.sum())  # each source searched once
+        assert all(size <= per_block for size in sizes)
+        want = min_power_distances(adj)
+        assert np.array_equal(res.distances, want)
+        ecc, radius, diameter, close, reach = _geodesic_metrics_from_copy(want)
+        assert np.array_equal(res.eccentricity, ecc, equal_nan=True)
+        assert np.array_equal(res.closeness, close, equal_nan=True)
+        assert np.array_equal(res.reach_counts, reach) and res.reach_counts.dtype == reach.dtype
+        assert (res.radius, res.diameter) == (radius, diameter)
+        # the reached pairs, row-major with sorted columns
+        off = want.copy()
+        np.fill_diagonal(off, np.inf)
+        rows, cols = np.nonzero(np.isfinite(off))
+        assert np.array_equal(res.hops.indptr, np.append(0, np.cumsum(reach)))
+        assert np.array_equal(res.hops.indices, cols)
+        assert np.array_equal(res.hops.data, off[rows, cols])
+    assert kinds == {"isolated", "sink", "source", "loop"}
+
+
+def test_hop_counts_past_255_are_stored_exactly():
+    # a 300-vertex chain: the hop count type must hold 299
+    res = shortest_paths(pm(np.eye(300, k=1, dtype=np.int64)))
+    assert res.diameter == 299 and res.eccentricity[0] == 299
+    assert int(res.hops[0, 299]) == 299 and int(res.hops.data.max()) == 299
+
+
+def test_reached_pairs_refused_past_limit(monkeypatch):
+    import pathweave.analysis as analysis_mod
+
+    search = analysis_mod._search_block
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(analysis_mod, "_search_block", recorded)
+    monkeypatch.setattr(analysis_mod, "DENSIFY_LIMIT", 21)
+    # a 7-cycle: each vertex reaches the 6 others of its strong component,
+    # 42 pairs, so the lower bound refuses before any search
+    cycle = np.roll(np.eye(7, dtype=np.int64), 1, axis=1)
+    with pytest.raises(AnalysisError, match=r"order-7 matrix reach at least 42 pairs; .* 21$"):
+        shortest_paths(pm(cycle))
+    assert calls == []
+    # a 7-vertex chain reaches 21 pairs, where no component bounds any
+    chain = np.eye(7, k=1, dtype=np.int64)
+    assert shortest_paths(pm(chain)).hops.nnz == 21
+    # an 8-vertex chain reaches 28: one source a block, the running count
+    # 7, 13, 18, 22 passes the limit in the fourth block
+    monkeypatch.setattr(analysis_mod, "_BAND_CELLS", 8)
+    calls.clear()
+    with pytest.raises(AnalysisError, match=r"order-8 matrix reach at least 22 pairs"):
+        shortest_paths(pm(np.eye(8, k=1, dtype=np.int64)))
+    assert len(calls) == 4
 
 
 # -- pagerank ------------------------------------------------------------------
@@ -517,8 +628,9 @@ def test_dense_analyses_refuse_before_allocating():
     assert 8000 * 8000 > DENSIFY_LIMIT
     tracemalloc.start()
     try:
+        res = shortest_paths(z)
         with pytest.raises(AnalysisError, match=r"order-8000 .*\(512000000 bytes\)"):
-            shortest_paths(z)
+            res.distances
         with pytest.raises(AnalysisError, match=r"order-8000 .*\(512000000 bytes\)"):
             pagerank_matrix(z, 0.85)
         _, peak = tracemalloc.get_traced_memory()

@@ -6,6 +6,7 @@ import pytest
 from pathweave.analysis import assortativity_scalar
 from pathweave.cli import main
 from pathweave.kernels import PathMatrix
+from pathweave.tensor import read_triples
 
 from conftest import FIXTURE1_TRIPLES
 
@@ -328,15 +329,32 @@ def test_out_of_memory_is_exit_1(monkeypatch, graph_file, capsys):
     assert err == "pathweave: out of memory\n"
 
 
-def test_geodesic_refuses_dense_matrix_past_limit(tmp_path, capsys):
-    # 8000 vertices: the n x n distance matrix would pass DENSIFY_LIMIT
+def test_geodesic_on_an_order_8000_graph(tmp_path, capsys):
+    # 4000 disjoint edges: a dense 8000 x 8000 distance matrix would pass
+    # DENSIFY_LIMIT, but only 4000 pairs are reached
+    from test_writers import reference_geodesic
+
     path = tmp_path / "wide.tsv"
     path.write_text("".join(f"v{i}\tr\tv{i + 4000}\n" for i in range(4000)), encoding="utf-8")
-    code, out, err = run(["geodesic", "--graph", str(path)], capsys)
-    assert code == 1
-    assert out == ""
+    names = read_triples(str(path)).vertices.names
+    ids = {name: i for i, name in enumerate(names)}
+    reached = [{} for _ in names]
+    for i in range(4000):
+        reached[ids[f"v{i}"]][ids[f"v{i + 4000}"]] = 1
+    want_tsv, want_json = reference_geodesic(reached, names)
+    assert run(["geodesic", "--graph", str(path)], capsys) == (0, want_tsv, "")
+    assert run(["geodesic", "--graph", str(path), "--format", "json"], capsys) == (0, want_json, "")
+    assert want_tsv.count("\nd\t") == 4000
+
+
+def test_geodesic_refuses_reached_pairs_past_limit(monkeypatch, cycle_file, capsys):
+    import pathweave.analysis as analysis_mod
+
+    monkeypatch.setattr(analysis_mod, "DENSIFY_LIMIT", 5)
+    code, out, err = run(["geodesic", "--graph", cycle_file], capsys)
+    assert (code, out) == (1, "")
     assert err.startswith("pathweave: ") and err.count("\n") == 1
-    assert "order-8000" in err and "bytes" in err
+    assert "reach at least 6 pairs" in err
 
 
 @pytest.mark.parametrize(

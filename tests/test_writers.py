@@ -52,29 +52,38 @@ def reference_json(dense, names):
     return json.dumps({"n": len(names), "entries": entries}, ensure_ascii=False) + "\n"
 
 
-def reference_geodesic(dist, names):
-    """(tsv, json) text of the geodesic report, one pair at a time."""
+def reached_pairs(dist):
+    """For each vertex i, {j: hops} over the j != i it reaches in `dist`."""
+    n = len(dist)
+    return [
+        {j: int(dist[i, j]) for j in range(n) if j != i and math.isfinite(dist[i, j])}
+        for i in range(n)
+    ]
+
+
+def reference_geodesic(reached, names):
+    """(tsv, json) text of the geodesic report, one pair at a time, from
+    `reached_pairs`."""
     n = len(names)
     rows, values, pairs = [], {}, []
     eccs = []
     for i in range(n):
-        reached = [dist[i, j] for j in range(n) if j != i and math.isfinite(dist[i, j])]
-        ecc = max(reached) if reached else None
-        clo = sum(reached) / len(reached) if reached else None
+        hops = [reached[i][j] for j in sorted(reached[i])]
+        ecc = max(hops) if hops else None
+        clo = sum(hops) / len(hops) if hops else None
         if ecc is not None:
             eccs.append(ecc)
         rows.append(
             f"{names[i]}\t{'' if ecc is None else fmt(ecc)}\t"
-            f"{'' if clo is None else fmt(clo)}\t{len(reached)}\n"
+            f"{'' if clo is None else fmt(clo)}\t{len(hops)}\n"
         )
         values[names[i]] = {
             "eccentricity": None if ecc is None else float(fmt(ecc)),
             "closeness": None if clo is None else float(fmt(clo)),
-            "reached": len(reached),
+            "reached": len(hops),
         }
-        for j in range(n):
-            if j != i and math.isfinite(dist[i, j]):
-                pairs.append([names[i], names[j], int(dist[i, j])])
+        for j in sorted(reached[i]):
+            pairs.append([names[i], names[j], reached[i][j]])
     radius = min(eccs) if eccs else None
     diameter = max(eccs) if eccs else None
     tsv = "".join(rows)
@@ -149,7 +158,7 @@ def test_geodesic_writers_match_straight_line(graph, text, capsys):
     path, t = graph
     names = t.vertices.names
     adj = evaluate(parse(text), t).to_dense()
-    want_tsv, want_json = reference_geodesic(min_power_distances(adj), names)
+    want_tsv, want_json = reference_geodesic(reached_pairs(min_power_distances(adj)), names)
     assert run(["geodesic", "--graph", path, "--expr", text], capsys) == (0, want_tsv, "")
     assert run(
         ["geodesic", "--graph", path, "--expr", text, "--format", "json"], capsys
@@ -271,8 +280,61 @@ def test_geodesic_writers_on_a_larger_graph(big_graph, text, capsys):
     assert (reach == 0).any() and (reach < t.n - 1).all()  # reaches nothing; never everything
     if text == "A[link]":
         assert finite.max() >= 10
-    want_tsv, want_json = reference_geodesic(dist, names)
+    want_tsv, want_json = reference_geodesic(reached_pairs(dist), names)
     assert run(["geodesic", "--graph", path, "--expr", text], capsys) == (0, want_tsv, "")
     assert run(
         ["geodesic", "--graph", path, "--expr", text, "--format", "json"], capsys
     ) == (0, want_json, "")
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_writers_hold_their_bytes_in_small_chunks(big_graph, monkeypatch, capsys, chunk):
+    import pathweave.kernels as kernels
+
+    monkeypatch.setattr(kernels, "_WRITE_CELLS", chunk)
+    path, t = big_graph
+    names = t.vertices.names
+    for text in BIG_EXPRESSIONS.values():
+        want = dense_reference_eval(parse(text), t)
+        assert export_tsv(evaluate(parse(text), t), names) == reference_tsv(want, names)
+    text = "A[link] + A[dense]"
+    reached = reached_pairs(bfs_distances(dense_reference_eval(parse(text), t)))
+    assert max(len(row) for row in reached) > 7  # a row longer than any chunk
+    want_tsv, want_json = reference_geodesic(reached, names)
+    assert run(["geodesic", "--graph", path, "--expr", text], capsys) == (0, want_tsv, "")
+    assert run(
+        ["geodesic", "--graph", path, "--expr", text, "--format", "json"], capsys
+    ) == (0, want_json, "")
+    code, out, _ = run(["eval", "--graph", path, "--expr", text, "--format", "json"], capsys)
+    assert (code, out) == (0, reference_json(dense_reference_eval(parse(text), t), names))
+
+
+def test_cell_rows_build_a_bounded_chunk_at_a_time(rng, monkeypatch):
+    import pathweave.kernels as kernels
+
+    class Spans(np.ndarray):
+        """Index array that records the length of each span sliced from it."""
+
+        seen = []
+
+        def __getitem__(self, key):
+            Spans.seen.append(key.stop - key.start)
+            return np.asarray(self)[key]
+
+    monkeypatch.setattr(kernels, "_WRITE_CELLS", 7)
+    lengths = rng.integers(0, 6, size=40)
+    lengths[[3, 17]] = [0, 12]  # an empty row, and one longer than a chunk
+    indptr = np.append(0, np.cumsum(lengths))
+    indices = rng.integers(0, 9, size=indptr[-1]).astype(np.int32)
+    codes = rng.integers(0, 4, size=indptr[-1])
+    heads = np.array([f"h{j}:" for j in range(9)], dtype=object)
+    texts = np.array(["a", "b", "c", "d"], dtype=object)
+    leads = [f"r{i}" for i in range(40)]
+    rows = list(kernels.cell_rows(leads, heads, indptr, indices.view(Spans), codes, texts))
+    want = [
+        (leads[i], [f"h{indices[e]}:{texts[codes[e]]}" for e in range(indptr[i], indptr[i + 1])])
+        for i in range(40)
+    ]
+    assert rows == want
+    assert sum(Spans.seen) == indptr[-1]
+    assert max(Spans.seen) == 12 and sorted(Spans.seen)[-2] <= 7
