@@ -6,10 +6,10 @@ a positive (i, j) entry gives the shortest path length, which breadth-first
 traversal computes directly). Only a vertex that starts or ends an entry
 lies on a path, so the traversal runs over the support induced on those
 vertices, from a block of sources at a time; each block's metrics are
-reduced, and its reached pairs kept as sparse hop counts, before the next
-block is searched. Memory is one block plus the reached pairs, which are
-refused past DENSIFY_LIMIT; the dense distance matrix is built only when
-asked for. Rank and diffusion algorithms row-normalize
+reduced, and its reached pairs written into the sparse hop counts, before
+the next block is searched. Memory is one block plus the reached pairs,
+which are refused past DENSIFY_LIMIT; the dense distance matrix is built
+only when asked for. Rank and diffusion algorithms row-normalize
 by weighted out-sums. Mixing coefficients treat each nonzero entry as one
 path carrying its aggregated weight, so all weights enter as fractions and
 the results are invariant under uniform rescaling of the matrix.
@@ -24,14 +24,18 @@ out-weights, rather than a row-normalized copy of the weights. The mixing
 coefficients are summed per vertex, from its out- and in-weight, plus one
 ``matvec`` for the scalar coefficient and the same-category weight for the
 categorical one. On a factored product root Z = X . Y (less a masked
-diagonal d) every one of these comes from the factors: y'Z = (y'X)Y - y o d,
-Zx = X(Yx) - d o x, the sums in exact integers, and the same-category
-weight tr(C'XYC) - sum(d) over the category indicator matrix C; the product
-itself is never built.
+diagonal d) every one of these comes from the factors, each read as held
+(a transposed factor as a CSC view of its operand's arrays): y'Z = (y'X)Y -
+y o d, Zx = X(Yx) - d o x, the sums in exact integers, and the
+same-category weight tr(C'XYC) - sum(d) over the category indicator matrix
+C, from counts keyed by inner vertex and category; the product itself is
+never built.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,11 +115,11 @@ def _refuse_pairs(n: int, count: int):
         )
 
 
-def _search_block(support, block, heads, hop_dtype):
+def _search_block(support, block, hop_dtype):
     """BFS over `support` from its vertices `block`: each source's reach
-    count, eccentricity and hop total over the vertices it reaches, and the
-    hop counts (in `hop_dtype`) and columns (`heads[j]`) of those cells in
-    row-major order. The float64 distances are dropped on return."""
+    count, eccentricity and hop total over the vertices it reaches, the
+    mask of those cells, and every cell's hop count in `hop_dtype` (0 where
+    none is reached). The float64 distances are dropped on return."""
     dist = csgraph.shortest_path(
         support, method="D", unweighted=True, directed=True, indices=block
     )
@@ -127,8 +131,7 @@ def _search_block(support, block, heads, hop_dtype):
     total = np.sum(dist, axis=1, where=finite)
     hops = np.zeros(dist.shape, dtype=hop_dtype)
     np.copyto(hops, dist, casting="unsafe", where=finite)
-    del dist
-    return got, far, total, hops[finite], np.broadcast_to(heads, finite.shape)[finite]
+    return got, far, total, finite, hops
 
 
 def shortest_paths(z: PathMatrix) -> GeodesicResult:
@@ -138,10 +141,12 @@ def shortest_paths(z: PathMatrix) -> GeodesicResult:
     Only a vertex that starts or ends an entry lies on a path, so the search
     runs over the support induced on those, from a block of sources that
     start an entry at a time (about _BAND_CELLS distances per block). Each
-    block's metrics and reached pairs are taken before the next. The stored
-    pairs are refused past DENSIFY_LIMIT: first by the O(m) lower bound that
-    a source reaches the rest of its strongly connected component, then by
-    the exact count, block by block."""
+    block's metrics are taken, and its reached pairs written behind the
+    earlier blocks' into arrays resized to the running count, before the
+    next; so the pairs are never joined from parts. The stored pairs are
+    refused past DENSIFY_LIMIT: first by the O(m) lower bound that a source
+    reaches the rest of its strongly connected component, then by the exact
+    count, block by block."""
     n = z.n
     pattern = clip(z).explicit()
     starts = np.diff(pattern.indptr) > 0
@@ -165,28 +170,31 @@ def shortest_paths(z: PathMatrix) -> GeodesicResult:
     close = np.full(n, np.nan)
     reach = np.zeros(n, dtype=np.int64)
     heads = keep.astype(idx_dtype)
-    hop_dtype = np.min_scalar_type(k)  # a hop count is below k
-    hop_parts, col_parts = [np.empty(0, dtype=hop_dtype)], [np.empty(0, dtype=idx_dtype)]
+    # a hop count is below k; the arrays grow by realloc, block by block,
+    # which may move an array and so hold both copies for a moment
+    data = np.empty(0, dtype=np.min_scalar_type(k))
+    cols = np.empty(0, dtype=idx_dtype)
     count = 0
     band = max(1, _BAND_CELLS // max(k, 1))
     for lo in range(0, sources.size, band):
         block = sources[lo : lo + band]
-        got, far, total, hops, cols = _search_block(support, block, heads, hop_dtype)
-        count += int(got.sum())
+        got, far, total, finite, hops = _search_block(support, block, data.dtype)
+        start, count = count, count + int(got.sum())
         _refuse_pairs(n, count)
         rows = keep[block]
         reach[rows] = got
         reached = got > 0
         ecc[rows] = np.where(reached, far, np.nan)
         close[rows] = np.divide(total, got, out=np.full(block.size, np.nan), where=reached)
-        hop_parts.append(hops)
-        col_parts.append(cols)
+        data.resize(count, refcheck=False)
+        data[start:] = hops[finite]
+        del hops
+        cols.resize(count, refcheck=False)
+        cols[start:] = np.broadcast_to(heads, finite.shape)[finite]
+        del finite
     indptr = np.zeros(n + 1, dtype=idx_dtype)
     np.cumsum(reach, out=indptr[1:])
-    # the parts of one array are dropped before the next array is joined
-    data = np.concatenate(hop_parts)
-    del hop_parts
-    hops = sp.csr_array((data, np.concatenate(col_parts), indptr), shape=(n, n))
+    hops = sp.csr_array((data, cols, indptr), shape=(n, n))
     finite_ecc = ecc[reach > 0]
     return GeodesicResult(
         hops=hops,
@@ -338,11 +346,16 @@ def assortativity_categorical(z: PathMatrix, labels) -> float:
     n = z.n
     if len(labels) != n:
         raise AnalysisError(f"property must supply one value per vertex ({n})")
-    category: dict = {}
-    codes = np.fromiter((category.setdefault(a, len(category)) for a in labels), np.int64, n)
-    missing = np.fromiter((a is None for a in labels), bool, n)
-    if missing[op.on_path].any():
-        raise AnalysisError("categorical property missing on a path endpoint")
+    # one pass: each label's code, a new label taking the next one. A label
+    # that is None holds None's code, which it shares with any label equal
+    # to None; only the path endpoints holding that code are tested by
+    # identity.
+    category = defaultdict(itertools.count().__next__)
+    codes = np.fromiter(map(category.__getitem__, labels), np.int64, n)
+    none = category.get(None)
+    if none is not None:
+        if any(labels[v] is None for v in np.flatnonzero(op.on_path & (codes == none))):
+            raise AnalysisError("categorical property missing on a path endpoint")
     # Per-category sums rather than the k x k matrix e, which would be
     # quadratic in the number of distinct labels.
     k = len(category)

@@ -8,6 +8,13 @@ A path matrix is a nonnegative real n x n matrix whose (i, j) entry counts
   boolean pattern. Produced by ``not_`` and the all-ones filter so that
   compositions which mask with complements (the common case) never touch
   n^2 memory.
+* A deferred transpose (of either of the above): ``transpose`` holds its
+  operand's CSR arrays as the CSC view ``a.mat.T`` and copies nothing. The
+  first read of ``mat`` converts the view to CSR and keeps the result, so
+  every kernel, writer and inspection sees the CSR an eager transpose
+  gives. ``dtype``, ``value_nnz``, ``factored_matmul`` and a product's
+  operand read the view as ``held``: coauthorship ``A . A'`` never
+  converts ``A'``.
 * ``Product``: ``X . Y``, optionally under a complement mask whose pattern
   lies on the diagonal (``& not(I)``, ``& not(E(v,v))``), held as its two
   stored int64 factors and the mask. Only an evaluation's root takes it
@@ -19,14 +26,17 @@ A path matrix is a nonnegative real n x n matrix whose (i, j) entry counts
 The analyses read a matrix through its ``operand()``, built on first use
 and kept on the matrix, which is safe because no kernel writes into an
 operand or its arrays. A stored matrix's operand holds float64 weights over
-its index arrays; a product's operand holds float64 copies of the factors
-and the diagonal ``d = rowsum(X o Y')`` of the masked rows, and answers
-``y'Z`` as ``(y'X)Y - y o d`` and ``Zx`` as ``X(Yx) - d o x``, two sparse
+its index arrays; a product's operand holds float64 copies of the factors,
+each CSR or CSC as held, and the diagonal ``d = rowsum(X o Y')`` of the
+masked rows, taken from those rows of X and Y' alone. It answers ``y'Z``
+as ``(y'X)Y - y o d`` and ``Zx`` as ``X(Yx) - d o x``, two sparse
 matrix-vector products over the factors instead of one over the product.
-Its row and column sums, total and same-category weight are computed in
-int64 from the factors; below 2**53 they are exact, so they equal the
-stored product's sums cast to float64. Whether a row is empty and whether a
-vertex starts or ends a path are integer tests, in both kinds of operand.
+Its row and column sums are computed in int64 from the factors, and its
+same-category weight from counts of the factors' entries keyed by inner
+vertex and category (``ProductOperand.same_category_weight``); below 2**53
+both are exact, so they equal the stored product's values cast to float64.
+Whether a row is empty and whether a vertex starts or ends a path are
+integer tests, in both kinds of operand.
 
 Integer pipelines stay exact in int64 until a scale or merge introduces
 reals; float results drop entries below 1e-12 so that ``clip`` never flips
@@ -52,7 +62,10 @@ sparse product (``csr_matmat``) and the entrywise routines (``csr_binop_csr``
 under ``+``, ``-`` and ``multiply``) emit no duplicates and no zeros, in an
 unspecified order when an operand is unsorted (Gustavson's product emits a
 row's columns in the order it first meets them); the CSC-to-CSR conversion
-of a transpose sorts as it goes. Order is sorted only where a caller sees
+of a deferred transpose, on the first read of its ``mat``, sorts as it
+goes. A deferred transpose shares its operand's arrays, which passed the
+checks above, so it holds no duplicates or zeros either; nothing sums,
+sorts or writes into them. Order is sorted only where a caller sees
 it, in ``PathMatrix.entry_rows`` (a sorted copy of an unsorted CSR; the
 matrix is untouched). The kernels avoid the scipy
 methods that canonicalise their operand on the way (``astype``, through
@@ -111,11 +124,20 @@ def _dropped(mat, drop):
 
 
 def _as_dtype(mat, dtype):
-    """CSR `mat` with its data cast to `dtype`, sharing its index arrays;
-    scipy's `astype` would also sum duplicates, sorting a copy of them."""
+    """CSR (or CSC) `mat` with its data cast to `dtype`, sharing its index
+    arrays; scipy's `astype` would also sum duplicates, sorting a copy of
+    them."""
     if mat.dtype == dtype:
         return mat
-    return sp.csr_array((mat.data.astype(dtype), mat.indices, mat.indptr), shape=mat.shape)
+    return type(mat)((mat.data.astype(dtype), mat.indices, mat.indptr), shape=mat.shape)
+
+
+def _coords(mat):
+    """The row and the column of each stored entry of CSR or CSC `mat`, in
+    stored order."""
+    major = np.arange(mat.indptr.size - 1, dtype=mat.indices.dtype)
+    major = np.repeat(major, np.diff(mat.indptr))
+    return (major, mat.indices) if mat.format == "csr" else (mat.indices, major)
 
 
 def _check_entries(mat):
@@ -143,7 +165,9 @@ class PathMatrix:
     them and sorts nothing. ``entry_rows`` (and so ``export_tsv``) sorts.
 
     A factored product (``_product``) stores nothing until ``mat`` is first
-    read; it is never a complement. ``operand()`` is the analyses' view.
+    read; it is never a complement. A deferred transpose (``transpose``)
+    holds a CSC view of its operand's arrays until ``mat`` is first read;
+    ``held`` reads it as it stands. ``operand()`` is the analyses' view.
     """
 
     __slots__ = ("n", "_mat", "complement", "_factors", "_operand")
@@ -177,28 +201,29 @@ class PathMatrix:
             mat = sp.csr_array((ones, mat.indices, mat.indptr), shape=mat.shape)
         else:
             _check_entries(mat)
-        self.n = mat.shape[0]
+        self._hold(mat.shape[0], mat, complement)
+
+    def _hold(self, n, mat, complement=False, factors=None) -> "PathMatrix":
+        """Set every field, with no checks: the one place they are set."""
+        self.n = n
         self._mat = mat
         self.complement = complement
-        self._factors = self._operand = None
+        self._factors = factors
+        self._operand = None
+        return self
 
     @classmethod
     def _product(cls, x: "PathMatrix", y: "PathMatrix", mask=None) -> "PathMatrix":
         """``x . y``, under the complement `mask` if one is given, held
         factored: stored int64 `x` and `y`, and a mask whose pattern lies
         on the diagonal."""
-        self = object.__new__(cls)
-        self.n = x.n
-        self._mat = None
-        self.complement = False
-        self._factors = (x, y, mask)
-        self._operand = None
-        return self
+        return object.__new__(cls)._hold(x.n, None, factors=(x, y, mask))
 
     @property
     def mat(self):
-        """The stored CSR; a factored product builds it, through ``matmul``
-        and ``hadamard``, when it is first read."""
+        """The stored CSR. A factored product builds it, through ``matmul``
+        and ``hadamard``, and a deferred transpose converts its CSC view,
+        when it is first read."""
         mat = self._mat
         if mat is None:
             x, y, mask = self._factors
@@ -206,7 +231,15 @@ class PathMatrix:
             if mask is not None:
                 z = hadamard(z, mask)
             mat = self._mat = z.mat
+        elif mat.format == "csc":
+            mat = self._mat = mat.tocsr()
         return mat
+
+    @property
+    def held(self):
+        """The matrix as it is held, converting nothing: the stored CSR, or
+        a deferred transpose's CSC view. A factored product is built."""
+        return self.mat if self._mat is None else self._mat
 
     def operand(self) -> "StoredOperand | ProductOperand":
         """The analyses' view of this matrix, built on the first call."""
@@ -258,7 +291,7 @@ class PathMatrix:
 
     @property
     def dtype(self):
-        return self.mat.dtype
+        return self.held.dtype
 
     def is_boolean(self) -> bool:
         """True when every denoted entry is 0 or 1."""
@@ -319,8 +352,8 @@ class PathMatrix:
     def value_nnz(self) -> int:
         """Number of nonzero denoted entries."""
         if self.complement:
-            return self.n * self.n - self.mat.nnz
-        return self.mat.nnz
+            return self.n * self.n - self.held.nnz
+        return self.held.nnz
 
     def __repr__(self):
         if self._mat is None:  # showing a factored product must not build it
@@ -354,7 +387,10 @@ def _same_order(a: PathMatrix, b: PathMatrix):
 
 def _row_sums(mat, dtype=np.float64) -> np.ndarray:
     """Each row's sum of CSR `mat`, accumulated in `dtype`: one reduction
-    over the non-empty rows' spans of the data."""
+    over the non-empty rows' spans of the data. A CSC `mat` takes one
+    matrix-vector product."""
+    if mat.format == "csc":
+        return mat @ np.ones(mat.shape[1], dtype=dtype)
     nonempty = np.flatnonzero(np.diff(mat.indptr))
     out = np.zeros(mat.shape[0], dtype=dtype)
     out[nonempty] = np.add.reduceat(mat.data, mat.indptr[nonempty], dtype=dtype)
@@ -362,7 +398,7 @@ def _row_sums(mat, dtype=np.float64) -> np.ndarray:
 
 
 def _col_sums(mat, dtype=np.float64) -> np.ndarray:
-    """Each column's sum of CSR `mat`, accumulated in `dtype`: one
+    """Each column's sum of CSR or CSC `mat`, accumulated in `dtype`: one
     transposed matrix-vector product."""
     return mat.T @ np.ones(mat.shape[0], dtype=dtype)
 
@@ -476,22 +512,22 @@ class StoredOperand:
 
 class ProductOperand:
     """The analyses' view of Z = X . Y less the diagonal of the rows that
-    `mask` holds, read from the int64 factors. With d = rowsum(X o Y') on
-    the masked rows (0 elsewhere), Z's row and column sums are X(Y1) - d and
-    (1'X)Y - d, taken in int64, exact since Z's total weight is below 2**53,
-    then cast; so a row is empty, or a vertex off every path, exactly where
-    an integer sum is zero. Products with vectors run over float64 copies of
-    the factors."""
+    `mask` holds, read from the int64 factors as they are held (so the CSC
+    view of a deferred transpose is read as it stands). With d =
+    rowsum(X o Y') on the masked rows (0 elsewhere), Z's row and column sums
+    are X(Y1) - d and (1'X)Y - d, taken in int64, exact since Z's total
+    weight is below 2**53, then cast; so a row is empty, or a vertex off
+    every path, exactly where an integer sum is zero. Everything else runs
+    over float64 copies of the factors, which hold their integers exactly."""
 
-    __slots__ = ("x", "y", "xf", "yf", "d", "row_sums", "col_sums", "total", "dangling", "on_path")
+    __slots__ = ("xf", "yf", "d", "row_sums", "col_sums", "total", "dangling", "on_path")
 
     def __init__(self, x: PathMatrix, y: PathMatrix, mask):
-        x, y = x.mat, y.mat
-        self.x, self.y = x, y
+        x, y = x.held, y.held
         d = np.zeros(x.shape[0], dtype=np.int64)
         if mask is not None:
-            masked = _diagonal_rows(mask.mat)
-            d[masked] = _row_sums(x.multiply(y.T), dtype=np.int64)[masked]
+            masked = np.flatnonzero(_diagonal_rows(mask.mat))
+            d[masked] = _diagonal(x, y, masked)
         rows = x @ _row_sums(y, dtype=np.int64) - d
         cols = _col_sums(x, dtype=np.int64) @ y - d
         self.d = d
@@ -512,13 +548,65 @@ class ProductOperand:
         return self.xf @ (self.yf @ v) - self.d * v
 
     def same_category_weight(self, codes, k):
-        """tr(C'XYC) - sum(d), in int64, over the n x k indicator matrix C
-        of the category codes: every dropped diagonal entry lies within one
-        category."""
-        n = codes.size
-        c = sp.csr_array((np.ones(n, dtype=np.int64), codes, np.arange(n + 1)), shape=(n, k))
-        inside = (self.x.T @ c).multiply(self.y @ c).sum()
+        """tr(C'XYC) - sum(d) over the n x k indicator matrix C of the
+        category codes: every dropped diagonal entry lies within one
+        category. tr(C'XYC) sums, over each inner vertex j and category c,
+        P[j, c] Q[j, c], where P[j, c] is the weight of X's entries in
+        column j whose row is in c and Q[j, c] that of Y's entries in row j
+        whose column is in c. Each entry is keyed j * k + c, and the keys
+        are taken a block of `width` consecutive keys at a time: the block's
+        Y entries count Q into one array of cells, its X entries each read
+        the cell of their own key, and the touched cells are cleared for the
+        next block. `width` is the least power of two that reaches the
+        smallest of _BAND_CELLS, twice Y's entries and the number of keys,
+        so memory stays O(nnz + n) at any k; on coauthorship (k = 8) the
+        keys are one block. Every partial sum is an integer below the total
+        weight of X . Y, itself below 2**53, so the float64 sums are
+        exact."""
+        space = self.yf.shape[0] * k
+        width = 1 << (min(_BAND_CELLS, 2 * self.yf.nnz, space) - 1).bit_length()
+        codes = codes.astype(np.min_scalar_type(k - 1))
+        xkey, xw, xends = _key_blocks(self.xf, 1, codes, k, width)
+        ykey, yw, yends = _key_blocks(self.yf, 0, codes, k, width)
+        cells = np.zeros(min(space, width))
+        inside, ys = 0.0, slice(0, 0)
+        for b in np.flatnonzero((np.diff(xends) > 0) & (np.diff(yends) > 0)):
+            cells[ykey[ys]] = 0.0  # the previous block's
+            xs, ys = slice(xends[b], xends[b + 1]), slice(yends[b], yends[b + 1])
+            np.add.at(cells, ykey[ys], yw[ys])
+            inside += xw[xs] @ cells[xkey[xs]]
         return float(int(inside) - int(self.d.sum()))
+
+
+def _key_blocks(mat, inner, codes, k, width):
+    """The entries of CSR or CSC `mat` keyed j * k + codes[v], with j their
+    index on axis `inner` and v the other, grouped by block of `width` (a
+    power of two) consecutive keys: each entry's key within its block and
+    its weight, in block order, and where each block starts. Entries stored
+    in block order, as when all keys are one block or `inner` is `mat`'s
+    major axis, are taken as stored; others are sorted by block (a radix
+    sort up to 2**16 blocks)."""
+    coords = _coords(mat)
+    key = coords[inner] * np.int64(k)
+    key += codes[coords[1 - inner]]
+    del coords
+    blocks = -(-mat.shape[inner] * k // width)
+    block = (key >> (width.bit_length() - 1)).astype(np.min_scalar_type(blocks))
+    key &= width - 1
+    weights = mat.data
+    if (block[1:] < block[:-1]).any():
+        order = np.argsort(block, kind="stable")
+        block, key, weights = block[order], key[order], weights[order]
+    return key, weights, np.searchsorted(block, np.arange(blocks + 1, dtype=block.dtype))
+
+
+def _diagonal(x, y, rows):
+    """rowsum(X o Y') on the given rows, in int64: from those rows of X and
+    of Y', each a CSR or CSC as held; all rows take the factors whole."""
+    yt = y.T
+    if rows.size < x.shape[0]:
+        x, yt = x[rows], yt[rows]
+    return _row_sums(x.multiply(yt), dtype=np.int64)
 
 
 # -- the eight operations --------------------------------------------------
@@ -555,8 +643,10 @@ def matmul(a: PathMatrix, b: PathMatrix) -> PathMatrix:
 
 
 def transpose(a: PathMatrix) -> PathMatrix:
-    # the CSC-to-CSR conversion builds new, sorted arrays
-    return PathMatrix._result(a.mat.T, complement=a.complement)
+    """The transpose, deferred: `a`'s CSR arrays read as a CSC view. The
+    first read of its ``mat`` converts the view to new, sorted CSR arrays;
+    its source passed the entry checks, so the view needs none."""
+    return object.__new__(PathMatrix)._hold(a.n, a.mat.T, a.complement)
 
 
 def hadamard(a: PathMatrix, b: PathMatrix) -> PathMatrix:
@@ -575,8 +665,8 @@ def hadamard(a: PathMatrix, b: PathMatrix) -> PathMatrix:
     if masked is not None:
         # B's pattern lies on the diagonal (I, E(v,v) or part of them): one
         # mask over A's arrays drops A's diagonal entries in B's rows
-        rows = np.repeat(np.arange(a.n, dtype=x.indices.dtype), np.diff(x.indptr))
-        diag = np.flatnonzero(x.indices == rows)
+        rows, cols = _coords(x)
+        diag = np.flatnonzero(cols == rows)
         diag = diag[masked[rows[diag]]]
         return PathMatrix._result(_dropped(x, diag)) if diag.size else a
     return PathMatrix._result(x - x.multiply(_as_dtype(pat, x.dtype)))
@@ -585,8 +675,8 @@ def hadamard(a: PathMatrix, b: PathMatrix) -> PathMatrix:
 def _diagonal_rows(pat):
     """The rows of CSR `pat` as a boolean mask when every stored entry lies
     on the diagonal, else None."""
-    rows = np.repeat(np.arange(pat.shape[0], dtype=pat.indices.dtype), np.diff(pat.indptr))
-    if not np.array_equal(rows, pat.indices):
+    rows, cols = _coords(pat)
+    if not np.array_equal(rows, cols):
         return None
     masked = np.zeros(pat.shape[0], dtype=bool)
     masked[rows] = True
@@ -595,13 +685,13 @@ def _diagonal_rows(pat):
 
 def factored_matmul(a: PathMatrix, b: PathMatrix) -> PathMatrix:
     """``matmul(a, b)``, held factored when both operands are stored int64
-    matrices and the product's total weight, colsum(a) . rowsum(b), is below
-    2**53. No entry then reaches 2**62, where ``matmul`` raises, so holding
-    the product skips no overflow error; only the DENSIFY_LIMIT guard waits
-    until the product is built."""
+    matrices and the product's total weight, colsum(a) . rowsum(b) over the
+    matrices as held, is below 2**53. No entry then reaches 2**62, where
+    ``matmul`` raises, so holding the product skips no overflow error; only
+    the DENSIFY_LIMIT guard waits until the product is built."""
     _same_order(a, b)
     if not a.complement and not b.complement and a.dtype.kind == b.dtype.kind == "i":
-        if float(_col_sums(a.mat) @ _row_sums(b.mat)) < _EXACT_SUM_BOUND:
+        if float(_col_sums(a.held) @ _row_sums(b.held)) < _EXACT_SUM_BOUND:
             return PathMatrix._product(a, b)
     return matmul(a, b)
 

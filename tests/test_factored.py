@@ -15,7 +15,7 @@ from pathweave.analysis import (
 from pathweave.errors import AnalysisError
 from pathweave.evaluate import evaluate
 from pathweave.expr import parse
-from pathweave.kernels import StoredOperand
+from pathweave.kernels import _BAND_CELLS, StoredOperand
 from pathweave.tensor import MultiRelTensor
 
 from oracles import (
@@ -35,6 +35,11 @@ _ROOTS = [
     ("not(E(v0,v0)) & A[x] . A[y]", True),
     ("A[x] . A[y]", True),
     ("(A[x] . A[y]) . A[x]' & not(I)", True),
+    # co-citation and coupling: a transposed left factor, or both
+    ("A[x]' . A[x] & not(I)", True),
+    ("A[x]' . A[y] & not(E(v2,v2))", True),
+    ("A[x] . A[y]' & not(clip(E(v0,v0) + E(v2,v2)))", True),
+    ("A[y]' . A[x]'", True),
     # a mask off the diagonal, a float factor, and a product below the root
     ("A[x] . A[x]' & not(E(v0,v1))", False),
     ("(0.5 * A[x]) . A[y]", False),
@@ -155,3 +160,51 @@ def test_dangling_author_and_values_off_every_path():
         _check_analyses(z, evaluate(parse(f"1 * ({src})"), t), np.random.default_rng(3))
         assert repr(z) == "<PathMatrix n=7 factored product>"
         assert z._mat is None
+
+
+def test_analyses_read_the_transposed_factor_as_held():
+    # coauthorship: the right factor A' is a CSC view of A's own arrays, and
+    # none of the four analyses converts it or builds the product
+    rng = np.random.default_rng(2323)
+    t = random_tensor(rng, 40, labels=("x",), density=0.1)
+    z = evaluate(parse("A[x] . A[x]' & not(I)"), t)
+    x, y, _ = z._factors
+    assert y.held.format == "csc" and np.shares_memory(y.held.indices, x.held.indices)
+    values = rng.random(z.n)
+    labels = [("a", "b", "c")[c] for c in rng.integers(0, 3, size=z.n)]
+    pagerank(z)
+    spreading_activation(z, values, 3, 0.8)
+    assortativity_scalar(z, values)
+    assortativity_categorical(z, labels)
+    assert y.held.format == "csc" and x.held.format == "csr"
+    assert z._mat is None
+
+
+@pytest.mark.parametrize(
+    "src", ["A[x] . A[x]' & not(I)", "A[x]' . A[y] & not(E(v5,v5))", "A[x] . A[y]"]
+)
+def test_same_category_weight_past_the_cell_bound(src):
+    # k = n labels: n * k passes _BAND_CELLS, so the keys are taken in
+    # blocks, each counted into cells sized to about twice Y's entries
+    # rather than one dense array of n * k cells (9.7 MB of float64 here);
+    # the weight is exact
+    import tracemalloc
+
+    rng = np.random.default_rng(2424)
+    n = 1100
+    assert n * n > _BAND_CELLS
+    t = random_tensor(rng, n, labels=("x", "y"), density=0.004)
+    z = evaluate(parse(src), t)
+    assert z._factors is not None
+    stored = StoredOperand(evaluate(parse(f"1 * ({src})"), t).mat)
+    op = z.operand()
+    for codes in (np.arange(n), rng.integers(0, n, size=n), rng.integers(0, 7, size=n)):
+        tracemalloc.start()
+        try:
+            got = op.same_category_weight(codes, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == stored.same_category_weight(codes, n)
+        assert peak < 2**20  # bytes: O(nnz + n), with nnz about 5000
+    assert z._mat is None

@@ -13,6 +13,8 @@ from pathweave.kernels import (
     add,
     clip,
     export_tsv,
+    factored_mask,
+    factored_matmul,
     hadamard,
     materialize_filter,
     matmul,
@@ -482,6 +484,101 @@ def test_kernels_never_write_into_an_operand(kernel, arity, params, rng):
         for a, old in zip(args, before):
             for field, was in zip(("data", "indices", "indptr"), old):
                 assert np.array_equal(getattr(a.mat, field), was), field
+
+
+_FIELDS = ("data", "indices", "indptr")
+
+# each kernel with a transposed operand `t` and another operand `b`
+_WITH_TRANSPOSE = {
+    "matmul-left": lambda t, b: matmul(t, b),
+    "matmul-right": lambda t, b: matmul(b, t),
+    "hadamard-left": lambda t, b: hadamard(t, b),
+    "hadamard-right": lambda t, b: hadamard(b, t),
+    "add-left": lambda t, b: add(t, b),
+    "add-right": lambda t, b: add(b, t),
+    "factored-left": lambda t, b: factored_matmul(t, b),
+    "factored-right": lambda t, b: factored_matmul(b, t),
+    "factored-mask": lambda t, b: factored_mask(factored_matmul(b, b), t),
+    "transpose": lambda t, b: transpose(t),
+    "not": lambda t, b: not_(t),
+    "clip": lambda t, b: clip(t),
+    "vertex-out": lambda t, b: vertex_out(t, 1),
+    "vertex-in": lambda t, b: vertex_in(t, 1),
+    "scale": lambda t, b: scale(t, 0.5),
+}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EvalError as err:
+        return str(err)
+
+
+def _assert_same_matrix(got, want):
+    """Equal in representation, dtype and every array of the stored CSR."""
+    assert got.complement == want.complement and got.dtype == want.dtype
+    for f in _FIELDS:
+        g, w = getattr(got.mat, f), getattr(want.mat, f)
+        assert g.dtype == w.dtype and np.array_equal(g, w), f
+
+
+def test_deferred_transpose_matches_eager_through_every_kernel(rng):
+    """A transpose holds its operand's arrays as a CSC view and converts it
+    on the first read of `mat`; every kernel, writer and operand sees what
+    converting at once (the eager transpose) gives, and none writes into
+    the shared arrays."""
+    n = 6
+    names = [f"v{i}" for i in range(n)]
+    arr = (rng.random((n, n)) < 0.4).astype(np.int64)
+    arr[2, 2] = 1  # a diagonal entry for the masks to drop
+    sources = {
+        "int": PathMatrix.from_dense(arr),
+        "int-unsorted": unsorted(arr),
+        "float": scale(unsorted(arr), 0.5),
+        "complement": not_(unsorted(1 - arr)),
+        "diagonal-complement": not_(PathMatrix.identity(n)),
+    }
+    others = [PathMatrix.from_dense((rng.random((n, n)) < 0.5).astype(np.int64)), *sources.values()]
+    vec = rng.random(n)
+    for name, a in sources.items():
+        before = [getattr(a.mat, f).copy() for f in _FIELDS]
+
+        def deferred():
+            t = transpose(a)
+            assert t.held.format == "csc" and np.shares_memory(t.held.indices, a.mat.indices)
+            return t
+
+        eager = PathMatrix._result(a.mat.T, complement=a.complement)
+        for b in others:
+            for call, fn in _WITH_TRANSPOSE.items():
+                got, want = _outcome(fn, deferred(), b), _outcome(fn, eager, b)
+                if isinstance(want, str):
+                    assert got == want, (name, call)
+                    continue
+                _assert_same_matrix(got, want)
+                if got._factors is not None:  # read from the factors as held
+                    op, ref = got.operand(), want.operand()
+                    for field in ("row_sums", "col_sums", "dangling", "on_path", "d"):
+                        assert np.array_equal(getattr(op, field), getattr(ref, field)), field
+                    assert np.allclose(op.vecmat(vec), ref.vecmat(vec), rtol=1e-14, atol=0)
+                    assert np.allclose(op.matvec(vec), ref.matvec(vec), rtol=1e-14, atol=0)
+        t = deferred()
+        assert t.dtype == eager.dtype and repr(t) == repr(eager)
+        assert t.held.format == "csc"  # reading the dtype and nnz converted nothing
+        assert export_tsv(deferred(), names) == export_tsv(eager, names)
+        assert np.array_equal(deferred().to_dense(), eager.to_dense())
+        for f in _FIELDS:
+            assert np.array_equal(getattr(deferred().explicit(), f), getattr(eager.explicit(), f))
+        if not a.complement:
+            op, ref = deferred().operand(), eager.operand()
+            for field in ("row_sums", "col_sums", "dangling", "on_path"):
+                assert np.array_equal(getattr(op, field), getattr(ref, field)), field
+        t = deferred()
+        _assert_same_matrix(t, eager)
+        assert t.held.format == "csr"  # the first read of mat kept the conversion
+        for f, was in zip(_FIELDS, before):
+            assert np.array_equal(getattr(a.mat, f), was), (name, f)
 
 
 # X, as written over a tensor with slices x and y; the products are raw
