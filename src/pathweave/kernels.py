@@ -132,6 +132,17 @@ def _as_dtype(mat, dtype):
     return type(mat)((mat.data.astype(dtype), mat.indices, mat.indptr), shape=mat.shape)
 
 
+def _transposed_view(view, mat) -> bool:
+    """Whether CSC `view` reads CSR `mat`'s own arrays, as the deferred
+    transpose of `mat` does: then `view` is `mat.T`."""
+    if view.format != "csc" or mat.format != "csr" or view.shape != mat.shape[::-1]:
+        return False
+    return all(
+        a.dtype == b.dtype and a.size == b.size and a.ctypes.data == b.ctypes.data
+        for a, b in ((view.data, mat.data), (view.indices, mat.indices), (view.indptr, mat.indptr))
+    )
+
+
 def _coords(mat):
     """The row and the column of each stored entry of CSR or CSC `mat`, in
     stored order."""
@@ -531,8 +542,17 @@ class ProductOperand:
         rows = x @ _row_sums(y, dtype=np.int64) - d
         cols = _col_sums(x, dtype=np.int64) @ y - d
         self.d = d
-        self.xf = _as_dtype(x, np.float64)
-        self.yf = _as_dtype(y, np.float64)
+        # one float64 copy when a factor is the other's transpose, held as a
+        # CSC view of its arrays (coauthorship A . A', co-citation A' . A)
+        if _transposed_view(y, x):
+            self.xf = _as_dtype(x, np.float64)
+            self.yf = self.xf.T
+        elif _transposed_view(x, y):
+            self.yf = _as_dtype(y, np.float64)
+            self.xf = self.yf.T
+        else:
+            self.xf = _as_dtype(x, np.float64)
+            self.yf = _as_dtype(y, np.float64)
         self.row_sums = rows.astype(np.float64)
         self.col_sums = cols.astype(np.float64)
         self.total = float(self.row_sums.sum())

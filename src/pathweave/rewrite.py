@@ -40,12 +40,21 @@ rendering, so chains come out left-associated.
 
 Expression nodes are interned (see ``expr``), so a subtree hashes and
 compares in O(1) and carries its cost. Within one ``simplify`` call each
-distinct subtree is matched against the rules once and each chain's pairs
-are found once (both are memoised by node, with the change in cost each
-rewrite makes), so no candidate is walked to be costed. A node is matched
-only against the rules whose lhs has its shape (its type, or its kind at a
-filter) and its direct children's, in either operand order at ``&`` and
-``+``; that shape index is built once, over the searched rules. The
+distinct subtree is matched against the rules once, each chain's pairs are
+found once, and each subtree keeps its list of single-step rewrites (all
+memoised by node, with the change in cost each rewrite makes; a chain node
+under a chain of its own operator has no pair rewrites, so it is listed
+apart). A node's list is its own rewrites, then each child's in turn, so
+listing a successor costs only the new nodes on the rewritten path: every
+other subtree recurs, with its list. The subtree each step gives is built
+when the search first asks for it, around the one its child gives, and
+kept, so no successor is rebuilt from the root and no candidate is walked
+to be costed; the index path of a step is found only for the steps the
+trace keeps. A node is matched only against the rules whose lhs has its
+shape (its type, or its kind at a filter) and its direct children's, in
+either operand order at ``&`` and ``+``; that shape index is built once,
+over the searched rules. Each pattern side and each template is compiled
+once into a function, so matching runs no generator per pattern node. The
 tie-breakers count a candidate's distinct nodes and measure its rendering
 from its nodes' lengths, which the tied candidates share, so none is
 rendered.
@@ -65,6 +74,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .expr import (
     Add,
@@ -83,7 +93,6 @@ from .expr import (
     children,
     format_expr,
     format_length,
-    is_boolean_expr,
     node_count,
     postorder,
     replace_at,
@@ -122,21 +131,6 @@ class SVar:
     name: str
 
 
-def _bind_scalars(pat, e, bnd):
-    """`bnd` extended by matching the scalar fields of two nodes of the same
-    type, or None when they disagree."""
-    for field in type(pat)._scalars:
-        p, v = getattr(pat, field), getattr(e, field)
-        if isinstance(p, SVar):
-            if p.name not in bnd:
-                bnd = {**bnd, p.name: v}
-                continue
-            p = bnd[p.name]
-        if p != v:
-            return None
-    return bnd
-
-
 def _pattern_vars(pat) -> dict:
     """Metavariables of a pattern by name, first occurrence in preorder:
     name -> (the metavariable, the scalar field it fills, or None for an
@@ -153,53 +147,123 @@ def _pattern_vars(pat) -> dict:
     return acc
 
 
-def match(pat, e, bnd):
-    """Yield each extension of the binding `bnd` under which `pat` matches
-    `e`; repeated metavariables must bind equal values.
+# a metavariable's value when it has none yet; bound values may be falsy
+_UNBOUND = object()
+
+
+def _compile(pat):
+    """`pat` as a function (e, bnd) -> the list of extensions of the binding
+    `bnd` under which `pat` matches `e`, in `match`'s order; the function of
+    each child pattern is made once, here."""
+    if isinstance(pat, EVar):
+        name, boolean = pat.name, pat.boolean
+
+        def var(e, bnd):
+            bound = bnd.get(name, _UNBOUND)
+            if bound is _UNBOUND:
+                return [{**bnd, name: e}] if not boolean or e._boolean else []
+            return [bnd] if bound is e else []
+
+        return var
+    op = type(pat)
+    # each scalar field: its position, and the metavariable's name or the
+    # value it must have
+    fields = tuple(
+        (k, v.name, True) if isinstance(v, SVar) else (k, v, False)
+        for k, v in enumerate(_scalar_values(pat))
+    )
+    kids = tuple(_compile(kid) for kid in children(pat))
+    commutes = op is Hadamard or op is Add
+
+    def node(e, bnd):
+        if type(e) is not op:
+            return []
+        if fields:
+            values = _scalar_values(e)
+            for k, want, is_var in fields:
+                value = values[k]
+                if is_var:
+                    bound = bnd.get(want, _UNBOUND)
+                    if bound is _UNBOUND:
+                        bnd = {**bnd, want: value}
+                        continue
+                    want = bound
+                if want != value:
+                    return []
+        if not kids:
+            return [bnd]
+        subjects = e._kids
+        if len(kids) == 1:
+            return kids[0](subjects[0], bnd)
+        first, second = kids
+        left, right = subjects
+        out = [both for one in first(left, bnd) for both in second(right, one)]
+        if commutes:
+            out += [both for one in first(right, bnd) for both in second(left, one)]
+        return out
+
+    return node
+
+
+# pattern -> its compiled function, made on first use; the rule table
+# compiles every side when it is built
+_MATCHERS: dict = {}
+
+
+def _matcher(pat):
+    found = _MATCHERS.get(pat)
+    if found is None:
+        found = _MATCHERS[pat] = _compile(pat)
+    return found
+
+
+def match(pat, e, bnd) -> list:
+    """Each extension of the binding `bnd` under which `pat` matches `e`, in
+    order; repeated metavariables must bind equal values.
 
     `&` and `+` commute: the subject's operands are tried as written, then
     swapped. Swapping the subject rather than the pattern keeps each
     metavariable's first binding, and so its boolean guard, where the
-    pattern puts it."""
-    if isinstance(pat, EVar):
-        if pat.name in bnd:
-            if bnd[pat.name] is e:
-                yield bnd
-        elif not pat.boolean or is_boolean_expr(e):
-            yield {**bnd, pat.name: e}
-        return
-    if type(pat) is not type(e):
-        return
-    bnd = _bind_scalars(pat, e, bnd)
-    if bnd is None:
-        return
-    kids = children(e)
-    yield from _match_each(children(pat), kids, bnd)
-    if isinstance(e, (Hadamard, Add)):
-        yield from _match_each(children(pat), kids[::-1], bnd)
+    pattern puts it. Each pattern is compiled once into a function over
+    subjects (`_compile`)."""
+    return _matcher(pat)(e, bnd)
 
 
-def _match_each(pats, subjects, bnd):
-    """Yield each extension of `bnd` matching every pattern to its subject."""
-    if not pats:
-        yield bnd
-        return
-    for first in match(pats[0], subjects[0], bnd):
-        yield from _match_each(pats[1:], subjects[1:], first)
+def _compile_template(template):
+    """`template` as a function from bindings to the node it builds."""
+    if callable(template) and not isinstance(template, type):
+        return template
+    if isinstance(template, EVar):
+        return itemgetter(template.name)
+    op = type(template)
+    scalars = _scalar_values(template)
+    named = tuple((k, v.name) for k, v in enumerate(scalars) if isinstance(v, SVar))
+    kids = tuple(_compile_template(kid) for kid in children(template))
+
+    def node(bnd):
+        values = scalars
+        if named:
+            values = list(scalars)
+            for k, name in named:
+                values[k] = bnd[name]
+            values = tuple(values)
+        return build(op, values, tuple([kid(bnd) for kid in kids]))
+
+    return node
+
+
+# template -> its compiled function, made on first use
+_BUILDERS: dict = {}
 
 
 def instantiate(template, bnd):
     """Substitute bindings into a pattern; a callable template builds the
-    result from the bindings itself."""
-    if callable(template) and not isinstance(template, type):
-        return template(bnd)
-    if isinstance(template, EVar):
-        return bnd[template.name]
-    return build(
-        type(template),
-        tuple([bnd[v.name] if isinstance(v, SVar) else v for v in _scalar_values(template)]),
-        tuple([instantiate(kid, bnd) for kid in children(template)]),
-    )
+    result from the bindings itself. Each template is compiled once into a
+    function over bindings (`_compile_template`)."""
+    found = _BUILDERS.get(template)
+    if found is None:
+        found = _BUILDERS[template] = _compile_template(template)
+    return found(bnd)
 
 
 @dataclass(frozen=True)
@@ -216,10 +280,14 @@ class RewriteRule:
     guard: object = None
     search: bool = True
 
+    def __post_init__(self):
+        # the lhs compiled once, when the rule table is built
+        object.__setattr__(self, "_match", _matcher(self.lhs))
+
     def apply(self, e) -> list:
         """Every distinct rewrite of `e` at its root, in match order."""
         out = []
-        for bnd in match(self.lhs, e, {}):
+        for bnd in self._match(e, {}):
             if self.guard is None or self.guard(bnd):
                 new = instantiate(self.rhs, bnd)
                 if new not in out:
@@ -578,6 +646,7 @@ def _pair_rules(rules):
         if isinstance(rule.lhs, (Hadamard, Add)):
             left, right = children(rule.lhs)
             shared = tuple(sorted(_pattern_vars(left).keys() & _pattern_vars(right).keys()))
+            _matcher(left), _matcher(right)  # compiled here, once
             entry = (rule, left, right, shared, _shape(left), _shape(right))
             grouped.setdefault(type(rule.lhs), []).append(entry)
     return grouped
@@ -710,51 +779,210 @@ def _root_rewrites(node) -> list:
     return [(rule, new, weighted_cost(new) - cost) for rule, new in found]
 
 
-def _single_steps(e, rewrites, pairs):
-    """All (rule, path, before, after, cost change) single-step rewrites of
-    `e`, in deterministic preorder/rule order: each node's root rewrites,
-    then, at the top node of an `&` or `+` chain, its pair rewrites. The
-    weighted cost is additive over nodes and `replace_at` keeps every
-    ancestor's type, so a step changes the cost of `e` by the change from
-    `before` to `after`.
+class _Memo:
+    """What one `simplify` call memoises, by node: each subtree's root
+    rewrites, each chain's pair rewrites, and each subtree's `_Steps`, under
+    whether it tops its chain (`lists[True]`, also every node that is no
+    chain operator) or not (`lists[False]`)."""
 
-    `rewrites` memoises each subtree's root rewrites and `pairs` each
-    chain's pair rewrites: a successor shares every subtree off its
-    rewritten path with its parent, so most nodes were matched before.
-    The walk keeps one index path as it descends and copies it only for a
-    node that yields a step, so an expansion costs the nodes, not their
-    depths."""
-    path = []
-    stack = [(e, None, 0, 0)]  # node, its parent's type, its depth, its index
+    __slots__ = ("rewrites", "pairs", "lists")
+
+    def __init__(self):
+        self.rewrites: dict = {}
+        self.pairs: dict = {}
+        self.lists = ({}, {})
+
+
+def _tops(op, kid) -> bool:
+    """Whether `kid`, a child of an `op` node, is read on its own rather than
+    as part of its parent's chain: only a chain's top node regroups pairs."""
+    return type(kid) is not op or op not in _PAIR_RULES
+
+
+def _own_steps(node, top, memo) -> tuple:
+    """(`node`'s root rewrites, and its chain's (operands, pair rewrites)
+    when it tops an `&` or `+` chain, else None), each memoised."""
+    rewrites = memo.rewrites.get(node)
+    if rewrites is None:
+        rewrites = memo.rewrites[node] = _root_rewrites(node)
+    op = type(node)
+    if not top or op not in _PAIR_RULES:
+        return rewrites, None
+    pairs = memo.pairs.get(node)
+    if pairs is None:
+        operands = _operands(op, node)
+        pairs = memo.pairs[node] = (operands, _pair_rewrites(op, operands))
+    return rewrites, pairs
+
+
+def _own_rule(rewrites, pairs, i):
+    """The rule of a node's own step i: its root rewrites come first."""
+    return rewrites[i][0] if i < len(rewrites) else pairs[1][i - len(rewrites)][0]
+
+
+class _Steps:
+    """The single-step rewrites of one subtree, in preorder/rule order: its
+    root rewrites, then its pair rewrites when it tops a chain, then each
+    child's steps in turn. Step i changes the cost by `changes[i]`, and
+    `succs[i]` is the subtree with step i applied, built when first asked
+    for (`_successor`) and kept. The first `own` steps are the node's own,
+    and the second child's begin at `cut`. A step's rule, path, before and
+    after are found by descending (`_locate`), so a level holds two
+    references per step, not a tuple."""
+
+    __slots__ = ("node", "rewrites", "pairs", "own", "cut", "kids", "changes", "succs")
+
+
+# the steps of every subtree that has none
+_NO_STEPS = _Steps()
+_NO_STEPS.changes = _NO_STEPS.succs = ()
+
+
+def _listed(node, top, kids, memo) -> _Steps:
+    """`node`'s `_Steps`, given its children's."""
+    rewrites, pairs = _own_steps(node, top, memo)
+    if pairs is not None and not pairs[1]:
+        pairs = None
+    if not rewrites and pairs is None:
+        for kid in kids:
+            if kid is not _NO_STEPS:
+                break
+        else:
+            return _NO_STEPS
+    steps = _Steps()
+    steps.node, steps.kids, steps.rewrites, steps.pairs = node, kids, rewrites, pairs
+    changes = [change for _, _, change in rewrites]
+    succs = [after for _, after, _ in rewrites]
+    if pairs is not None:
+        changes += [pair[4] for pair in pairs[1]]
+    steps.own = len(changes)
+    for kid in kids[:1]:
+        changes += kid.changes
+    steps.cut = len(changes)
+    for kid in kids[1:]:
+        changes += kid.changes
+    succs += [None] * (len(changes) - len(succs))
+    steps.changes, steps.succs = changes, succs
+    return steps
+
+
+def _steps(node, top, memo) -> _Steps:
+    """`node`'s `_Steps`, made after its children's, on an explicit stack."""
+    lists = memo.lists
+    found = lists[top].get(node)
+    if found is not None:
+        return found
+    stack = [(node, top)]
     while stack:
-        node, parent, depth, idx = stack.pop()
-        if depth:
-            del path[depth - 1 :]
-            path.append(idx)
-        at = None
-        found = rewrites.get(node)
-        if found is None:
-            found = rewrites[node] = _root_rewrites(node)
-        if found:
-            at = tuple(path)
-            for rule, new_sub, change in found:
-                yield rule, at, node, new_sub, change
+        node, top = stack[-1]
+        if node in lists[top]:  # a shared subtree, listed since it was pushed
+            stack.pop()
+            continue
         op = type(node)
-        # pairs are found at a chain's top node, whose parent is no `op` node
-        if op in _PAIR_RULES and parent is not op:
-            found = pairs.get(node)
-            if found is None:
-                operands = _operands(op, node)
-                found = pairs[node] = (operands, _pair_rewrites(op, operands))
-            # each successor chain is built only when the search reaches it
-            operands, found = found
-            if found and at is None:
-                at = tuple(path)
-            for rule, i, drop, result, change in found:
-                yield rule, at, node, _regrouped(op, operands, i, drop, result), change
         kids = children(node)
-        for k in range(len(kids) - 1, -1, -1):
-            stack.append((kids[k], op, depth + 1, k))
+        # `_tops`, inlined: this loop runs once or twice for every new node
+        chain = op in _PAIR_RULES
+        pending = False
+        for kid in kids:
+            flag = not chain or type(kid) is not op
+            if kid not in lists[flag]:
+                stack.append((kid, flag))
+                pending = True
+        if pending:
+            continue
+        stack.pop()
+        lists[top][node] = _listed(
+            node,
+            top,
+            tuple([lists[not chain or type(kid) is not op][kid] for kid in kids]),
+            memo,
+        )
+    return lists[top][node]
+
+
+def _around(node, k, new):
+    """`node` with its child k replaced by `new`."""
+    kids = children(node)
+    kids = (new,) if len(kids) == 1 else (new, kids[1]) if k == 0 else (kids[0], new)
+    return build(type(node), _scalar_values(node), kids)
+
+
+def _successor(steps, i):
+    """`steps.succs[i]`, built first if it is not yet: down to the level
+    that holds it or the step, then each level's successor around the one
+    below, on an explicit stack."""
+    trail = []
+    new = steps.succs[i]
+    while new is None:
+        if i < steps.own:  # a pair rewrite's chain, regrouped
+            operands, found = steps.pairs
+            _, at, drop, result, _ = found[i - len(steps.rewrites)]
+            new = steps.succs[i] = _regrouped(type(steps.node), operands, at, drop, result)
+            break
+        k = 0 if i < steps.cut else 1
+        trail.append((steps, i, k))
+        steps, i = steps.kids[k], i - (steps.cut if k else steps.own)
+        new = steps.succs[i]
+    for steps, i, k in reversed(trail):
+        new = steps.succs[i] = _around(steps.node, k, new)
+    return new
+
+
+def _single_steps(e, slack, memo):
+    """Yield (cost change, successor, k, i) for each single-step rewrite of
+    `e` that changes its cost by at most `slack`, in deterministic
+    preorder/rule order: `e`'s own root and pair rewrites (k None, i their
+    index), then those of child k, step i of its `_Steps`. The weighted cost
+    is additive over nodes and a step keeps every ancestor's type, so a
+    step changes the cost of `e` by the change at the rewritten node.
+
+    Each child's steps come from `memo`: a successor shares every subtree
+    off its rewritten path with its parent, so only the new nodes on that
+    path are matched and listed, and a successor below `e` that was built
+    before is read, not rebuilt. `e`'s own list is not kept: its steps are
+    produced as they are read, so a caller that stops early never lists the
+    children after."""
+    op = type(e)
+    rewrites, pairs = _own_steps(e, True, memo)
+    for i, (_, after, change) in enumerate(rewrites):
+        if change <= slack:
+            yield change, after, None, i
+    if pairs is not None:
+        operands, found = pairs
+        for j, (_, at, drop, result, change) in enumerate(found):
+            if change <= slack:
+                yield change, _regrouped(op, operands, at, drop, result), None, len(rewrites) + j
+    scalars, kids = _scalar_values(e), children(e)
+    for k, kid in enumerate(kids):
+        steps = _steps(kid, _tops(op, kid), memo)
+        succs = steps.succs
+        for i, change in enumerate(steps.changes):
+            if change <= slack:
+                new = succs[i] or _successor(steps, i)
+                # `_around`, inlined
+                new = (kids[0], new) if k else (new, kids[1]) if len(kids) == 2 else (new,)
+                yield change, build(op, scalars, new), k, i
+
+
+def _locate(e, k, i, memo) -> tuple:
+    """(rule, path, before, after) of the step `_single_steps(e, ...)` gave
+    as (k, i): the index path is built here, for a step the trace keeps."""
+    if k is None:
+        rewrites, pairs = _own_steps(e, True, memo)
+        if i < len(rewrites):
+            after = rewrites[i][1]
+        else:
+            _, at, drop, result, _ = pairs[1][i - len(rewrites)]
+            after = _regrouped(type(e), pairs[0], at, drop, result)
+        return _own_rule(rewrites, pairs, i), (), e, after
+    kid = children(e)[k]
+    steps, path = memo.lists[_tops(type(e), kid)][kid], [k]
+    while i >= steps.own:
+        k = 0 if i < steps.cut else 1
+        path.append(k)
+        steps, i = steps.kids[k], i - (steps.cut if k else steps.own)
+    rule = _own_rule(steps.rewrites, steps.pairs, i)
+    return rule, tuple(path), steps.node, _successor(steps, i)
 
 
 HILL_ALLOWANCE = 2
@@ -767,11 +995,11 @@ def simplify(e):
     retained rule applications.
     """
     budget = min(node_count(e) ** 2, 400)
-    # per-call memos: each subtree's root rewrites and each chain's pair rewrites
-    rewrites: dict = {}
-    pairs: dict = {}
+    memo = _Memo()
     start_cost = weighted_cost(e)
     cap = start_cost + HILL_ALLOWANCE
+    # each expression found -> (the one it was found from, and where in that
+    # one's steps: see `_single_steps`)
     seen = {e: None}
     # the expressions at the lowest cost so far, in discovery order; the
     # tie-breakers walk and render a tree, so they run at the end, and only
@@ -782,15 +1010,12 @@ def simplify(e):
     applications = 0
     while frontier and applications < budget:
         current_cost, _, current = heapq.heappop(frontier)
-        for rule, path, before, after, change in _single_steps(current, rewrites, pairs):
-            cost = current_cost + change
-            if cost > cap:
-                continue
-            new_expr = replace_at(current, path, after)
+        for change, new_expr, k, i in _single_steps(current, cap - current_cost, memo):
             if new_expr in seen:
                 continue
             applications += 1
-            seen[new_expr] = (current, rule, path, before, after)
+            cost = current_cost + change
+            seen[new_expr] = (current, k, i)
             counter += 1
             heapq.heappush(frontier, (cost, counter, new_expr))
             if cost < best_cost:
@@ -804,7 +1029,8 @@ def simplify(e):
     steps = []
     node = best
     while seen[node] is not None:
-        parent, rule, path, before, after = seen[node]
+        parent, k, i = seen[node]
+        rule, path, before, after = _locate(parent, k, i, memo)
         steps.append(TraceStep(rule.name, rule.cite, path, before, after))
         node = parent
     return best, RuleTrace(tuple(reversed(steps)))

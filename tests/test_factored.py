@@ -178,6 +178,11 @@ def test_analyses_read_the_transposed_factor_as_held():
     assortativity_categorical(z, labels)
     assert y.held.format == "csc" and x.held.format == "csr"
     assert z._mat is None
+    # one float64 copy of A's data serves both factors, either way round
+    op = z.operand()
+    assert np.shares_memory(op.xf.data, op.yf.data)
+    op = evaluate(parse("A[x]' . A[x] & not(I)"), t).operand()
+    assert op.xf.format == "csc" and np.shares_memory(op.xf.data, op.yf.data)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import itertools
+import math
 from functools import reduce
 
 import numpy as np
@@ -7,14 +8,17 @@ import pytest
 from pathweave import expr
 from pathweave.expr import (
     Add,
+    Clip,
     Filter,
     Hadamard,
+    MatMul,
     Not,
     children,
     fold,
     format_expr,
     node_count,
     parse,
+    replace_at,
     weighted_cost,
     with_children,
 )
@@ -25,6 +29,7 @@ from pathweave.rewrite import (
     RULES_BY_NAME,
     EVar,
     RewriteRule,
+    SVar,
     derivation_table,
     simplify,
 )
@@ -415,7 +420,9 @@ def test_pair_rewrites_match_every_ordered_pair(op, rng):
 
 def test_long_chain_pairs_are_joined_not_enumerated(monkeypatch):
     # 150 operands have 11175 pairs; matching each rule side against each
-    # operand alone stays far below one match per pair and rule
+    # operand alone stays far below one match per pair and rule. Each side
+    # is matched through `match`; rules matched at a node's root call their
+    # compiled lhs directly
     calls = [0]
     count_from = rewrite.match
 
@@ -428,7 +435,7 @@ def test_long_chain_pairs_are_joined_not_enumerated(monkeypatch):
     e = parse(" + ".join(operands[k % 5].format(k % 7) for k in range(150)))
     out, trace = simplify(e)
     assert trace.replay(e) == out
-    assert calls[0] <= 25_000
+    assert 0 < calls[0] <= 25_000
 
 
 def test_tied_candidates_are_measured_not_rendered(monkeypatch):
@@ -475,3 +482,152 @@ def test_identity_leaves_a_long_product_chain():
     ]
     assert trace.replay(e) is out
     assert derivation_table(e, trace)[-1][0] == format_expr(out)
+
+
+# -- the search's steps against the walk they replace -----------------------------
+
+
+def _reference_match(pat, e, bnd):
+    """`match` as a recursive generator over the pattern: the subject's
+    operands as written, then swapped at `&` and `+`."""
+    if isinstance(pat, EVar):
+        if pat.name in bnd:
+            if bnd[pat.name] is e:
+                yield bnd
+        elif not pat.boolean or e._boolean:
+            yield {**bnd, pat.name: e}
+        return
+    if type(pat) is not type(e):
+        return
+    for field in type(pat)._scalars:
+        p, v = getattr(pat, field), getattr(e, field)
+        if isinstance(p, SVar):
+            if p.name not in bnd:
+                bnd = {**bnd, p.name: v}
+                continue
+            p = bnd[p.name]
+        if p != v:
+            return
+    orders = [children(e)]
+    if isinstance(e, (Hadamard, Add)):
+        orders.append(children(e)[::-1])
+    for kids in orders:
+        partial = [bnd]
+        for sub, kid in zip(children(pat), kids):
+            partial = [b for part in partial for b in _reference_match(sub, kid, part)]
+        yield from partial
+
+
+def _walked_steps(e):
+    """Every single step of `e` as the search listed them by walking the
+    tree: in preorder, each node's root rewrites, then at the top node of an
+    `&` or `+` chain its pair rewrites; each successor rebuilt from the root
+    by `replace_at`."""
+    out = []
+    stack = [(e, None, ())]
+    while stack:
+        node, parent, path = stack.pop()
+        steps = list(rewrite._root_rewrites(node))
+        op = type(node)
+        if op in (Hadamard, Add) and parent is not op:
+            operands = rewrite._operands(op, node)
+            for rule, at, drop, result, change in rewrite._pair_rewrites(op, operands):
+                steps.append((rule, rewrite._regrouped(op, operands, at, drop, result), change))
+        for rule, after, change in steps:
+            out.append((rule, path, node, after, change, replace_at(e, path, after)))
+        kids = children(node)
+        for k in reversed(range(len(kids))):
+            stack.append((kids[k], op, path + (k,)))
+    return out
+
+
+def _listed_steps(e, memo, slack=math.inf):
+    """Every single step of `e` within `slack` as `simplify` reads them."""
+    out = []
+    for change, successor, k, i in rewrite._single_steps(e, slack, memo):
+        rule, path, before, after = rewrite._locate(e, k, i, memo)
+        out.append((rule, path, before, after, change, successor))
+    return out
+
+
+def _step_trees(rng):
+    """Random trees, trees that share subtrees, and `&`, `+` and `.` chains
+    (alone, nested in each other and under a unary node)."""
+    labels, names = ["alpha", "beta"], ["v0", "v1"]
+    trees = [random_expr(rng, labels, names, depth=5) for _ in range(40)]
+    for _ in range(15):
+        x = random_expr(rng, labels, names, depth=3)
+        y = random_bool_expr(rng, labels, names, depth=2)
+        trees += [MatMul(x, x), Hadamard(x, Hadamard(y, x)), Add(Hadamard(x, y), Hadamard(y, x))]
+    for op in (Hadamard, Add, MatMul):
+        for _ in range(5):
+            operands = [
+                (random_bool_expr if rng.random() < 0.5 else random_expr)(
+                    rng, labels, names, int(rng.integers(0, 3))
+                )
+                for _ in range(int(rng.integers(3, 10)))
+            ]
+            chain = reduce(op, operands)
+            trees += [chain, Clip(chain), Add(chain, Hadamard(chain, operands[0]))]
+    return trees
+
+
+def test_listed_steps_are_the_walked_steps(rng):
+    # the same steps in the same order, whatever the memo holds: each tree
+    # is read with a fresh memo, then again after some of its successors
+    # were read through the same memo, as the search reads them
+    checked = 0
+    for e in _step_trees(rng):
+        walked = _walked_steps(e)
+        memo = rewrite._Memo()
+        assert _listed_steps(e, memo) == walked
+        for step in walked[:4]:
+            successor = step[-1]
+            assert _listed_steps(successor, memo) == _walked_steps(successor)
+        assert _listed_steps(e, memo) == walked
+        # a finite slack drops the dearer steps and keeps the order
+        assert _listed_steps(e, rewrite._Memo(), slack=0) == [s for s in walked if s[4] <= 0]
+        checked += len(walked)
+    assert checked > 500
+
+
+def test_compiled_matchers_match_the_reference(rng):
+    # every rule side, in the order and with the bindings of the recursive
+    # matcher, on every subtree of random trees
+    labels, names = ["alpha", "beta"], ["v0", "v1"]
+    sides = [rule.lhs for rule in RULES]
+    sides += [side for rule in RULES for side in children(rule.lhs) if not isinstance(side, EVar)]
+    found = 0
+    for _ in range(60):
+        e = random_expr(rng, labels, names, depth=5)
+        for node in expr.postorder(e):
+            for side in sides:
+                want = list(_reference_match(side, node, {}))
+                assert rewrite.match(side, node, {}) == want
+                found += len(want)
+    assert found > 1000
+
+
+def test_unary_tower_costs_quadratic_builds(monkeypatch):
+    # every rewrite of a clip tower gives the same tree, one clip shorter.
+    # Rebuilding each from the root made the search cubic in the depth; a
+    # successor below the root is built once and read after, so doubling
+    # the depth about quadruples the nodes built
+    build = expr.build
+    counts = []
+    for depth in (100, 200):
+        e = parse("clip(" * depth + "A[x]" + ")" * depth)
+        target = parse("A[x]")
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return build(*args)
+
+        monkeypatch.setattr(expr, "build", counting)
+        monkeypatch.setattr(rewrite, "build", counting)
+        out, trace = simplify(e)
+        monkeypatch.undo()
+        assert out is target and len(trace) == depth
+        counts.append(calls[0])
+    assert counts[1] <= 4.2 * counts[0]
