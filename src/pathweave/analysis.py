@@ -29,7 +29,11 @@ diagonal d) every one of these comes from the factors, each read as held
 y o d, Zx = X(Yx) - d o x, the sums in exact integers, and the
 same-category weight tr(C'XYC) - sum(d) over the category indicator matrix
 C, from counts keyed by inner vertex and category; the product itself is
-never built.
+never built. A Gram root Z = G G' (coauthorship A . A', co-citation
+A' . A, one factor the transpose view of the other) is read from G alone:
+d is the row sums of G's squared entries, the column sums are the row
+sums, and the same-category weight is the sum of the squares of one count
+of G's entries.
 """
 
 from __future__ import annotations

@@ -35,6 +35,10 @@ Its row and column sums are computed in int64 from the factors, and its
 same-category weight from counts of the factors' entries keyed by inner
 vertex and category (``ProductOperand.same_category_weight``); below 2**53
 both are exact, so they equal the stored product's values cast to float64.
+A Gram root Z = G G' (``A . A'``, ``A' . A``: one factor the deferred
+transpose of the other) is read from G alone: one float64 copy, d from G's
+squared entries, one set of sums for rows and columns, and the
+same-category weight from one keyed count of G's entries, squared.
 Whether a row is empty and whether a vertex starts or ends a path are
 integer tests, in both kinds of operand.
 
@@ -141,6 +145,13 @@ def _transposed_view(view, mat) -> bool:
         a.dtype == b.dtype and a.size == b.size and a.ctypes.data == b.ctypes.data
         for a, b in ((view.data, mat.data), (view.indices, mat.indices), (view.indptr, mat.indptr))
     )
+
+
+def _gram(x, y) -> bool:
+    """Whether one of the factors `x`, `y` of X . Y, each a CSR or CSC as
+    held, is the CSC view of the other's arrays: then X . Y is G G' with G
+    the left factor `x` as held (coauthorship A . A', co-citation A' . A)."""
+    return _transposed_view(y, x) or _transposed_view(x, y)
 
 
 def _coords(mat):
@@ -529,29 +540,31 @@ class ProductOperand:
     are X(Y1) - d and (1'X)Y - d, taken in int64, exact since Z's total
     weight is below 2**53, then cast; so a row is empty, or a vertex off
     every path, exactly where an integer sum is zero. Everything else runs
-    over float64 copies of the factors, which hold their integers exactly."""
+    over float64 copies of the factors, which hold their integers exactly.
 
-    __slots__ = ("xf", "yf", "d", "row_sums", "col_sums", "total", "dangling", "on_path")
+    A Gram root (`_gram`: coauthorship A . A', co-citation A' . A) is
+    Z = G G' with G the left factor as held, and each quantity is taken once
+    from G: one float64 copy serves both factors, d is the row sums of G's
+    squared entries, Z's row sums are G(1'G)' - d and, since Z is
+    symmetric, its column sums are the same."""
+
+    __slots__ = ("xf", "yf", "gram", "d", "row_sums", "col_sums", "total", "dangling", "on_path")
 
     def __init__(self, x: PathMatrix, y: PathMatrix, mask):
         x, y = x.held, y.held
+        self.gram = _gram(x, y)
         d = np.zeros(x.shape[0], dtype=np.int64)
         if mask is not None:
             masked = np.flatnonzero(_diagonal_rows(mask.mat))
-            d[masked] = _diagonal(x, y, masked)
-        rows = x @ _row_sums(y, dtype=np.int64) - d
-        cols = _col_sums(x, dtype=np.int64) @ y - d
+            d[masked] = _diagonal(x, y, masked, self.gram)
         self.d = d
-        # one float64 copy when a factor is the other's transpose, held as a
-        # CSC view of its arrays (coauthorship A . A', co-citation A' . A)
-        if _transposed_view(y, x):
-            self.xf = _as_dtype(x, np.float64)
+        self.xf = _as_dtype(x, np.float64)
+        if self.gram:
+            rows = cols = x @ _col_sums(x, dtype=np.int64) - d
             self.yf = self.xf.T
-        elif _transposed_view(x, y):
-            self.yf = _as_dtype(y, np.float64)
-            self.xf = self.yf.T
         else:
-            self.xf = _as_dtype(x, np.float64)
+            rows = x @ _row_sums(y, dtype=np.int64) - d
+            cols = _col_sums(x, dtype=np.int64) @ y - d
             self.yf = _as_dtype(y, np.float64)
         self.row_sums = rows.astype(np.float64)
         self.col_sums = cols.astype(np.float64)
@@ -573,60 +586,59 @@ class ProductOperand:
         category. tr(C'XYC) sums, over each inner vertex j and category c,
         P[j, c] Q[j, c], where P[j, c] is the weight of X's entries in
         column j whose row is in c and Q[j, c] that of Y's entries in row j
-        whose column is in c. Each entry is keyed j * k + c, and the keys
-        are taken a block of `width` consecutive keys at a time: the block's
-        Y entries count Q into one array of cells, its X entries each read
-        the cell of their own key, and the touched cells are cleared for the
-        next block. `width` is the least power of two that reaches the
-        smallest of _BAND_CELLS, twice Y's entries and the number of keys,
-        so memory stays O(nnz + n) at any k; on coauthorship (k = 8) the
-        keys are one block. Every partial sum is an integer below the total
-        weight of X . Y, itself below 2**53, so the float64 sums are
-        exact."""
-        space = self.yf.shape[0] * k
-        width = 1 << (min(_BAND_CELLS, 2 * self.yf.nnz, space) - 1).bit_length()
+        whose column is in c (`_category_weights`). On a Gram root Q = P,
+        so the trace is the sum of P[j, c]**2, from G's entries alone.
+        Every partial sum is an integer below the total weight of X . Y,
+        itself below 2**53, so the float64 sums are exact."""
         codes = codes.astype(np.min_scalar_type(k - 1))
-        xkey, xw, xends = _key_blocks(self.xf, 1, codes, k, width)
-        ykey, yw, yends = _key_blocks(self.yf, 0, codes, k, width)
-        cells = np.zeros(min(space, width))
-        inside, ys = 0.0, slice(0, 0)
-        for b in np.flatnonzero((np.diff(xends) > 0) & (np.diff(yends) > 0)):
-            cells[ykey[ys]] = 0.0  # the previous block's
-            xs, ys = slice(xends[b], xends[b + 1]), slice(yends[b], yends[b + 1])
-            np.add.at(cells, ykey[ys], yw[ys])
-            inside += xw[xs] @ cells[xkey[xs]]
+        xf, yf = self.xf, self.yf
+        dense = xf.shape[1] * k <= 2 * (xf.nnz if self.gram else xf.nnz + yf.nnz)
+        p = _category_weights(xf, 1, codes, k, dense)
+        q = p if self.gram else _category_weights(yf, 0, codes, k, dense)
+        # einsum sums in one pass of its own: OpenBLAS hands a dot of more
+        # than 10**4 entries to its threads, and waking them can cost more
+        # than the sum
+        if dense:
+            inside = np.einsum("i,i->", p, q)
+        elif self.gram:
+            inside = np.einsum("i,i->", p.data, p.data)
+        else:
+            inside = p.multiply(q).sum()
         return float(int(inside) - int(self.d.sum()))
 
 
-def _key_blocks(mat, inner, codes, k, width):
-    """The entries of CSR or CSC `mat` keyed j * k + codes[v], with j their
-    index on axis `inner` and v the other, grouped by block of `width` (a
-    power of two) consecutive keys: each entry's key within its block and
-    its weight, in block order, and where each block starts. Entries stored
-    in block order, as when all keys are one block or `inner` is `mat`'s
-    major axis, are taken as stored; others are sorted by block (a radix
-    sort up to 2**16 blocks)."""
-    coords = _coords(mat)
-    key = coords[inner] * np.int64(k)
-    key += codes[coords[1 - inner]]
-    del coords
-    blocks = -(-mat.shape[inner] * k // width)
-    block = (key >> (width.bit_length() - 1)).astype(np.min_scalar_type(blocks))
-    key &= width - 1
-    weights = mat.data
-    if (block[1:] < block[:-1]).any():
-        order = np.argsort(block, kind="stable")
-        block, key, weights = block[order], key[order], weights[order]
-    return key, weights, np.searchsorted(block, np.arange(blocks + 1, dtype=block.dtype))
+def _category_weights(mat, inner, codes, k, dense):
+    """The weight P[j, c] of the entries of CSR or CSC `mat` whose index on
+    axis `inner` is j and whose other index has code c. With `dense`, one
+    keyed count (``np.bincount``) over every key j * k + c; else an n x k
+    CSR that holds only the keys the entries reach, its duplicates summed
+    (a counting sort by j, then a sort of each j's entries), so memory is
+    O(nnz + n) at any k and nothing loops in Python."""
+    counts = np.diff(mat.indptr)
+    if inner == (mat.format == "csc"):  # j is the major axis
+        j = np.repeat(np.arange(counts.size, dtype=mat.indices.dtype), counts)
+        c = codes[mat.indices]
+    else:
+        j, c = mat.indices, np.repeat(codes, counts)
+    if dense:
+        key = j * np.int64(k)
+        key += c
+        return np.bincount(key, mat.data, minlength=mat.shape[inner] * k)
+    return sp.csr_array((mat.data, (j, c)), shape=(mat.shape[inner], k))
 
 
-def _diagonal(x, y, rows):
+def _diagonal(x, y, rows, gram):
     """rowsum(X o Y') on the given rows, in int64: from those rows of X and
-    of Y', each a CSR or CSC as held; all rows take the factors whole."""
-    yt = y.T
-    if rows.size < x.shape[0]:
-        x, yt = x[rows], yt[rows]
-    return _row_sums(x.multiply(yt), dtype=np.int64)
+    of Y', each a CSR or CSC as held; all rows take the factors whole. When
+    Y' is X (`gram`) they are the row sums of X's squared entries."""
+    whole = rows.size == x.shape[0]
+    if not whole:
+        x = x[rows]
+    if gram:
+        product = type(x)((x.data * x.data, x.indices, x.indptr), shape=x.shape)
+    else:
+        product = x.multiply(y.T if whole else y.T[rows])
+    return _row_sums(product, dtype=np.int64)
 
 
 # -- the eight operations --------------------------------------------------
@@ -706,12 +718,20 @@ def _diagonal_rows(pat):
 def factored_matmul(a: PathMatrix, b: PathMatrix) -> PathMatrix:
     """``matmul(a, b)``, held factored when both operands are stored int64
     matrices and the product's total weight, colsum(a) . rowsum(b) over the
-    matrices as held, is below 2**53. No entry then reaches 2**62, where
+    matrices as held, is below 2**53. When one is held as the CSC view of
+    the other's arrays, rowsum(b) is colsum(a) and the weight is
+    ||colsum(a)||**2, one reduction. No entry then reaches 2**62, where
     ``matmul`` raises, so holding the product skips no overflow error; only
     the DENSIFY_LIMIT guard waits until the product is built."""
     _same_order(a, b)
     if not a.complement and not b.complement and a.dtype.kind == b.dtype.kind == "i":
-        if float(_col_sums(a.held) @ _row_sums(b.held)) < _EXACT_SUM_BOUND:
+        x, y = a.held, b.held
+        sums = _col_sums(x)
+        if _gram(x, y):
+            weight = sums @ sums
+        else:
+            weight = sums @ _row_sums(y)
+        if float(weight) < _EXACT_SUM_BOUND:
             return PathMatrix._product(a, b)
     return matmul(a, b)
 

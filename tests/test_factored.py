@@ -15,7 +15,8 @@ from pathweave.analysis import (
 from pathweave.errors import AnalysisError
 from pathweave.evaluate import evaluate
 from pathweave.expr import parse
-from pathweave.kernels import _BAND_CELLS, StoredOperand
+from pathweave import kernels
+from pathweave.kernels import _BAND_CELLS, PathMatrix, ProductOperand, StoredOperand
 from pathweave.tensor import MultiRelTensor
 
 from oracles import (
@@ -189,10 +190,10 @@ def test_analyses_read_the_transposed_factor_as_held():
     "src", ["A[x] . A[x]' & not(I)", "A[x]' . A[y] & not(E(v5,v5))", "A[x] . A[y]"]
 )
 def test_same_category_weight_past_the_cell_bound(src):
-    # k = n labels: n * k passes _BAND_CELLS, so the keys are taken in
-    # blocks, each counted into cells sized to about twice Y's entries
-    # rather than one dense array of n * k cells (9.7 MB of float64 here);
-    # the weight is exact
+    # k = n labels: n * k keys pass _BAND_CELLS and twice the entries, so
+    # only the keys the entries reach are counted (an n x k CSR with summed
+    # duplicates) rather than one dense array of n * k cells (9.7 MB of
+    # float64 here); the weight is exact
     import tracemalloc
 
     rng = np.random.default_rng(2424)
@@ -213,3 +214,90 @@ def test_same_category_weight_past_the_cell_bound(src):
         assert got == stored.same_category_weight(codes, n)
         assert peak < 2**20  # bytes: O(nnz + n), with nnz about 5000
     assert z._mat is None
+
+
+# a factor with entries above 1, its root read as Z = G G' and the mask
+_GRAM_FACTOR = "(A[x] + A[y] + A[x] . A[y])"
+_GRAM_MASKS = ["", " & not(I)", " & not(E(v1,v1))", " & not(clip(E(v0,v0) + E(v2,v2) + E(v3,v3)))"]
+
+
+def _general_operand(z):
+    """The operand of `z`'s factors read through the general path: the
+    transposed factor replaced by the transpose of a copy of the other
+    factor's arrays, in their stored order, which the view check rejects."""
+    x, y, mask = z._factors
+
+    def twin(m):
+        return kernels.transpose(PathMatrix._result(m.held.copy()))
+
+    if y.held.format == "csc":
+        y = twin(x)
+    else:
+        x = twin(y)
+    return ProductOperand(x, y, mask)
+
+
+@pytest.mark.parametrize("mask", _GRAM_MASKS, ids=["none", "not(I)", "one row", "three rows"])
+@pytest.mark.parametrize("root", ["{g} . {g}'", "{g}' . {g}"], ids=["AA'", "A'A"])
+def test_gram_operand_matches_the_general_and_stored_operands(root, mask):
+    rng = np.random.default_rng(2525)
+    src = root.format(g=_GRAM_FACTOR) + mask
+    big_entries = 0
+    for _ in range(25):
+        n = int(rng.integers(4, 13))
+        t = random_tensor(rng, n, labels=("x", "y"), density=float(rng.uniform(0.1, 0.5)))
+        z = evaluate(parse(src), t)
+        op = z.operand()
+        assert op.gram
+        gen = _general_operand(z)
+        assert not gen.gram
+        stored = StoredOperand(evaluate(parse(f"1 * ({src})"), t).mat)
+        assert z._mat is None
+        big_entries += int(op.xf.data.max(initial=0) > 1)
+        for field in ("row_sums", "col_sums", "dangling", "on_path", "d"):
+            assert np.array_equal(getattr(op, field), getattr(gen, field)), field
+            if field != "d":
+                assert np.array_equal(getattr(op, field), getattr(stored, field)), field
+        assert op.total == gen.total == stored.total
+        for _ in range(3):
+            v = rng.random(n)
+            for fn in ("vecmat", "matvec"):
+                got = getattr(op, fn)(v)
+                assert np.array_equal(got, getattr(gen, fn)(v)), fn
+                assert np.allclose(got, getattr(stored, fn)(v), rtol=1e-12, atol=0), fn
+        for k in (1, 3, n):
+            codes = rng.integers(0, k, size=n)
+            want = stored.same_category_weight(codes, k)
+            assert op.same_category_weight(codes, k) == gen.same_category_weight(codes, k) == want
+    assert big_entries >= 20
+
+
+@pytest.mark.parametrize("left_transposed", [False, True], ids=["A, A'", "A', A"])
+def test_gram_bound_decides_as_the_general_bound(monkeypatch, left_transposed):
+    # the Gram weight ||colsum(G)||**2 against _EXACT_SUM_BOUND set just
+    # below, at and just above it: the root is held factored exactly where
+    # the general bound colsum(X) . rowsum(Y) is below the bound
+    rng = np.random.default_rng(2626)
+    dense = rng.integers(0, 4, size=(30, 30)) * (rng.random((30, 30)) < 0.2)
+    a = PathMatrix(dense)
+    sums = dense.sum(axis=1 if left_transposed else 0).tolist()
+    weight = float(sum(s * s for s in sums))
+
+    def operands():
+        at = kernels.transpose(a)  # a fresh view: building the product converts it
+        return (at, a) if left_transposed else (a, at)
+
+    x, y = operands()
+    general = float(kernels._col_sums(x.held) @ kernels._row_sums(y.held))
+    assert general == weight
+    for bound in (np.nextafter(weight, 0.0), weight, np.nextafter(weight, np.inf), weight + 1):
+        monkeypatch.setattr(kernels, "_EXACT_SUM_BOUND", float(bound))
+        x, y = operands()
+        assert kernels._gram(x.held, y.held)
+        z = kernels.factored_matmul(x, y)
+        assert (z._factors is not None) == (general < bound)
+        # the same factors as unrelated matrices take the general bound
+        x, y = operands()
+        x, y = PathMatrix(x.held.tocsr()), PathMatrix(y.held.tocsr())
+        assert (kernels.factored_matmul(x, y)._factors is not None) == (general < bound)
+        assert np.array_equal(z.to_dense(), dense @ dense.T if not left_transposed else dense.T @ dense)
