@@ -23,7 +23,11 @@ association written; the simplifier already writes chains left-associated.
 
 The plan also records the representation each node will take, which is how
 `not(I)`-style complements stay unmaterialized through an evaluation, and
-each product's flops as estimated from nnz row/column profiles.
+each product's flops as estimated from nnz row/column profiles. Those
+estimates are computed when first read (``EvalPlan.steps``, ``est_flops``,
+``naive_flops``); ``plan`` itself only moves masks and checks every slice
+label and filter vertex name, so ``evaluate``, which reads only the plan's
+tree, estimates nothing.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .expr import (
     children,
     fold,
     format_expr,
+    postorder,
     with_children,
 )
 from .rewrite import (
@@ -160,16 +165,49 @@ class PlanStep:
 
 @dataclass(frozen=True)
 class EvalPlan:
+    """The tree `evaluate` runs, with masks on product factors. Its
+    estimates are computed when first read: `steps` by one estimating fold
+    over `tree`, which `est_flops` sums, and `naive_flops` by one over
+    `source`. Reading only `tree` estimates nothing."""
+
     tree: object
-    steps: tuple
-    est_flops: float
     source: object = field(repr=False, compare=False)
     tensor: object = field(repr=False, compare=False)
 
     @cached_property
+    def steps(self) -> tuple:
+        """One step per node occurrence, deepest level first, each with its
+        representation and the estimated flops of its own product."""
+        # one fold estimates every distinct node, and the steps read each
+        # node's estimate from it
+        facts = {}
+
+        def note(node, kids):
+            facts[node] = fact = _estimate(node, kids, self.tensor)
+            return fact
+
+        fold(self.tree, note)
+        # level order, left to right, then reversed: deepest level first
+        order, queue = [], deque([self.tree])
+        while queue:
+            node = queue.popleft()
+            order.append(node)
+            queue.extend(children(node))
+        steps = []
+        for node in reversed(order):
+            _, rep, est, _ = facts[node]
+            op = type(node).__name__.lower() if children(node) else "load"
+            steps.append(PlanStep(op, node, rep, est))
+        return tuple(steps)
+
+    @cached_property
+    def est_flops(self) -> float:
+        """Estimated flops of the planned tree: the sum over its steps."""
+        return sum((step.est_flops for step in self.steps), 0.0)
+
+    @cached_property
     def naive_flops(self) -> float:
-        """Estimated flops of the expression as given, computed when first
-        read: a second estimating fold that evaluation never needs."""
+        """Estimated flops of the expression as given."""
         return fold(self.source, lambda node, kids: _estimate(node, kids, self.tensor))[3]
 
 
@@ -306,32 +344,15 @@ def _push_filters(e):
 
 
 def plan(e, tensor) -> EvalPlan:
-    """Move row and column masks onto product factors; record per-node
-    estimates and representations."""
+    """Move row and column masks onto product factors, and refuse an unknown
+    slice label or filter vertex name; the estimates wait until read."""
     tree = _push_filters(e)
-    # one fold estimates every node, and the steps, which list nodes deepest
-    # first, read each node's estimate from it
-    facts = {}
-
-    def note(node, kids):
-        facts[node] = fact = _estimate(node, kids, tensor)
-        return fact
-
-    fold(tree, note)
-    # level order, left to right, then reversed: deepest level first
-    order, queue = [], deque([tree])
-    while queue:
-        node = queue.popleft()
-        order.append(node)
-        queue.extend(children(node))
-    steps = []
-    total = 0.0
-    for node in reversed(order):
-        _, rep, est, _ = facts[node]
-        total += est
-        op = type(node).__name__.lower() if children(node) else "load"
-        steps.append(PlanStep(op, node, rep, est))
-    return EvalPlan(tree=tree, steps=tuple(steps), est_flops=total, source=e, tensor=tensor)
+    for node in postorder(tree):
+        if isinstance(node, SliceRef):
+            tensor.slice(node.label)
+        elif isinstance(node, Filter):
+            _filter_spec(node, tensor)
+    return EvalPlan(tree=tree, source=e, tensor=tensor)
 
 
 # -- empirical rule verification ----------------------------------------------

@@ -54,9 +54,10 @@ int64. At or above it the kernel is redone in float64, and raises
 ``EvalError`` only if a result entry reaches 2**62; otherwise the int64
 result, exact modulo 2**64, is the true one. Row and column sums come from
 ``_row_sums`` and ``_col_sums`` alone, in float64, which cannot wrap. Only a
-mixed product (for the exact value it broadcasts) and a vertex function on
-int64 counts (for an exact comparison with its threshold) sum in int64,
-since a float64 sum is exact only below 2**53.
+mixed product (for the exact value it broadcasts), a vertex function on
+int64 counts (for an exact comparison with its threshold) and the weight
+bound of ``factored_matmul`` (which would otherwise cast a whole factor to
+float64) sum in int64, since a float64 sum is exact only below 2**53.
 
 The representation contract: a stored CSR holds no duplicate (row, col)
 entries and no stored zeros, and its column order within a row is
@@ -722,18 +723,30 @@ def factored_matmul(a: PathMatrix, b: PathMatrix) -> PathMatrix:
     the other's arrays, rowsum(b) is colsum(a) and the weight is
     ||colsum(a)||**2, one reduction. No entry then reaches 2**62, where
     ``matmul`` raises, so holding the product skips no overflow error; only
-    the DENSIFY_LIMIT guard waits until the product is built."""
+    the DENSIFY_LIMIT guard waits until the product is built.
+
+    The sums are taken in int64 over the factors' own data, which copies
+    nothing, and then cast, when the float64 bound max entry x nnz of the
+    factor is below 2**62, so no sum can wrap; otherwise in float64."""
     _same_order(a, b)
     if not a.complement and not b.complement and a.dtype.kind == b.dtype.kind == "i":
         x, y = a.held, b.held
-        sums = _col_sums(x)
+        sums = _exact_sums(x, _col_sums)
         if _gram(x, y):
             weight = sums @ sums
         else:
-            weight = sums @ _row_sums(y)
+            weight = sums @ _exact_sums(y, _row_sums)
         if float(weight) < _EXACT_SUM_BOUND:
             return PathMatrix._product(a, b)
     return matmul(a, b)
+
+
+def _exact_sums(x, sums_of) -> np.ndarray:
+    """`sums_of(x)` for int64 `x` as float64: summed in int64 and cast when
+    no sum can reach 2**62 (the bound ``_over`` uses), else in float64."""
+    if float(x.data.max(initial=0)) * x.nnz < _INT_SAFE_BOUND:
+        return sums_of(x, dtype=np.int64).astype(np.float64)
+    return sums_of(x)
 
 
 def factored_mask(a: PathMatrix, b: PathMatrix) -> PathMatrix:

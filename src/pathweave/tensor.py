@@ -9,6 +9,12 @@ TSV text is split in bulk, a chunk of lines at a time, when it is regular:
 only "\\n" line ends, and no comment, blank line, or empty or padded field.
 Any other text is read line by line, and that reader words every format
 error; both give the same result.
+
+A slice builds its CSR path matrix on the first ``to_matrix()`` and holds
+it, so every evaluation over the tensor shares one matrix per label. Its
+data, index and pointer arrays are read-only: no kernel writes into an
+operand, and a write into the shared matrix raises instead of changing the
+tensor.
 """
 
 from __future__ import annotations
@@ -64,9 +70,10 @@ class EdgeSlice:
 
     Pairs are kept as parallel sorted id arrays; duplicates are collapsed.
     `signature` optionally names the (domainClass, rangeClass) of the label.
+    The path matrix is built on the first `to_matrix()` and held, read-only.
     """
 
-    __slots__ = ("label", "n", "tails", "heads", "signature")
+    __slots__ = ("label", "n", "tails", "heads", "signature", "_matrix")
 
     def __init__(self, label, n, tails, heads, signature=None):
         n = int(n)
@@ -91,6 +98,7 @@ class EdgeSlice:
         self.tails = tails
         self.heads = heads
         self.signature = signature
+        self._matrix = None
 
     @property
     def nnz(self) -> int:
@@ -101,7 +109,14 @@ class EdgeSlice:
         return set(zip(self.tails.tolist(), self.heads.tolist()))
 
     def to_matrix(self) -> PathMatrix:
-        return PathMatrix._from_sorted_pairs(self.n, self.tails, self.heads)
+        """The slice's {0,1} path matrix: one per slice, its arrays read-only."""
+        if self._matrix is None:
+            matrix = PathMatrix._from_sorted_pairs(self.n, self.tails, self.heads)
+            mat = matrix.mat
+            for arr in (mat.data, mat.indices, mat.indptr):
+                arr.flags.writeable = False
+            self._matrix = matrix
+        return self._matrix
 
 
 class MultiRelTensor:

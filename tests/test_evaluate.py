@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 from collections import Counter
 
@@ -15,6 +16,7 @@ from pathweave.expr import (
     children,
     format_expr,
     parse,
+    postorder,
     walk,
 )
 from pathweave.tensor import MultiRelTensor, ingest_triples
@@ -22,6 +24,9 @@ from pathweave.tensor import MultiRelTensor, ingest_triples
 from conftest import FIXTURE1_TRIPLES
 from oracles import count_typed_paths, dense_reference_eval, marko_query_answers
 from util import random_expr, random_tensor
+
+# the module itself: the package's `evaluate` is the function
+evaluate_module = importlib.import_module("pathweave.evaluate")
 
 MARKO_QUERY = (
     "clip( ((C(marko) & A[authored]') . A[authored] & I)"
@@ -272,6 +277,52 @@ def test_plan_rejects_unknown_vertex(fixture1):
     for text in ("A[cites] & R(nobody)", "C(nobody) & A[cites]", "E(a1,nobody) . A[cites]"):
         with pytest.raises(EvalError, match="unknown vertex name 'nobody'"):
             plan(parse(text), fixture1)
+
+
+def test_evaluate_estimates_nothing(monkeypatch, fixture1):
+    # no plan choice reads the estimates, so evaluation must not make them
+    def refuse(node, kids, tensor):
+        raise AssertionError(f"evaluation estimated {node!r}")
+
+    rng = np.random.default_rng(2626)
+    labels = ("alpha", "beta", "gamma")
+    cases = [(parse("A[authored] . A[authored]' & not(I)"), fixture1)]
+    for _ in range(200):
+        n = int(rng.integers(2, 11))
+        names = [f"v{i}" for i in range(n)]
+        tensor = random_tensor(rng, n=n, labels=labels, names=names)
+        cases.append((random_expr(rng, labels, names, depth=6), tensor))
+    monkeypatch.setattr(evaluate_module, "_estimate", refuse)
+    for trial, (e, tensor) in enumerate(cases):
+        planned = np.asarray(evaluate(e, tensor).to_dense(), dtype=float)
+        unplanned = np.asarray(evaluate(e, tensor, use_plan=False).to_dense(), dtype=float)
+        want = np.asarray(dense_reference_eval(e, tensor), dtype=float)
+        assert np.allclose(planned, want, rtol=0, atol=1e-9), (trial, e)
+        assert np.allclose(unplanned, want, rtol=0, atol=1e-9), (trial, e)
+
+
+def test_plan_estimates_once_when_read(monkeypatch, fixture1):
+    estimated = Counter()
+    real = evaluate_module._estimate
+
+    def counted(node, kids, tensor):
+        estimated[node] += 1
+        return real(node, kids, tensor)
+
+    monkeypatch.setattr(evaluate_module, "_estimate", counted)
+    # A[authored] and not(I) are shared subtrees
+    src = (
+        "A[authored] . A[cites] . A[authored]' "
+        "& not(clip(A[authored] . A[authored]' & not(I))) & not(I)"
+    )
+    p = plan(parse(src), fixture1)
+    assert not estimated
+    steps = p.steps
+    assert p.steps is steps
+    assert p.est_flops == sum(step.est_flops for step in steps)
+    # one fold: each distinct node of the planned tree once
+    assert estimated == Counter(postorder(p.tree))
+    assert len(steps) == sum(1 for _ in walk(p.tree))
 
 
 def test_chain_ties_keep_written_order():

@@ -12,7 +12,7 @@ from pathweave.analysis import (
     pagerank,
     spreading_activation,
 )
-from pathweave.errors import AnalysisError
+from pathweave.errors import AnalysisError, EvalError
 from pathweave.evaluate import evaluate
 from pathweave.expr import parse
 from pathweave import kernels
@@ -301,3 +301,48 @@ def test_gram_bound_decides_as_the_general_bound(monkeypatch, left_transposed):
         x, y = PathMatrix(x.held.tocsr()), PathMatrix(y.held.tocsr())
         assert (kernels.factored_matmul(x, y)._factors is not None) == (general < bound)
         assert np.array_equal(z.to_dense(), dense @ dense.T if not left_transposed else dense.T @ dense)
+
+
+def _sum_dtypes(monkeypatch):
+    """The accumulator dtype of every row and column sum taken from now on."""
+    seen = []
+    for name in ("_row_sums", "_col_sums"):
+        real = getattr(kernels, name)
+
+        def recorded(mat, dtype=np.float64, real=real):
+            seen.append(np.dtype(dtype))
+            return real(mat, dtype=dtype)
+
+        monkeypatch.setattr(kernels, name, recorded)
+    return seen
+
+
+@pytest.mark.parametrize("gram", [True, False], ids=["A . A'", "A . B"])
+def test_weight_past_2_53_builds_the_product_from_int64_sums(monkeypatch, gram):
+    # max entry x nnz is far below 2**62, so the factor's sums are taken in
+    # int64; the weight passes 2**53, so the root is built, not factored
+    x = np.array([[2**27, 2**27, 0], [0, 2**27, 1], [1, 0, 3]], dtype=np.int64)
+    y = x.T.copy() if gram else np.array([[2**26, 0, 1], [0, 5, 0], [2**27, 0, 0]])
+    a = PathMatrix.from_dense(x)
+    b = kernels.transpose(a) if gram else PathMatrix.from_dense(y)
+    seen = _sum_dtypes(monkeypatch)
+    z = kernels.factored_matmul(a, b)
+    assert seen[: 1 if gram else 2] == [np.dtype(np.int64)] * (1 if gram else 2)
+    assert z._factors is None
+    want = x.astype(object) @ y.astype(object)
+    assert z.dtype == np.int64
+    assert z.to_dense().tolist() == want.tolist()
+
+
+def test_sums_that_would_wrap_int64_take_float64(monkeypatch):
+    # column 0 of x sums to 2**63, which wraps to -2**63 in int64 and would
+    # make the weight negative, so the product would be held factored and
+    # its overflow never seen; in float64 the weight passes 2**53, and
+    # building the product refuses its 2**62 entries
+    x = np.array([[2**62, 0], [2**62, 0]], dtype=np.int64)
+    y = np.array([[1, 0], [0, 0]], dtype=np.int64)
+    seen = _sum_dtypes(monkeypatch)
+    with pytest.raises(EvalError, match="64-bit"):
+        kernels.factored_matmul(PathMatrix.from_dense(x), PathMatrix.from_dense(y))
+    # colsum(x) in float64; rowsum(y), which cannot wrap, in int64
+    assert seen[:2] == [np.dtype(np.float64), np.dtype(np.int64)]

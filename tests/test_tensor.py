@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathweave.errors import EvalError, GraphFormatError
+from pathweave.evaluate import evaluate
+from pathweave.kernels import PathMatrix
 from pathweave.tensor import (
     EdgeSlice,
     MultiRelTensor,
@@ -26,6 +28,7 @@ from pathweave.tensor import (
 
 from conftest import FIXTURE1_TRIPLES
 from oracles import count_typed_paths
+from util import random_expr, random_tensor
 
 
 def test_single_edge():
@@ -90,6 +93,39 @@ def test_transpose_involution_on_slices(fixture1):
     for label in fixture1.labels:
         m = fixture1.matrix(label)
         assert np.array_equal(transpose(transpose(m)).to_dense(), m.to_dense())
+
+
+def test_slice_matrix_is_built_once_and_read_only(fixture1):
+    for label in fixture1.labels:
+        m = fixture1.matrix(label)
+        assert fixture1.matrix(label) is m
+        arrays = (m.mat.data, m.mat.indices, m.mat.indptr)
+        assert not any(arr.flags.writeable for arr in arrays)
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:1] = 0
+
+
+def test_shared_slice_matrices_survive_evaluation():
+    # every evaluation, and every analysis operand, reads the one matrix of
+    # each slice; none of them may change it
+    rng = np.random.default_rng(2626)
+    labels = ("alpha", "beta", "gamma")
+    names = [f"v{i}" for i in range(9)]
+    tensor = random_tensor(rng, n=len(names), labels=labels, names=names)
+    held = {label: tensor.matrix(label) for label in labels}
+    for _ in range(200):
+        z = evaluate(random_expr(rng, labels, names, depth=6), tensor)
+        z.to_dense()
+        z.operand()
+    for label in labels:
+        s = tensor.slice(label)
+        fresh = PathMatrix._from_sorted_pairs(s.n, s.tails, s.heads).mat
+        shared = tensor.matrix(label)
+        assert shared is held[label]
+        for attr in ("data", "indices", "indptr"):
+            got, want = getattr(shared.mat, attr), getattr(fresh, attr)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (label, attr)
 
 
 def test_signatures_attach(fixture1):
