@@ -30,7 +30,7 @@ from .expr import (
     parse_program,
     postorder,
 )
-from .kernels import cell_rows, export_tsv, fmt_float, joined_rows, name_cells
+from .kernels import cell_rows, fmt_float, joined_rows, name_cells, tsv_rows
 from .rewrite import derivation_table, simplify
 
 
@@ -53,10 +53,10 @@ def _load_expression(args, t):
         return parse(args.expr)
     if args.expr_file is not None:
         try:
-            with open(args.expr_file, "r", encoding="utf-8") as fh:
-                return parse_program(fh.read())
+            text = tensor_io.read_text(args.expr_file)
         except OSError as err:
             raise GraphFormatError(f"cannot read expression file {args.expr_file}: {err}")
+        return parse_program(text)
     if t is not None and t.m == 1:
         return SliceRef(t.labels[0])
     raise GraphFormatError(
@@ -94,7 +94,7 @@ def _json_value(v) -> str:
 
 def _emit_matrix(z, t, fmt, out):
     if fmt == "tsv":
-        out.write(export_tsv(z, t.vertices.names))
+        out.writelines(tsv_rows(z, t.vertices.names))
         return
     leads, heads = _json_cells(t.vertices.names)
     rows = z.entry_rows(leads, heads, _json_value)

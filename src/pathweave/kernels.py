@@ -82,8 +82,9 @@ formats each value found by ``np.unique`` once; the geodesic writer one
 per hop count). ``cell_rows`` makes a CSR's cells, the name of each
 entry's head followed by its value's text, a chunk of whole rows at a time
 (about ``_WRITE_CELLS`` cells), and ``joined_rows`` joins a row's cells
-behind the row's lead in one step. ``export_tsv`` and the CLI's ``eval``
-and ``geodesic`` writers, in TSV and JSON, all go through both.
+behind the row's lead in one step. ``tsv_rows`` (and so ``export_tsv``)
+and the CLI's ``eval`` and ``geodesic`` writers, in TSV and JSON, all go
+through both; the CLI writes each row as it is made.
 """
 
 from __future__ import annotations
@@ -896,13 +897,18 @@ def name_cells(names, after="\t"):
     return np.array([name + after for name in names], dtype=object)
 
 
-def export_tsv(pm: PathMatrix, names) -> str:
-    """Render `tail<TAB>head<TAB>weight` rows in deterministic row-major
-    order; int64 weights print exactly, float64 ones with 12 significant
-    digits."""
+def tsv_rows(pm: PathMatrix, names):
+    """The `tail<TAB>head<TAB>weight` lines of `pm` in deterministic row-major
+    order, one string per row that holds an entry; int64 weights print
+    exactly, float64 ones with 12 significant digits."""
     heads = name_cells(names)
     text = str if pm.dtype.kind == "i" else fmt_float
-    return "".join(joined_rows(pm.entry_rows(heads.tolist(), heads, text)))
+    return joined_rows(pm.entry_rows(heads.tolist(), heads, text))
+
+
+def export_tsv(pm: PathMatrix, names) -> str:
+    """The text of `tsv_rows(pm, names)` as one string."""
+    return "".join(tsv_rows(pm, names))
 
 
 def fmt_float(x) -> str:

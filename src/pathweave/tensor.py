@@ -5,10 +5,16 @@ boolean adjacency slices sharing a single dense integer id space. Ids are
 assigned in first-seen order across all labels, so ingestion order changes
 ids but never semantics.
 
+Files are read as UTF-8; a leading byte-order mark is skipped, and bytes
+that are not UTF-8 raise GraphFormatError naming the file and byte offset.
+
 TSV text is split in bulk, a chunk of lines at a time, when it is regular:
 only "\\n" line ends, and no comment, blank line, or empty or padded field.
 Any other text is read line by line, and that reader words every format
-error; both give the same result.
+error; both give the same result. Triples take one dictionary probe per
+field: each name is recorded at its first position, and one numpy pass
+turns those positions into dense ids. The empty-or-padded check then reads
+the distinct vertex and label names, not every field.
 
 A slice builds its CSR path matrix on the first ``to_matrix()`` and holds
 it, so every evaluation over the tensor shares one matrix per label. Its
@@ -19,7 +25,7 @@ tensor.
 
 from __future__ import annotations
 
-import io
+import codecs
 import itertools
 from typing import Iterable, Mapping, Sequence
 
@@ -44,10 +50,6 @@ class VertexDictionary:
         fresh = list(itertools.filterfalse(self.index.__contains__, dict.fromkeys(names)))
         self.index.update(zip(fresh, range(len(self.names), len(self.names) + len(fresh))))
         self.names += fresh
-
-    def ids(self, names: Sequence[str]) -> np.ndarray:
-        """The int64 ids of `names`, all of which are present."""
-        return np.fromiter(map(self.index.__getitem__, names), np.int64, len(names))
 
     def id(self, name: str) -> int:
         return self.index[name]
@@ -209,25 +211,40 @@ def ingest_triples(rows: Iterable[Sequence[str]]) -> MultiRelTensor:
         if not tail or not label or not head:
             raise GraphFormatError(f"line {lineno}: empty tail, label, or head")
         fields += row
-    return _tensor([fields])
+    return _build_tensor([fields])
 
 
-def _tensor(batches: Iterable[list[str]]) -> MultiRelTensor:
+def _first_seen(index: dict, names: list, at) -> np.ndarray:
+    """For each of `names`, the position `at` counted when the name first
+    entered `index`; a name not yet in `index` enters at its own position."""
+    return np.fromiter(map(index.setdefault, names, at), np.int64, len(names))
+
+
+def _dense_ids(first: np.ndarray) -> np.ndarray:
+    """Dense ids in first-seen order from first-appearance positions: the
+    k-th position that is its own first appearance gets id k."""
+    new = first == np.arange(first.size)
+    return (np.cumsum(new) - 1)[first]
+
+
+def _build_tensor(batches: Iterable[list[str]]) -> MultiRelTensor:
     """Build a tensor from batches of (tail, label, head) fields, each batch
     one flat row-major list. Vertex ids follow first appearance, tail before
     head; slices follow the first appearance of their label."""
-    vertices, labels = VertexDictionary(), VertexDictionary()
+    # name -> position of its first appearance; the counters run across batches
+    vertices: dict = {}
+    labels: dict = {}
+    vertex_at, label_at = itertools.count(), itertools.count()
     ends, kinds = [], []
     for fields in batches:
         kind = fields[1::3]
         del fields[1::3]  # leaves tail, head, tail, head, ...
-        vertices.extend(fields)
-        labels.extend(kind)
-        ends.append(vertices.ids(fields))
-        kinds.append(labels.ids(kind))
+        ends.append(_first_seen(vertices, fields, vertex_at))
+        kinds.append(_first_seen(labels, kind, label_at))
     if not kinds:
-        return MultiRelTensor(vertices, {})  # raises: no edges
-    ends, kinds = np.concatenate(ends), np.concatenate(kinds)
+        return MultiRelTensor(VertexDictionary(), {})  # raises: no edges
+    ends = _dense_ids(np.concatenate(ends))
+    kinds = _dense_ids(np.concatenate(kinds))
     order = np.argsort(kinds, kind="stable")
     tails, heads = ends[0::2][order], ends[1::2][order]
     stops = np.cumsum(np.bincount(kinds, minlength=len(labels))).tolist()
@@ -236,7 +253,17 @@ def _tensor(batches: Iterable[list[str]]) -> MultiRelTensor:
         label: EdgeSlice(label, n, tails[start:stop], heads[start:stop])
         for label, start, stop in zip(labels, [0, *stops], stops)
     }
-    return MultiRelTensor(vertices, slices)
+    return MultiRelTensor(VertexDictionary(vertices), slices)
+
+
+def _tensor(batches: Iterable[list[str]]) -> MultiRelTensor:
+    """`_build_tensor` over the field batches of a TSV reader. Raises
+    _Irregular if a vertex or label name is empty or padded, which only the
+    bulk reader yields; the check reads each distinct name once."""
+    tensor = _build_tensor(batches)
+    _regular(tensor.vertices.names)
+    _regular(tensor.labels)
+    return tensor
 
 
 # str.splitlines ends a line at each of these as well as at "\n"
@@ -278,8 +305,9 @@ def _line_batches(text: str, layout: str):
 def _bulk_batches(text: str, layout: str):
     """The fields of TSV `text`, as flat row-major lists of bounded chunks of
     lines, split whole rather than line by line. Raises _Irregular unless
-    every line ends at "\\n" and holds `layout`'s number of fields, none empty
-    or padded, and no line is blank or a `#` comment."""
+    every line ends at "\\n" and holds `layout`'s number of fields, and no
+    line is blank or a `#` comment. Fields may be empty or padded: the
+    builder checks them with `_regular`."""
     width = layout.count("<TAB>") + 1
     if (
         not text
@@ -305,10 +333,15 @@ def _bulk_batches(text: str, layout: str):
             np.flatnonzero(seps == 10), np.arange(width - 1, len(fields) - 1, width)
         ):
             raise _Irregular
-        distinct = list(set(fields))
-        if "" in distinct or list(map(str.strip, distinct)) != distinct:
-            raise _Irregular
         yield fields
+
+
+def _regular(names: Iterable[str]) -> None:
+    """Raise _Irregular if any of the distinct `names` is empty or padded:
+    the per-line reader strips a field, or refuses it if nothing is left."""
+    names = list(names)
+    if "" in names or list(map(str.strip, names)) != names:
+        raise _Irregular
 
 
 def _parse(text: str, layout: str, build):
@@ -320,9 +353,21 @@ def _parse(text: str, layout: str, build):
         return build(_line_batches(text, layout))
 
 
-def _read(path: str) -> str:
-    with io.open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def read_text(path: str) -> str:
+    """The text of UTF-8 file `path`, without a leading byte-order mark, its
+    "\\r\\n" and "\\r" line ends read as "\\n". Bytes that are not UTF-8
+    raise GraphFormatError naming the file and the offset of the first."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as err:
+        # utf-8-sig counts offsets after the byte-order mark
+        at = err.start + len(codecs.BOM_UTF8) * data.startswith(codecs.BOM_UTF8)
+        raise GraphFormatError(
+            f"{path}: not UTF-8 at byte offset {at} ({err.reason})"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def parse_triples(text: str) -> MultiRelTensor:
@@ -331,7 +376,7 @@ def parse_triples(text: str) -> MultiRelTensor:
 
 
 def read_triples(path: str) -> MultiRelTensor:
-    return parse_triples(_read(path))
+    return parse_triples(read_text(path))
 
 
 def format_triples(tensor: MultiRelTensor) -> str:
@@ -341,6 +386,7 @@ def format_triples(tensor: MultiRelTensor) -> str:
 def _signatures(batches) -> dict[str, tuple[str, str]]:
     out: dict[str, tuple[str, str]] = {}
     for fields in batches:
+        _regular(set(fields))
         out.update(zip(fields[0::3], zip(fields[1::3], fields[2::3])))
     return out
 
@@ -351,12 +397,13 @@ def parse_signatures(text: str) -> dict[str, tuple[str, str]]:
 
 
 def read_signatures(path: str) -> dict[str, tuple[str, str]]:
-    return parse_signatures(_read(path))
+    return parse_signatures(read_text(path))
 
 
 def _properties(batches) -> dict[str, str]:
     out: dict[str, str] = {}
     for fields in batches:
+        _regular(set(fields))
         out.update(zip(fields[0::2], fields[1::2]))
     return out
 
@@ -367,4 +414,4 @@ def parse_properties(text: str) -> dict[str, str]:
 
 
 def read_properties(path: str) -> dict[str, str]:
-    return parse_properties(_read(path))
+    return parse_properties(read_text(path))

@@ -1,3 +1,4 @@
+import codecs
 import json
 
 import numpy as np
@@ -445,3 +446,38 @@ def test_load_check_notes_not_over_an_operand_that_may_not_be_boolean(graph_file
     # eval refuses it on this data: h1 coauthors with itself twice
     code, _, err = run(["eval", "--graph", graph_file, "--expr", expr], capsys)
     assert code == 1 and "not requires a {0,1} matrix" in err
+
+
+@pytest.mark.parametrize("kind", ["graph", "signatures", "property", "expr-file"])
+def test_a_file_that_is_not_utf8_is_exit_2(tmp_path, graph_file, kind, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"h1\tauthored\ta\xe91\n")
+    argv = {
+        "graph": ["load-check", "--graph", str(bad)],
+        "signatures": ["load-check", "--graph", graph_file, "--signatures", str(bad)],
+        "property": [
+            "assort", "--graph", graph_file, "--expr", "A[authored]",
+            "--kind", "categorical", "--property", str(bad),
+        ],
+        "expr-file": ["eval", "--graph", graph_file, "--expr-file", str(bad)],
+    }[kind]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"pathweave: {bad}: not UTF-8 at byte offset 13 (invalid continuation byte)\n"
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_name(tmp_path, capsys):
+    graph = "h1\tauthored\ta1\nh1\tcites\th2\n"
+    reports = []
+    for head in (b"", codecs.BOM_UTF8):
+        (tmp_path / "g.tsv").write_bytes(head + graph.encode("utf-8"))
+        (tmp_path / "e.pw").write_bytes(head + b"A[authored] . A[cites]'")
+        argv = ["load-check", "--graph", str(tmp_path / "g.tsv")]
+        reports.append(run(argv + ["--expr-file", str(tmp_path / "e.pw")], capsys))
+    assert reports[0] == reports[1]
+    assert reports[0] == (
+        0,
+        "vertices\t3\nlabels\t2\nslice\tauthored\t1\nslice\tcites\t1\n"
+        "expression\tA[authored] . A[cites]'\nsignature\t?\t?\tok\n",
+        "",
+    )

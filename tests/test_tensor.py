@@ -9,6 +9,7 @@ from pathweave.kernels import PathMatrix
 from pathweave.tensor import (
     EdgeSlice,
     MultiRelTensor,
+    _CHUNK_CHARS,
     _Irregular,
     _bulk_batches,
     _line_batches,
@@ -23,6 +24,7 @@ from pathweave.tensor import (
     parse_triples,
     read_properties,
     read_signatures,
+    read_text,
     read_triples,
 )
 
@@ -347,6 +349,76 @@ def test_bulk_reader_takes_regular_text(end):
     # two lines of 2 and 4 fields make 6, a whole number of records
     short_long = "h1\tauthored\nété\tx\ty\tz\n"
     comments = ["#c\td\te\n" + text, "h1\tx\ty\n#c\td\te\n"]
+    # the separators are checked as each chunk is split, the names once read
     for irregular in ("", text + "\n\n", " " + text, short_long, *comments, *other_ends):
         with pytest.raises(_Irregular):
-            list(_bulk_batches(irregular, "tail<TAB>label<TAB>head"))
+            _tensor(_bulk_batches(irregular, "tail<TAB>label<TAB>head"))
+
+
+_LONG_LABELS = ("authored", "cites", "contains", "category")
+
+
+def _long_text(case):
+    """A regular triple text of about six bulk chunks, with `case` in it."""
+    rng = np.random.default_rng(11)
+    rows = [
+        [f"v{rng.integers(3000)}", _LONG_LABELS[rng.integers(4)], f"v{rng.integers(3000)}"]
+        for _ in range(6000)
+    ]
+    if case == "padded last":
+        rows[-1][1] = rows[-1][1] + " "
+    elif case == "empty last":
+        rows[-1][2] = ""
+    elif case == "label as vertex":
+        # a vertex named `cites` in the first chunk and in the last
+        rows[3][0] = rows[-3][2] = "cites"
+        rows[-2][0] = "authored"
+    elif case == "duplicates":
+        # triples of the first chunk again in the last, one of them twice
+        rows += rows[:40] + [rows[0]]
+    return "".join("\t".join(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("case", ["padded last", "empty last", "label as vertex", "duplicates"])
+def test_readers_agree_across_chunks(case):
+    text = _long_text(case)
+    layout = "tail<TAB>label<TAB>head"
+    assert len(list(_bulk_batches(text, layout))) > 4 and len(text) > 4 * _CHUNK_CHARS
+    per_line = _outcome(lambda: _tensor(_line_batches(text, layout)))
+    assert per_line == _outcome(lambda: _reference_tensor(_records(text, layout)))
+    assert _outcome(lambda: parse_triples(text)) == per_line
+    if case.endswith("last"):
+        # every chunk but the last is regular; the flaw still sends the text
+        # to the per-line reader
+        with pytest.raises(_Irregular):
+            _tensor(_bulk_batches(text, layout))
+    else:
+        assert _outcome(lambda: _tensor(_bulk_batches(text, layout))) == per_line
+    if case == "empty last":
+        assert per_line == ("error", f"line 6000: expected `{layout}`, got {text.splitlines()[-1]!r}")
+    if case == "label as vertex":
+        assert "cites" in per_line[1][0] and "authored" in per_line[1][0]
+
+
+def test_read_text_skips_a_bom_and_reads_line_ends_as_text(tmp_path):
+    plain = "h1\tauthored\ta1\nh1\tcites\th2\n"
+    path = tmp_path / "g.tsv"
+    path.write_bytes(plain.encode("utf-8"))
+    want = _outcome(lambda: read_triples(str(path)))
+    assert want[1][0] == ["h1", "a1", "h2"]
+    path.write_bytes(b"\xef\xbb\xbf" + plain.encode("utf-8"))
+    assert read_text(str(path)) == plain
+    assert _outcome(lambda: read_triples(str(path))) == want
+    # as a file opened in text mode reads them
+    path.write_bytes(b"a\r\nb\rc\n\r\n")
+    assert read_text(str(path)) == "a\nb\nc\n\n"
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_read_text_names_the_offset_of_a_byte_that_is_not_utf8(tmp_path, bom):
+    path = tmp_path / "g.tsv"
+    path.write_bytes(bom + b"h1\tauthored\ta\xe91\n")
+    with pytest.raises(GraphFormatError) as err:
+        read_triples(str(path))
+    at = len(bom) + len(b"h1\tauthored\ta")
+    assert str(err.value) == f"{path}: not UTF-8 at byte offset {at} (invalid continuation byte)"

@@ -3,6 +3,8 @@ per-entry writers built from dense matrices."""
 
 import json
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -338,3 +340,18 @@ def test_cell_rows_build_a_bounded_chunk_at_a_time(rng, monkeypatch):
     assert rows == want
     assert sum(Spans.seen) == indptr[-1]
     assert max(Spans.seen) == 12 and sorted(Spans.seen)[-2] <= 7
+
+
+@pytest.mark.parametrize("kind", ["int-beyond-2**53", "float"])
+def test_eval_tsv_is_written_a_row_at_a_time(big_graph, monkeypatch, kind):
+    path, t = big_graph
+    text = BIG_EXPRESSIONS[kind]
+    z = evaluate(parse(text), t)
+    assert z.dtype == (np.int64 if kind.startswith("int") else np.float64)
+    pieces = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=pieces.append, writelines=pieces.extend))
+    assert main(["eval", "--graph", path, "--expr", text]) == 0
+    whole = export_tsv(z, t.vertices.names)
+    assert "".join(pieces) == whole
+    # one piece per row that holds an entry, never the whole text at once
+    assert len(pieces) == len({line.split("\t")[0] for line in whole.splitlines()}) > 1
