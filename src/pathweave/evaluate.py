@@ -7,8 +7,7 @@ for slices and name-addressed filters of a tensor, and ``verify_rule`` one
 for pattern operands bound to concrete matrices and integer indices.
 ``fold`` visits each distinct subtree once, so ``run`` computes a shared
 subtree once and hands its matrix to every parent, which is safe because
-no kernel writes into an operand. The plan's steps and flop estimates
-count every occurrence.
+no kernel writes into an operand.
 
 Every node but the root is computed as its kernel computes it. A root that
 is a product of two stored int64 matrices, alone or under a mask whose
@@ -21,19 +20,18 @@ applied to a product is pushed onto the left (right) factor, using the
 planner-only commutations from the rule set. Products are evaluated in the
 association written; the simplifier already writes chains left-associated.
 
-The plan also records the representation each node will take, which is how
-`not(I)`-style complements stay unmaterialized through an evaluation, and
-each product's flops as estimated from nnz row/column profiles. Those
-estimates are computed when first read (``EvalPlan.steps``, ``est_flops``,
-``naive_flops``); ``plan`` itself only moves masks and checks every slice
-label and filter vertex name, so ``evaluate``, which reads only the plan's
-tree, estimates nothing.
+The plan also estimates the flops of its products from nnz row/column
+profiles, before and after moving masks (``EvalPlan.est_flops``,
+``naive_flops``). A shared subtree is estimated once, and its products
+count once per occurrence. The estimates are computed when first read;
+``plan`` itself only moves masks and checks every slice label and filter
+vertex name, so ``evaluate``, which reads only the plan's tree, estimates
+nothing.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -55,8 +53,6 @@ from .expr import (
     VOut,
     children,
     fold,
-    format_expr,
-    postorder,
     with_children,
 )
 from .rewrite import (
@@ -150,81 +146,32 @@ def evaluate(e, tensor, use_plan: bool = True) -> kernels.PathMatrix:
 
 
 @dataclass(frozen=True)
-class PlanStep:
-    op: str
-    node: object
-    repr: str
-    est_flops: float
-
-    @cached_property
-    def detail(self) -> str:
-        """The step's subtree as text, rendered when first read: rendering
-        every step up front holds O(depth^2) text for a deep tree."""
-        return format_expr(self.node)
-
-
-@dataclass(frozen=True)
 class EvalPlan:
-    """The tree `evaluate` runs, with masks on product factors. Its
-    estimates are computed when first read: `steps` by one estimating fold
-    over `tree`, which `est_flops` sums, and `naive_flops` by one over
-    `source`. Reading only `tree` estimates nothing."""
+    """The tree `evaluate` runs, with masks on product factors. Its flop
+    estimates are computed when first read, each by one estimating fold:
+    `est_flops` over `tree` and `naive_flops` over `source`. Reading only
+    `tree` estimates nothing."""
 
     tree: object
     source: object = field(repr=False, compare=False)
     tensor: object = field(repr=False, compare=False)
 
     @cached_property
-    def steps(self) -> tuple:
-        """One step per node occurrence, deepest level first, each with its
-        representation and the estimated flops of its own product."""
-        # one fold estimates every distinct node, and the steps read each
-        # node's estimate from it
-        facts = {}
-
-        def note(node, kids):
-            facts[node] = fact = _estimate(node, kids, self.tensor)
-            return fact
-
-        fold(self.tree, note)
-        # level order, left to right, then reversed: deepest level first
-        order, queue = [], deque([self.tree])
-        while queue:
-            node = queue.popleft()
-            order.append(node)
-            queue.extend(children(node))
-        steps = []
-        for node in reversed(order):
-            _, rep, est, _ = facts[node]
-            op = type(node).__name__.lower() if children(node) else "load"
-            steps.append(PlanStep(op, node, rep, est))
-        return tuple(steps)
-
-    @cached_property
     def est_flops(self) -> float:
-        """Estimated flops of the planned tree: the sum over its steps."""
-        return sum((step.est_flops for step in self.steps), 0.0)
+        """Estimated flops of the planned tree."""
+        return _flops(self.tree, self.tensor)
 
     @cached_property
     def naive_flops(self) -> float:
         """Estimated flops of the expression as given."""
-        return fold(self.source, lambda node, kids: _estimate(node, kids, self.tensor))[3]
+        return _flops(self.source, self.tensor)
 
 
-def _repr_of(e, kids) -> str:
-    """Fold visitor: the representation the kernels will choose for this
-    node's value, given its children's."""
-    if isinstance(e, Not):
-        return "sparse" if kids[0] == "complement" else "complement"
-    if isinstance(e, Filter) and e.kind == "ones":
-        return "complement"
-    if isinstance(e, (Transpose, Clip)):
-        return kids[0]
-    if isinstance(e, Hadamard):
-        return "complement" if kids == ("complement", "complement") else "sparse"
-    if isinstance(e, Scale):
-        return kids[0] if e.coef == 1 else "sparse"
-    return "sparse"
+def _flops(e, tensor) -> float:
+    """Estimated flops of the products in `e`, each counted once per
+    occurrence: the fold estimates a shared subtree once, and every parent
+    adds its subtree total."""
+    return fold(e, lambda node, kids: _estimate(node, kids, tensor))[1]
 
 
 def _profile(e, kids, tensor):
@@ -300,19 +247,15 @@ def _product_profile(left, right, n):
     return rows, cols
 
 
-def _pair_flops(left, right):
-    lcols = left[1]
-    rrows = right[0]
-    return float(np.dot(lcols, rrows))
-
-
 def _estimate(node, kids, tensor):
-    """Fold visitor: the node's (profile, representation, estimated flops of
-    its own product, estimated flops of its whole subtree as written)."""
-    profile = _profile(node, [k[0] for k in kids], tensor)
-    rep = _repr_of(node, tuple(k[1] for k in kids))
-    own = _pair_flops(kids[0][0], kids[1][0]) if isinstance(node, MatMul) else 0.0
-    return profile, rep, own, sum((k[3] for k in kids), 0.0) + own
+    """Fold visitor: the node's (profile, estimated flops of its subtree as
+    written)."""
+    profiles = [k[0] for k in kids]
+    profile = _profile(node, profiles, tensor)
+    # a product's flops: each entry in the left factor's column k meets each
+    # entry in the right factor's row k
+    own = float(np.dot(profiles[0][1], profiles[1][0])) if isinstance(node, MatMul) else 0.0
+    return profile, sum((k[1] for k in kids), 0.0) + own
 
 
 def _sink_filter(node):
@@ -337,22 +280,25 @@ def _sink_filter(node):
     return node
 
 
-def _push_filters(e):
+def _push_filters(e, tensor):
     """Apply the planner commutations bottom-up: masking a product's rows or
-    columns becomes masking the matching factor."""
-    return fold(e, lambda node, kids: _sink_filter(with_children(node, kids)))
+    columns becomes masking the matching factor. Every leaf is checked on
+    the way, so an unknown slice label or filter vertex name is refused."""
+
+    def visit(node, kids):
+        if isinstance(node, SliceRef):
+            tensor.slice(node.label)
+        elif isinstance(node, Filter):
+            _filter_spec(node, tensor)
+        return _sink_filter(with_children(node, kids))
+
+    return fold(e, visit)
 
 
 def plan(e, tensor) -> EvalPlan:
     """Move row and column masks onto product factors, and refuse an unknown
     slice label or filter vertex name; the estimates wait until read."""
-    tree = _push_filters(e)
-    for node in postorder(tree):
-        if isinstance(node, SliceRef):
-            tensor.slice(node.label)
-        elif isinstance(node, Filter):
-            _filter_spec(node, tensor)
-    return EvalPlan(tree=tree, source=e, tensor=tensor)
+    return EvalPlan(tree=_push_filters(e, tensor), source=e, tensor=tensor)
 
 
 # -- empirical rule verification ----------------------------------------------

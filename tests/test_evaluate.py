@@ -1,4 +1,5 @@
 import importlib
+import time
 import tracemalloc
 from collections import Counter
 
@@ -7,15 +8,15 @@ import pytest
 
 from pathweave import kernels
 from pathweave.errors import EvalError
-from pathweave.evaluate import _KERNELS, EvalPlan, _tensor_leaf, evaluate, plan, run
+from pathweave.evaluate import _KERNELS, EvalPlan, evaluate, plan
 from pathweave.expr import (
     Hadamard,
     MatMul,
     SliceRef,
     Transpose,
-    children,
     format_expr,
     parse,
+    parse_program,
     postorder,
     walk,
 )
@@ -207,22 +208,6 @@ def test_plan_monotone_cost(rng):
         assert p.est_flops <= p.naive_flops + 1e-9
 
 
-def test_plan_steps_deepest_level_first():
-    # the reference order: nodes sorted by (depth, path), reversed
-    rng = np.random.default_rng(7)
-    labels = ("alpha", "beta")
-    for _ in range(200):
-        tensor = random_tensor(rng, labels=labels)
-        e = random_expr(rng, labels, tensor.vertices.names, depth=6)
-        p = plan(e, tensor)
-        ordered = sorted(walk(p.tree), key=lambda pn: (len(pn[0]), pn[0]), reverse=True)
-        expected = [
-            (type(node).__name__.lower() if children(node) else "load", format_expr(node))
-            for _, node in ordered
-        ]
-        assert [(s.op, s.detail) for s in p.steps] == expected
-
-
 def test_plan_keeps_written_association():
     # alpha has a single edge; beta and gamma are dense: (A . B) . C would be
     # the cheaper order, but products evaluate in the association written
@@ -257,20 +242,21 @@ def test_long_product_chain_plans():
 
 
 def test_deep_chain_plans_in_bounded_memory():
-    # step texts render when read: all 5999 of them up front hold O(k^2)
-    # characters for a k-factor chain (55 MB at k = 3000)
+    # planning and estimating a k-factor chain hold O(k): text rendered per
+    # node would hold O(k^2) characters (55 MB at k = 3000)
     tensor = ingest_triples([("x", "cites", "y"), ("y", "cites", "z"), ("z", "cites", "x")])
     chain = parse(" . ".join(["A[cites]"] * 3000))
     tracemalloc.start()
     try:
         p = plan(chain, tensor)
+        est, naive = p.est_flops, p.naive_flops
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 12e6
-    assert [s.detail for s in p.steps[:2]] == ["A[cites]", "A[cites]"]
-    assert p.steps[-1].detail == format_expr(chain)
-    assert p.naive_flops == p.est_flops
+    assert p.tree is chain
+    # a permutation slice: each of the 2999 products costs 3 flops
+    assert est == naive == 3 * 2999
 
 
 def test_plan_rejects_unknown_vertex(fixture1):
@@ -317,12 +303,38 @@ def test_plan_estimates_once_when_read(monkeypatch, fixture1):
     )
     p = plan(parse(src), fixture1)
     assert not estimated
-    steps = p.steps
-    assert p.steps is steps
-    assert p.est_flops == sum(step.est_flops for step in steps)
+    est = p.est_flops
+    assert p.est_flops == est
     # one fold: each distinct node of the planned tree once
     assert estimated == Counter(postorder(p.tree))
-    assert len(steps) == sum(1 for _ in walk(p.tree))
+    estimated.clear()
+    naive = p.naive_flops
+    assert p.naive_flops == naive
+    assert estimated == Counter(postorder(p.source))
+
+
+def _doubling_program(levels):
+    lines = ["let v0 = A[authored] . A[authored]' & not(I)"]
+    lines += [f"let v{i} = v{i - 1} + v{i - 1}" for i in range(1, levels + 1)]
+    return parse_program("\n".join(lines) + "\n")
+
+
+def test_shared_subtrees_estimate_in_one_fold(fixture1):
+    # each product of A[authored] . A[authored]' meets every paper's authors
+    # pairwise: the sum of the squared author counts
+    authors = np.bincount(fixture1.slice("authored").heads, minlength=fixture1.n)
+    per_product = float((authors.astype(float) ** 2).sum())
+    small = plan(_doubling_program(6), fixture1)
+    by_occurrence = sum(per_product for _, node in walk(small.tree) if isinstance(node, MatMul))
+    assert by_occurrence == 2**6 * per_product
+    assert small.est_flops == small.naive_flops == by_occurrence
+    # 41 distinct nodes, but 2**40 occurrences of v0: the estimate folds
+    # over the nodes and carries the occurrence counts as numbers
+    start = time.perf_counter()
+    p = plan(_doubling_program(40), fixture1)
+    est, naive = p.est_flops, p.naive_flops
+    assert time.perf_counter() - start < 1.0
+    assert est == naive == 2**40 * per_product
 
 
 def test_chain_ties_keep_written_order():
@@ -342,32 +354,21 @@ def test_single_slice_identity_plan(fixture1):
     p = plan(parse("A[cites]"), fixture1)
     assert isinstance(p, EvalPlan)
     assert p.tree == SliceRef("cites")
-    assert [s.op for s in p.steps] == ["load"]
+    assert p.est_flops == p.naive_flops == 0.0
 
 
 def test_plan_keeps_complement_unmaterialized(fixture1):
     p = plan(parse("A[authored] . A[authored]' & not(I)"), fixture1)
-    reprs = {s.detail: s.repr for s in p.steps}
-    assert reprs["not(I)"] == "complement"
     assert p.tree == parse("A[authored] . A[authored]' & not(I)")
+    assert evaluate(parse("not(I)"), fixture1).complement
 
 
-def _evaluated_repr(node, tensor):
-    return "complement" if run(node, _tensor_leaf(tensor)).complement else "sparse"
-
-
-def test_plan_reprs_are_the_evaluated_representations(fixture1):
-    # the complement of a complement is sparse: each of these was labelled
-    # complement
+def test_complement_of_complement_is_stored(fixture1):
+    # each of these is stored, though a `not` is its root
     for text in ("not(ONES)", "not(not(A[authored]))", "not(not(I))"):
-        p = plan(parse(text), fixture1)
-        assert p.steps[-1].repr == "sparse" == _evaluated_repr(p.tree, fixture1)
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        t = random_tensor(rng)
-        e = random_expr(rng, t.labels, [f"v{i}" for i in range(t.n)], 5)
-        for step in plan(e, t).steps:
-            assert step.repr == _evaluated_repr(step.node, t), step.detail
+        z = evaluate(parse(text), fixture1)
+        assert not z.complement, text
+        assert np.array_equal(z.to_dense(), dense_reference_eval(parse(text), fixture1))
 
 
 def test_filter_push_into_product(fixture1):
@@ -413,7 +414,8 @@ def test_deep_chain_evaluates_planned(fixture1, wrap):
     # renderings must agree too
     assert p.tree is deep
     assert format_expr(p.tree) == format_expr(deep)
-    assert len(p.steps) == (3001 if wrap is Transpose else 6001)
+    # no product to count, and no recursion to estimate a deep tower
+    assert p.est_flops == p.naive_flops == 0.0
     # an even number of transposes, or cites masked by itself, is cites
     cites = fixture1.matrix("cites").to_dense()
     assert np.array_equal(evaluate(deep, fixture1).to_dense(), cites)
