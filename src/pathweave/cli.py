@@ -64,6 +64,19 @@ def _load_expression(args, t):
     )
 
 
+def _evaluated(args, simplified=False):
+    """The graph and the path matrix of the command's expression. With
+    `simplified`, the expression is simplified first and its derivation
+    printed to stderr."""
+    t = _load_tensor(args)
+    e = _load_expression(args, t)
+    if simplified:
+        start = e
+        e, trace = simplify(start)
+        _print_derivation(start, trace, sys.stderr)
+    return t, evaluate(e, t)
+
+
 def _write_json(payload, out, key=None, rows=()):
     """Write `payload` as one line of JSON. With `key`, the payload ends
     with a list under `key` whose items are the JSON texts `rows` yields,
@@ -166,20 +179,13 @@ def cmd_simplify(args, out):
 
 
 def cmd_eval(args, out):
-    t = _load_tensor(args)
-    e = _load_expression(args, t)
-    if args.simplify:
-        simplified, trace = simplify(e)
-        _print_derivation(e, trace, sys.stderr)
-        e = simplified
-    z = evaluate(e, t)
+    t, z = _evaluated(args, args.simplify)
     _emit_matrix(z, t, args.format, out)
     return 0
 
 
 def cmd_pagerank(args, out):
-    t = _load_tensor(args)
-    z = evaluate(_load_expression(args, t), t)
+    t, z = _evaluated(args)
     cfg = analysis.PageRankConfig(
         delta=args.delta, epsilon=args.epsilon, max_iters=args.max_iters
     )
@@ -190,8 +196,8 @@ def cmd_pagerank(args, out):
 
 
 def cmd_geodesic(args, out):
-    t = _load_tensor(args)
-    res = analysis.shortest_paths(evaluate(_load_expression(args, t), t))
+    t, z = _evaluated(args)
+    res = analysis.shortest_paths(z)
     names = t.vertices.names
     rows = list(
         zip(names, res.eccentricity.tolist(), res.closeness.tolist(), res.reach_counts.tolist())
@@ -239,7 +245,8 @@ def _parse_seed(pairs, t):
     if not pairs:
         raise GraphFormatError("spread needs at least one --seed name=value")
     for item in pairs:
-        name, _, raw = item.partition("=")
+        # split at the last `=`: a value is a number, a vertex name may hold `=`
+        name, _, raw = item.rpartition("=")
         if not _ or not name:
             raise GraphFormatError(f"--seed expects name=value, got {item!r}")
         idx = t.vertices.index.get(name)
@@ -253,8 +260,7 @@ def _parse_seed(pairs, t):
 
 
 def cmd_spread(args, out):
-    t = _load_tensor(args)
-    z = evaluate(_load_expression(args, t), t)
+    t, z = _evaluated(args)
     seed = _parse_seed(args.seed, t)
     flow = analysis.spreading_activation(
         z, seed, steps=args.steps, decay=args.decay, threshold=args.threshold
@@ -265,8 +271,7 @@ def cmd_spread(args, out):
 
 
 def cmd_assort(args, out):
-    t = _load_tensor(args)
-    z = evaluate(_load_expression(args, t), t)
+    t, z = _evaluated(args)
     try:
         raw = tensor_io.read_properties(args.property)
     except OSError as err:

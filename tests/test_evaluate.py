@@ -10,6 +10,7 @@ from pathweave import kernels
 from pathweave.errors import EvalError
 from pathweave.evaluate import _KERNELS, EvalPlan, evaluate, plan
 from pathweave.expr import (
+    Filter,
     Hadamard,
     MatMul,
     SliceRef,
@@ -263,6 +264,47 @@ def test_plan_rejects_unknown_vertex(fixture1):
     for text in ("A[cites] & R(nobody)", "C(nobody) & A[cites]", "E(a1,nobody) . A[cites]"):
         with pytest.raises(EvalError, match="unknown vertex name 'nobody'"):
             plan(parse(text), fixture1)
+
+
+@pytest.mark.parametrize(
+    "leaf",
+    [
+        SliceRef("authored"),
+        Filter("row", "h1"),
+        Filter("col", "a3"),
+        Filter("entry", "h1", "a2"),
+        Filter("entry", "a2", "a2"),
+        Filter("identity"),
+        Filter("ones"),
+        Filter("zeros"),
+    ],
+    ids=["slice", "R", "C", "E-off-diagonal", "E-diagonal", "I", "ONES", "ZERO"],
+)
+def test_leaf_profile_is_evaluated_leaf_counts(fixture1, leaf):
+    # the estimator reads a leaf as the matrix evaluation resolves it to
+    rows, cols = evaluate_module._profile(leaf, [], fixture1)
+    dense = evaluate(leaf, fixture1).to_dense()
+    assert rows.dtype == cols.dtype == np.float64
+    assert np.array_equal(rows, np.count_nonzero(dense, axis=1))
+    assert np.array_equal(cols, np.count_nonzero(dense, axis=0))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [parse("A[nosuch] . A[cites]"), parse("A[cites] & R(nobody)"), Filter("row")],
+    ids=["unknown-label", "unknown-vertex", "row-filter-without-name"],
+)
+def test_plan_and_evaluate_refuse_leaves_alike(fixture1, bad):
+    messages = set()
+    for attempt in (
+        lambda: plan(bad, fixture1),
+        lambda: evaluate(bad, fixture1),
+        lambda: evaluate(bad, fixture1, use_plan=False),
+    ):
+        with pytest.raises(EvalError) as err:
+            attempt()
+        messages.add(str(err.value))
+    assert len(messages) == 1, messages
 
 
 def test_evaluate_estimates_nothing(monkeypatch, fixture1):
