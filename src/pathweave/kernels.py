@@ -77,14 +77,22 @@ methods that canonicalise their operand on the way (``astype``, through
 ``sum_duplicates``): casts go through ``_as_dtype``.
 
 The writers build their text a row at a time from tables made once per
-call: one string per vertex name and one per distinct value (``entry_rows``
-formats each value found by ``np.unique`` once; the geodesic writer one
-per hop count). ``cell_rows`` makes a CSR's cells, the name of each
-entry's head followed by its value's text, a chunk of whole rows at a time
-(about ``_WRITE_CELLS`` cells), and ``joined_rows`` joins a row's cells
-behind the row's lead in one step. ``tsv_rows`` (and so ``export_tsv``)
-and the CLI's ``eval`` and ``geodesic`` writers, in TSV and JSON, all go
-through both; the CLI writes each row as it is made.
+call: one string per vertex name and one per distinct value (the geodesic
+writer one per hop count). ``entry_rows`` formats each distinct value
+once; an int64 matrix whose values are nonnegative and at most its entry
+count takes each entry's value code from one ``np.bincount`` and a
+lookup, any other from ``np.unique``. ``cell_rows`` makes a CSR's cells,
+the name of each entry's head followed by its value's text, a chunk of
+whole rows at a time (about ``_WRITE_CELLS`` cells). Where the heads that
+hold an entry times the distinct texts are no more than the cells written
+and no more than ``_WRITE_CELLS``, each ``head + text`` string is made
+once into a table (``_cell_table``) and every cell is a lookup in it, so
+the table never holds more strings than one chunk, and a tiny output
+never pays for one. Otherwise each cell is concatenated on its own; both
+give the same strings. ``joined_rows`` joins a row's cells behind the
+row's lead in one step. ``tsv_rows`` (and so ``export_tsv``) and the
+CLI's ``eval`` and ``geodesic`` writers, in TSV and JSON, all go through
+both; the CLI writes each row as it is made.
 """
 
 from __future__ import annotations
@@ -368,8 +376,17 @@ class PathMatrix:
         unsorted CSR is read through a sorted copy; the matrix is untouched."""
         mat = self.explicit()
         if not mat.has_sorted_indices:
-            mat = mat.sorted_indices()
-        values, codes = np.unique(mat.data, return_inverse=True)
+            # two linear conversions sort every row, in half the time of
+            # sorting each row in place
+            mat = mat.tocsc().tocsr()
+        data = mat.data
+        if data.dtype.kind == "i" and data.size and 0 <= data.min() and data.max() <= data.size:
+            # small counts: which occur, and each one's rank among them
+            seen = np.bincount(data) > 0
+            values = np.flatnonzero(seen)
+            codes = (np.cumsum(seen) - 1)[data]
+        else:
+            values, codes = np.unique(data, return_inverse=True)
         texts = np.array([text(v) for v in values.tolist()], dtype=object)
         return cell_rows(leads, heads, mat.indptr, mat.indices, codes, texts)
 
@@ -440,6 +457,18 @@ def _full_rows(rows: np.ndarray, n: int, values=None) -> sp.csr_array:
         data = np.ones(k * n, dtype=np.int64)
     else:
         data = np.repeat(values, n)
+    return sp.csr_array((data, indices, indptr), shape=(n, n))
+
+
+def _full_cols(cols: np.ndarray, n: int, values=None) -> sp.csr_array:
+    """CSR with the given sorted columns completely filled (value per
+    column), others empty: every row holds `cols`, so it is built sorted."""
+    k = cols.size
+    if k * n > DENSIFY_LIMIT:
+        raise EvalError(f"result would fill {k} complete columns of order {n}; refusing")
+    indptr = np.arange(n + 1, dtype=np.int64) * k
+    indices = np.tile(cols, n)
+    data = np.ones(k * n, dtype=np.int64) if values is None else np.tile(values, n)
     return sp.csr_array((data, indices, indptr), shape=(n, n))
 
 
@@ -666,7 +695,7 @@ def matmul(a: PathMatrix, b: PathMatrix) -> PathMatrix:
         def masked(pat, y):
             sums = _col_sums(y, dtype=y.dtype)
             cols = np.flatnonzero(sums)
-            return _full_rows(cols, n, values=sums[cols]).T.tocsr() - pat @ y
+            return _full_cols(cols, n, values=sums[cols]) - pat @ y
 
         bound = lambda pat, y: _col_sums(y).max(initial=0)
         return PathMatrix._result(_int_checked(masked, _as_dtype(a.mat, b.dtype), b.mat, bound))
@@ -794,7 +823,7 @@ def vertex_in(a: PathMatrix, p: int = 0) -> PathMatrix:
     _check_threshold(p)
     x = a.mat
     cols = _over(a, _col_sums, p, lambda c: x.data[x.indices == c])
-    return PathMatrix._result(_full_rows(cols, a.n).T)
+    return PathMatrix._result(_full_cols(cols, a.n))
 
 
 def _over(a: PathMatrix, sums_of, p, line) -> np.ndarray:
@@ -854,7 +883,7 @@ def materialize_filter(spec: FilterSpec, n: int) -> PathMatrix:
     if spec.kind == "row":
         return PathMatrix._result(_full_rows(np.array([spec.i]), n))
     if spec.kind == "col":
-        return PathMatrix._result(_full_rows(np.array([spec.i]), n).T)
+        return PathMatrix._result(_full_cols(np.array([spec.i]), n))
     if spec.kind == "entry":
         return PathMatrix._from_sorted_pairs(n, np.array([spec.i]), np.array([spec.j]))
     if spec.kind == "identity":
@@ -864,20 +893,44 @@ def materialize_filter(spec: FilterSpec, n: int) -> PathMatrix:
     return PathMatrix.zeros(n)
 
 
+def _cell_table(heads, indices, texts, cells):
+    """(table, slot) such that `table[slot[j] + c]` is `heads[j] + texts[c]`
+    for every head j in `indices` and every text code c: one string per
+    head that holds an entry and per text. None, to build each cell on its
+    own, when the table would hold more strings than the `cells` written
+    or than _WRITE_CELLS."""
+    k = len(texts)
+    bound = min(cells, _WRITE_CELLS)
+    if not 0 < k <= bound:
+        return None
+    present = np.flatnonzero(np.bincount(indices, minlength=len(heads)))
+    if present.size * k > bound:
+        return None
+    slot = np.zeros(len(heads), dtype=np.intp)
+    slot[present] = np.arange(present.size) * k
+    return (heads[present][:, None] + texts).ravel(), slot
+
+
 def cell_rows(leads, heads, indptr, indices, codes, texts):
     """(lead, cells) for each row i of the CSR pattern `indptr`, `indices`,
     in order: `leads[i]`, and the cell `heads[j] + texts[codes[e]]` for each
-    stored entry e = (i, j) of the row, in stored order. The cells are built
-    a chunk of whole rows at a time, about _WRITE_CELLS per chunk (more only
-    when one row holds more)."""
+    stored entry e = (i, j) of the row, in stored order. The cells are read
+    from `_cell_table` where it is built, and concatenated one by one
+    otherwise, a chunk of whole rows at a time: about _WRITE_CELLS per chunk
+    (more only when one row holds more)."""
     rows = len(indptr) - 1
+    built = _cell_table(heads, indices, texts, int(indptr[-1]))
     lo = 0
     while lo < rows:
         first = int(indptr[lo])
         hi = max(lo + 1, int(np.searchsorted(indptr, first + _WRITE_CELLS, side="right")) - 1)
         bounds = (indptr[lo : hi + 1] - first).tolist()
         span = slice(first, first + bounds[-1])
-        cells = (heads[indices[span]] + texts[codes[span]]).tolist()
+        if built is None:
+            cells = (heads[indices[span]] + texts[codes[span]]).tolist()
+        else:
+            table, slot = built
+            cells = table[slot[indices[span]] + codes[span]].tolist()
         yield from zip(leads[lo:hi], (cells[a:b] for a, b in zip(bounds, bounds[1:])))
         lo = hi
 

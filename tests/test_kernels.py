@@ -192,6 +192,24 @@ def test_vertex_in(fixture1):
             assert np.array_equal(dense(vertex_in(x, p)), np.broadcast_to(cols, (6, 6)))
 
 
+def test_vertex_in_and_column_filters_are_built_sorted_columns():
+    # the columns are written straight into a CSR, row by row, sorted
+    for x in vertex_operands(np.random.default_rng(13)):
+        for p in (0, 1, 2):
+            got = vertex_in(x, p)
+            cols = (dense(x).sum(axis=0) > p).astype(float)
+            assert np.array_equal(dense(got), np.broadcast_to(cols, (6, 6)))
+            assert got.mat.has_sorted_indices and not got.complement
+    for n in (1, 7):
+        for i in range(n):
+            c = materialize_filter(FilterSpec("col", i), n)
+            want = np.zeros((n, n))
+            want[:, i] = 1
+            assert np.array_equal(dense(c), want) and c.mat.has_sorted_indices
+    with pytest.raises(EvalError, match="complete columns"):
+        vertex_in(PathMatrix.ones(10_000), 0)
+
+
 def test_vertex_functions_keep_sums_past_the_int64_range():
     # an int64 sum of row 0 (of column 0) wraps to -2**63 and would drop it
     rows = PathMatrix.from_dense(np.array([[2**62, 2**62, 0], [0, 0, 1], [0, 0, 0]]))

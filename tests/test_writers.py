@@ -9,10 +9,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import pathweave.kernels as kernels
 from pathweave.cli import main
 from pathweave.evaluate import evaluate
 from pathweave.expr import parse
-from pathweave.kernels import PathMatrix, export_tsv
+from pathweave.kernels import PathMatrix, export_tsv, name_cells
 from pathweave.tensor import read_triples
 
 from oracles import dense_reference_eval, min_power_distances
@@ -117,6 +118,33 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
+def both_routes(monkeypatch):
+    """Yield ("table", built), then ("cells", built): first with each cell
+    table built where its bound lets it, then with _WRITE_CELLS at 0, so
+    that every cell is concatenated on its own. `built` lists the size of
+    each table built in the pass. After each pass, every table must have
+    held no more strings than the cells written and _WRITE_CELLS, and the
+    second pass must have built none."""
+    cell_table = kernels._cell_table
+    built, over = [], []
+
+    def spy(heads, indices, texts, cells):
+        table = cell_table(heads, indices, texts, cells)
+        if table is not None:
+            built.append(len(table[0]))
+            if len(table[0]) > min(cells, kernels._WRITE_CELLS):
+                over.append((len(table[0]), cells, kernels._WRITE_CELLS))
+        return table
+
+    monkeypatch.setattr(kernels, "_cell_table", spy)
+    yield "table", built
+    assert over == []
+    built.clear()
+    monkeypatch.setattr(kernels, "_WRITE_CELLS", 0)
+    yield "cells", built
+    assert built == [] and over == []
+
+
 # kind -> (expression, its value from the dense `next` and `also` slices)
 EXPRESSIONS = {
     "int": ("A[next] . A[next] + A[also] . A[next]", lambda nxt, also: nxt @ nxt + also @ nxt),
@@ -127,44 +155,62 @@ EXPRESSIONS = {
 
 
 @pytest.mark.parametrize("kind", list(EXPRESSIONS))
-def test_eval_writers_match_straight_line(graph, kind, capsys):
+def test_eval_writers_match_straight_line(graph, kind, capsys, monkeypatch):
     path, t = graph
     names = t.vertices.names
     text, value = EXPRESSIONS[kind]
     want = value(t.matrix("next").to_dense(), t.matrix("also").to_dense())
     z = evaluate(parse(text), t)
     assert z.complement == (kind == "complement")
-    assert export_tsv(z, names) == reference_tsv(want, names)
-    code, out, _ = run(["eval", "--graph", path, "--expr", text], capsys)
-    assert (code, out) == (0, reference_tsv(want, names))
-    code, out, _ = run(["eval", "--graph", path, "--expr", text, "--format", "json"], capsys)
-    assert (code, out) == (0, reference_json(want, names))
+    for route, built in both_routes(monkeypatch):
+        assert export_tsv(z, names) == reference_tsv(want, names)
+        code, out, _ = run(["eval", "--graph", path, "--expr", text], capsys)
+        assert (code, out) == (0, reference_tsv(want, names))
+        code, out, _ = run(["eval", "--graph", path, "--expr", text, "--format", "json"], capsys)
+        assert (code, out) == (0, reference_json(want, names))
+        # one value over fewer heads than cells: each writer reads a table
+        assert (len(built) == 3) == (route == "table" and kind in ("int", "complement"))
 
 
-def test_export_tsv_matches_straight_line(rng):
+def test_export_tsv_matches_straight_line(rng, monkeypatch):
     names = [f"v{i}" for i in range(9)]
-    for _ in range(20):
-        mask = rng.random((9, 9)) < 0.4
-        ints = mask * rng.integers(1, 1000, size=(9, 9))
-        floats = mask * rng.random((9, 9)) * 1e3
-        assert export_tsv(PathMatrix.from_dense(ints), names) == reference_tsv(ints, names)
-        assert export_tsv(PathMatrix.from_dense(floats), names) == reference_tsv(floats, names)
-        comp = PathMatrix.from_dense(mask.astype(np.int64), complement=True)
-        assert comp.complement
-        assert export_tsv(comp, names) == reference_tsv(mask.astype(np.int64), names)
-    assert export_tsv(PathMatrix.zeros(9), names) == ""
+    for route, built in both_routes(monkeypatch):
+        for _ in range(20):
+            mask = rng.random((9, 9)) < 0.4
+            ints = mask * rng.integers(1, 1000, size=(9, 9))
+            counts = mask * rng.integers(1, 4, size=(9, 9))
+            floats = mask * rng.random((9, 9)) * 1e3
+            for dense in (ints, counts, floats, mask * 0.5):
+                want = reference_tsv(dense, names)
+                assert export_tsv(PathMatrix.from_dense(dense), names) == want
+            comp = PathMatrix.from_dense(mask.astype(np.int64), complement=True)
+            assert comp.complement
+            assert export_tsv(comp, names) == reference_tsv(mask.astype(np.int64), names)
+        # counts up to the entry count are coded by one bincount (here 8 of
+        # 8 entries, with gaps); any other values by a sort (2**40 and 9)
+        for values in (
+            [1, 3, 3, 8, 2, 8, 3, 1],
+            [1, 7, 2**40, 7, 1, 1, 7, 1],
+            [9, 1, 9, 2, 2, 1, 1, 1],
+        ):
+            dense = np.zeros((9, 9), dtype=np.int64)
+            dense[[0, 0, 2, 3, 3, 5, 8, 8], [4, 1, 2, 8, 0, 4, 4, 7]] = values
+            assert export_tsv(PathMatrix.from_dense(dense), names) == reference_tsv(dense, names)
+        assert export_tsv(PathMatrix.zeros(9), names) == ""
+        assert (route == "table") == bool(built)
 
 
 @pytest.mark.parametrize("text", ["A[next]", "A[next] + A[also]", "A[also]", "A[next] & A[also]"])
-def test_geodesic_writers_match_straight_line(graph, text, capsys):
+def test_geodesic_writers_match_straight_line(graph, text, capsys, monkeypatch):
     path, t = graph
     names = t.vertices.names
     adj = evaluate(parse(text), t).to_dense()
     want_tsv, want_json = reference_geodesic(reached_pairs(min_power_distances(adj)), names)
-    assert run(["geodesic", "--graph", path, "--expr", text], capsys) == (0, want_tsv, "")
-    assert run(
-        ["geodesic", "--graph", path, "--expr", text, "--format", "json"], capsys
-    ) == (0, want_json, "")
+    for _ in both_routes(monkeypatch):
+        assert run(["geodesic", "--graph", path, "--expr", text], capsys) == (0, want_tsv, "")
+        assert run(
+            ["geodesic", "--graph", path, "--expr", text, "--format", "json"], capsys
+        ) == (0, want_json, "")
 
 
 def test_geodesic_fixture_has_unreached_cases(graph, capsys):
@@ -244,11 +290,12 @@ BIG_EXPRESSIONS = {
     "float": "0.3 * (A[dense] . A[dense] . A[dense]) + 0.7 * (A[link] . A[dense] . A[dense])",
     "unsorted": "(A[link] . A[link]' & not(I)) . A[dense]",
     "complement": "not(A[link])",
+    "float-few-values": "0.5 * A[link] + A[dense]",
 }
 
 
 @pytest.mark.parametrize("kind", list(BIG_EXPRESSIONS))
-def test_eval_writers_on_a_larger_graph(big_graph, kind, capsys):
+def test_eval_writers_on_a_larger_graph(big_graph, kind, capsys, monkeypatch):
     path, t = big_graph
     names = t.vertices.names
     text = BIG_EXPRESSIONS[kind]
@@ -263,17 +310,23 @@ def test_eval_writers_on_a_larger_graph(big_graph, kind, capsys):
         assert len(set(values.tolist())) > 500
     elif kind == "unsorted":
         assert not z.mat.has_sorted_indices
+    elif kind == "float-few-values":
+        assert z.dtype == np.float64 and sorted(set(values.tolist())) == [0.5, 1.0, 1.5]
     else:
         assert z.complement
-    assert export_tsv(z, names) == reference_tsv(want, names)
-    code, out, _ = run(["eval", "--graph", path, "--expr", text], capsys)
-    assert (code, out) == (0, reference_tsv(want, names))
-    code, out, _ = run(["eval", "--graph", path, "--expr", text, "--format", "json"], capsys)
-    assert (code, out) == (0, reference_json(want, names))
+    for route, built in both_routes(monkeypatch):
+        assert export_tsv(z, names) == reference_tsv(want, names)
+        code, out, _ = run(["eval", "--graph", path, "--expr", text], capsys)
+        assert (code, out) == (0, reference_tsv(want, names))
+        code, out, _ = run(["eval", "--graph", path, "--expr", text, "--format", "json"], capsys)
+        assert (code, out) == (0, reference_json(want, names))
+        # few values over many cells: each writer reads a table
+        few = kind in ("unsorted", "complement", "float-few-values")
+        assert (len(built) == 3) == (route == "table" and few)
 
 
 @pytest.mark.parametrize("text", ["A[link]", "A[link]' + A[tag]", "A[link] . A[link] & not(I)"])
-def test_geodesic_writers_on_a_larger_graph(big_graph, text, capsys):
+def test_geodesic_writers_on_a_larger_graph(big_graph, text, capsys, monkeypatch):
     path, t = big_graph
     names = t.vertices.names
     dist = bfs_distances(dense_reference_eval(parse(text), t))
@@ -283,10 +336,13 @@ def test_geodesic_writers_on_a_larger_graph(big_graph, text, capsys):
     if text == "A[link]":
         assert finite.max() >= 10
     want_tsv, want_json = reference_geodesic(reached_pairs(dist), names)
-    assert run(["geodesic", "--graph", path, "--expr", text], capsys) == (0, want_tsv, "")
-    assert run(
-        ["geodesic", "--graph", path, "--expr", text, "--format", "json"], capsys
-    ) == (0, want_json, "")
+    for route, built in both_routes(monkeypatch):
+        assert run(["geodesic", "--graph", path, "--expr", text], capsys) == (0, want_tsv, "")
+        assert run(
+            ["geodesic", "--graph", path, "--expr", text, "--format", "json"], capsys
+        ) == (0, want_json, "")
+        # a few hop counts over many reached pairs: both writers read a table
+        assert (len(built) == 2) == (route == "table")
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7])
@@ -340,6 +396,23 @@ def test_cell_rows_build_a_bounded_chunk_at_a_time(rng, monkeypatch):
     assert rows == want
     assert sum(Spans.seen) == indptr[-1]
     assert max(Spans.seen) == 12 and sorted(Spans.seen)[-2] <= 7
+
+
+def test_a_cell_table_is_built_only_within_its_bound(monkeypatch):
+    heads = name_cells(["a", "b", "c", "d"], ":")
+    texts = np.array(["x", "y"], dtype=object)
+    indices = np.array([2, 0, 2, 2, 0, 2], dtype=np.int32)  # heads a and c
+    table, slot = kernels._cell_table(heads, indices, texts, 4)
+    assert sorted(table.tolist()) == ["a:x", "a:y", "c:x", "c:y"]
+    assert [table[slot[j] + c] for j in (0, 2) for c in (0, 1)] == ["a:x", "a:y", "c:x", "c:y"]
+    # 4 strings: never for fewer cells, nor past _WRITE_CELLS
+    assert kernels._cell_table(heads, indices, texts, 3) is None
+    monkeypatch.setattr(kernels, "_WRITE_CELLS", 4)
+    assert kernels._cell_table(heads, indices, texts, 6) is not None
+    monkeypatch.setattr(kernels, "_WRITE_CELLS", 3)
+    assert kernels._cell_table(heads, indices, texts, 6) is None
+    # nor for no cells at all
+    assert kernels._cell_table(heads, indices[:0], texts[:0], 0) is None
 
 
 @pytest.mark.parametrize("kind", ["int-beyond-2**53", "float"])
